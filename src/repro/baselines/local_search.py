@@ -12,7 +12,7 @@ instances this neighborhood is known to reach a constant-factor (3 for
 add/drop/swap) local optimum; here it serves as the "what a practitioner
 would run" reference column of comparison experiment E5.
 
-Cost evaluation for a candidate open set is fully vectorized: the cost of
+Cost evaluation for a candidate open set is pure array arithmetic: the cost of
 an open set ``S`` is ``sum_{i in S} f_i + sum_j min_{i in S} c_ij``, so a
 move evaluation is one masked row-min over the cost matrix.
 """

@@ -28,7 +28,7 @@ Everything the library does is reachable from the shell::
     repro top metrics.json --spans spans.jsonl
     repro record inst.json -k 16 --engine loop -o run.rec.json
     repro record inst.json -k 16 --engine loop --full -o full.rec.json
-    repro replay run.rec.json --engine vectorized
+    repro replay run.rec.json --engine columnar
     repro divergence left.rec.json right.rec.json
     repro inspect run.rec.json --digests other.rec.json
     repro explain full.rec.json facility:3
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--c-round", type=float, default=1.0)
     solve.add_argument(
         "--engine",
-        choices=["simulator", "loop", "vectorized", "columnar"],
+        choices=["simulator", "loop", "columnar"],
         default="simulator",
         help="execution engine (default: the message-passing simulator; "
         "the emulation engines skip network simulation, and columnar "
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--c-round", type=float, default=1.0)
     record.add_argument(
         "--engine",
-        choices=["loop", "vectorized", "simulator", "columnar"],
+        choices=["loop", "simulator", "columnar"],
         default="loop",
         help="which engine to record (default loop)",
     )
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("recording", help="recording JSON written by repro record")
     replay.add_argument(
         "--engine",
-        choices=["loop", "vectorized", "simulator", "columnar"],
+        choices=["loop", "simulator", "columnar"],
         default=None,
         help="override the recorded engine (cross-engine digest check)",
     )
@@ -1023,7 +1023,7 @@ def _cmd_solve_emulated(
     cinst: Any,
     policy: RoundingPolicy,
 ) -> int:
-    """solve with ``--engine loop|vectorized|columnar`` (no simulator)."""
+    """solve with ``--engine loop|columnar`` (no simulator)."""
     import time
 
     from repro.obs.spans import measure_peak_memory

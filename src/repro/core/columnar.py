@@ -1,11 +1,12 @@
 """Columnar sharded execution engine for both protocol variants.
 
-The object-graph simulator and even the dense vectorized engines top out
-well below a million nodes: the simulator spends its time on per-node
-Python objects and per-inbox lists, and the dense engines materialize an
-``(m, n)`` cost matrix that costs ``8 m n`` bytes regardless of how
-sparse the bipartite graph actually is. This module is the third
-re-implementation of the protocol semantics, built for scale:
+The object-graph simulator and the loop emulation top out well below a
+million nodes: they spend their time on per-node Python objects, and
+every dense representation materializes an ``(m, n)`` cost matrix that
+costs ``8 m n`` bytes regardless of how sparse the bipartite graph
+actually is. This module re-implements the protocol semantics as the
+repo's one fast path, from small dense instances up to million-node
+sparse ones:
 
 * **Columnar state.** All per-node state — facility open flags, client
   active/assignment state, duals, alpha levels, freeze flags — lives in
@@ -25,22 +26,22 @@ re-implementation of the protocol semantics, built for scale:
   permutation after the barrier.
 
 **Determinism contract.** The loop engine stays the small-scale oracle,
-and this engine must match it (and the dense vectorized engine) *bit for
-bit* — same open sets, same assignments, same coin flips, same recorder
-digests — at every shard count:
+and this engine must match it *bit for bit* — same open sets, same
+assignments, same coin flips, same recorder digests — at every shard
+count:
 
 * The per-facility prefix sums of the greedy star search are computed on
   a degree-padded 2-D array with ``numpy.cumsum`` (fee in column 0, one
   edge per subsequent column in (cost, client id) order). Absent and
   inactive slots contribute exact ``0.0`` terms, which IEEE addition
   absorbs exactly for the non-negative partial sums that occur here, so
-  the prefix values equal the dense engine's inf-padded row cumsums at
-  every real-edge position.
-* First-extremum tie-breaks (``argmax``/``argmin`` in the dense engine)
-  become two-pass segment reductions: a ``reduceat`` for the extreme
-  value, then a ``reduceat`` over facility ids restricted to edges
-  attaining it — the minimum id among ties, which is exactly what a
-  first-extremum scan returns.
+  the prefix values equal the loop engine's running ``total += cost``
+  sums at every real-edge position.
+* First-extremum tie-breaks (the loop engine's ``(priority, -i)`` /
+  ``(cost, i)`` keys) become two-pass segment reductions: a ``reduceat``
+  for the extreme value, then a ``reduceat`` over facility ids restricted
+  to edges attaining it — the minimum id among ties, which is exactly
+  what a first-extremum scan returns.
 * Coin flips come from the same per-node ``SeedSequence`` streams
   (:func:`~repro.net.rng.spawn_node_rng_range`); only facilities ever
   draw, so a million-node run builds only ``m`` generators, and a shard
@@ -52,15 +53,16 @@ digests — at every shard count:
   phases, which are race-free and order-independent).
 
 ``tests/test_columnar.py`` enforces the contract — solutions and
-FlightRecorder digests — against both reference engines at shards 1 and 4.
+FlightRecorder digests — against the loop oracle at shards 1 and 4.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-import threading
-from dataclasses import dataclass, field
+import multiprocessing.connection
+import time
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable
 
@@ -78,8 +80,7 @@ __all__ = [
     "ColumnarSolveResult",
     "columnar_efficiency_range",
     "columnar_parameters",
-    "emulate_greedy_columnar",
-    "emulate_dual_columnar",
+    "emulate_columnar",
     "solve_columnar",
 ]
 
@@ -99,6 +100,15 @@ _BARRIER_TIMEOUT_S = 600.0
 # ----------------------------------------------------------------------
 # Columnar instance plane
 # ----------------------------------------------------------------------
+
+
+def _check_edges(cost: np.ndarray, client_degrees: np.ndarray) -> None:
+    """Reject negative or non-finite edge costs and edgeless clients."""
+    if not np.all(np.isfinite(cost)) or (cost.size and float(cost.min()) < 0):
+        raise AlgorithmError("columnar edges must have finite non-negative costs")
+    if client_degrees.size and int(client_degrees.min()) < 1:
+        j = int(np.flatnonzero(client_degrees == 0)[0])
+        raise AlgorithmError(f"client {j} has no facility edge; instance infeasible")
 
 
 @dataclass(frozen=True)
@@ -166,35 +176,67 @@ class ColumnarInstance:
         name: str = "columnar",
     ) -> "ColumnarInstance":
         """Build the dual-ordered CSR plane from an edge triplet list."""
-        opening = np.ascontiguousarray(opening, dtype=np.float64)
         fac_idx = np.asarray(fac_idx, dtype=np.int64)
         cli_idx = np.asarray(cli_idx, dtype=np.int64)
         cost = np.asarray(cost, dtype=np.float64)
-        m = int(opening.shape[0])
-        n = int(num_clients)
-        if not np.all(np.isfinite(cost)) or (cost.size and float(cost.min()) < 0):
-            raise AlgorithmError("columnar edges must have finite non-negative costs")
-        counts = np.bincount(cli_idx, minlength=n)
-        if n and int(counts.min()) < 1:
-            j = int(np.flatnonzero(counts == 0)[0])
-            raise AlgorithmError(f"client {j} has no facility edge; instance infeasible")
+        _check_edges(cost, np.bincount(cli_idx, minlength=int(num_clients)))
         # Greedy order: (facility, cost, client). lexsort keys are listed
         # least-significant first and the sort is stable.
         greedy = np.lexsort((cli_idx, cost, fac_idx))
-        g_fac = np.ascontiguousarray(fac_idx[greedy])
-        g_cli = np.ascontiguousarray(cli_idx[greedy])
-        g_cost = np.ascontiguousarray(cost[greedy])
+        g_fac = fac_idx[greedy]
+        g_cli = cli_idx[greedy]
+        return cls._from_greedy_order(
+            opening, g_fac, g_cli, cost[greedy],
+            byc=np.lexsort((g_cli, g_fac)),
+            cli_edge=np.lexsort((g_fac, g_cli)),
+            num_clients=num_clients,
+            name=name,
+        )
+
+    @classmethod
+    def from_instance(cls, instance: FacilityLocationInstance) -> "ColumnarInstance":
+        """Convert a dense instance (finite entries become edges).
+
+        Builds the same arrays as :meth:`from_edges` on the finite
+        triplets, without its three edge-list sorts: one stable per-row
+        ``argsort`` yields the greedy (cost, client) order, and the
+        (facility, client) and (client, facility) orders are row- and
+        column-major walks of a dense map from entry to greedy edge id.
+        """
+        costs = instance.connection_costs
+        m, n = costs.shape
+        finite = np.isfinite(costs)
+        order = np.argsort(costs, axis=1, kind="stable")
+        sorted_costs = np.take_along_axis(costs, order, axis=1)
+        in_order = np.isfinite(sorted_costs)
+        g_cost = sorted_costs[in_order]
+        _check_edges(g_cost, finite.sum(axis=0))
+        g_fac = np.repeat(np.arange(m, dtype=np.int64), in_order.sum(axis=1))
+        g_cli = order[in_order].astype(np.int64, copy=False)
+        edge_id = np.empty((m, n), dtype=np.int64)
+        edge_id[g_fac, g_cli] = np.arange(g_cost.size, dtype=np.int64)
+        return cls._from_greedy_order(
+            instance.opening_costs, g_fac, g_cli, g_cost,
+            byc=edge_id[finite],
+            cli_edge=edge_id.T[finite.T],
+            num_clients=n,
+            name=instance.name,
+        )
+
+    @classmethod
+    def _from_greedy_order(
+        cls, opening, g_fac, g_cli, g_cost, *, byc, cli_edge, num_clients, name
+    ) -> "ColumnarInstance":
+        """Assemble the plane from greedy-order edges and two permutations.
+
+        ``byc`` lists greedy edge ids in (facility, client) order and
+        ``cli_edge`` in (client, facility) order (the gather side of the
+        columnar inbox).
+        """
+        opening = np.ascontiguousarray(opening, dtype=np.float64)
+        m, n = int(opening.shape[0]), int(num_clients)
         fac_ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(g_fac, minlength=m), out=fac_ptr[1:])
-        # Client order within each facility segment: (facility, client).
-        byc = np.lexsort((g_cli, g_fac))
-        byc_cli = np.ascontiguousarray(g_cli[byc])
-        byc_cost = np.ascontiguousarray(g_cost[byc])
-        # Client side: (client, facility), with the permutation back into
-        # greedy edge indices (the gather side of the columnar inbox).
-        cli_order = np.lexsort((g_fac, g_cli))
-        cli_fac = np.ascontiguousarray(g_fac[cli_order])
-        cli_cost = np.ascontiguousarray(g_cost[cli_order])
         cli_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(g_cli, minlength=n), out=cli_ptr[1:])
         return cls(
@@ -202,30 +244,16 @@ class ColumnarInstance:
             n=n,
             opening=opening,
             fac_ptr=fac_ptr,
-            g_fac=g_fac,
-            g_cli=g_cli,
-            g_cost=g_cost,
-            byc_cli=byc_cli,
-            byc_cost=byc_cost,
+            g_fac=np.ascontiguousarray(g_fac),
+            g_cli=np.ascontiguousarray(g_cli),
+            g_cost=np.ascontiguousarray(g_cost),
+            byc_cli=g_cli[byc],
+            byc_cost=g_cost[byc],
             cli_ptr=cli_ptr,
-            cli_fac=cli_fac,
-            cli_cost=cli_cost,
-            cli_edge=np.ascontiguousarray(cli_order, dtype=np.int64),
+            cli_fac=g_fac[cli_edge],
+            cli_cost=g_cost[cli_edge],
+            cli_edge=np.ascontiguousarray(cli_edge, dtype=np.int64),
             name=str(name),
-        )
-
-    @classmethod
-    def from_instance(cls, instance: FacilityLocationInstance) -> "ColumnarInstance":
-        """Convert a dense instance (finite entries become edges)."""
-        costs = instance.connection_costs
-        fac_idx, cli_idx = np.nonzero(np.isfinite(costs))
-        return cls.from_edges(
-            np.asarray(instance.opening_costs, dtype=np.float64),
-            fac_idx,
-            cli_idx,
-            costs[fac_idx, cli_idx],
-            num_clients=instance.num_clients,
-            name=instance.name,
         )
 
     @classmethod
@@ -289,7 +317,7 @@ class ColumnarInstance:
             valid=valid,
             g_cost=np.where(valid, self.g_cost[safe], 0.0),
             g_cli=np.where(valid, self.g_cli[safe], 0),
-            byc_cost=np.where(valid, self.byc_cost[safe], 0.0),
+            byc_cost=np.where(valid, self.byc_cost[safe], np.inf),
             byc_cli=np.where(valid, self.byc_cli[safe], 0),
             degrees=deg,
         )
@@ -302,7 +330,7 @@ class _PaddedSlice:
     valid: np.ndarray  # (ms, D) bool — real-edge slots
     g_cost: np.ndarray  # (ms, D) greedy-order costs, 0.0 padded
     g_cli: np.ndarray  # (ms, D) greedy-order client ids, 0 padded
-    byc_cost: np.ndarray  # (ms, D) client-order costs, 0.0 padded
+    byc_cost: np.ndarray  # (ms, D) client-order costs, +inf padded
     byc_cli: np.ndarray  # (ms, D) client-order client ids, 0 padded
     degrees: np.ndarray  # (ms,) real degrees
 
@@ -345,7 +373,7 @@ def columnar_parameters(
     Same arithmetic as :meth:`TradeoffParameters.from_instance` (greedy)
     / :meth:`~TradeoffParameters.linear` (dual ascent), fed by
     :func:`columnar_efficiency_range` — so parameters agree bit for bit
-    with what the dense engines derive from the equivalent instance.
+    with what the loop engine derives from the equivalent dense instance.
     """
     if k < 1:
         raise AlgorithmError(f"trade-off parameter k must be >= 1, got {k}")
@@ -439,7 +467,7 @@ def _greedy_client_offer_phase(
     best = np.maximum.reduceat(key, starts)
     offered = best >= 0.0
     # Highest priority wins; equal priorities resolve to the smallest
-    # facility id, exactly like the dense engine's first-maximum argmax.
+    # facility id, exactly like the loop engine's (priority, -i) key.
     attain = e_member & (key == np.repeat(best, lengths))
     chosen = np.minimum.reduceat(np.where(attain, e_fac, cinst.m), starts)
     best_fac[c0:c1] = np.where(offered, chosen, 0)
@@ -526,14 +554,16 @@ def _dual_facility_phase(cinst, pad, slack, f0, f1, *, alphas, tight, witness) -
     """Payments, tightness, and witness-edge flags for ``[f0, f1)``."""
     if f1 <= f0:
         return
+    # Tightness is sticky, so only facilities not yet tight need their
+    # payment; the +inf cost padding makes absent slots pay exactly 0.0.
+    rows = np.flatnonzero(~tight[f0:f1])
     if pad.valid.shape[1]:
-        contrib = np.where(
-            pad.valid, np.maximum(0.0, alphas[pad.byc_cli] - pad.byc_cost), 0.0
-        )
+        contrib = np.maximum(0.0, alphas[pad.byc_cli[rows]] - pad.byc_cost[rows])
         payment = np.cumsum(contrib, axis=1)[:, -1]
     else:
-        payment = np.zeros(f1 - f0)
-    tight[f0:f1] |= payment >= cinst.opening[f0:f1] - slack[f0:f1]
+        payment = np.zeros(rows.size)
+    fac = f0 + rows
+    tight[fac] = payment >= cinst.opening[fac] - slack[fac]
     lo, hi = int(cinst.fac_ptr[f0]), int(cinst.fac_ptr[f1])
     edge_tight = tight[cinst.g_fac[lo:hi]]
     witness[lo:hi] |= edge_tight & (
@@ -616,244 +646,222 @@ def _dual_join_apply_phase(c0, c1, *, forced_mask, target, is_open) -> None:
 
 
 # ----------------------------------------------------------------------
-# Recorder checkpoints (parent-side in sharded mode)
+# Recorder checkpoints and ledger charges
 # ----------------------------------------------------------------------
 
 
-def _record_greedy_checkpoint(recorder, label, is_open, assignment) -> None:
-    recorder.observe(
-        label,
-        {
-            "open": {f"facility:{i}": bool(v) for i, v in enumerate(is_open)},
-            "assignment": {f"client:{j}": int(v) for j, v in enumerate(assignment)},
-        },
-    )
+def _leaves(kind: str, values, cast) -> dict:
+    """One recorder field: ``{"<kind>:<id>": value}`` for every node."""
+    return {f"{kind}:{i}": cast(v) for i, v in enumerate(values)}
 
 
-def _record_dual_level_checkpoint(
-    recorder, level, cinst, alphas, frozen, witness, tight
-) -> None:
-    witness_lists: dict[str, list[int]] = {}
-    flags = witness[cinst.cli_edge]
-    for j in range(cinst.n):
-        lo, hi = int(cinst.cli_ptr[j]), int(cinst.cli_ptr[j + 1])
-        seg = flags[lo:hi]
-        # cli_* sorts by facility id within a client, so this list is
-        # ascending — matching the reference engines' sorted sets.
-        witness_lists[f"client:{j}"] = [int(f) for f in cinst.cli_fac[lo:hi][seg]]
-    recorder.observe(
-        f"dual:level:{level}",
-        {
-            "alpha": {f"client:{j}": float(v) for j, v in enumerate(alphas)},
-            "frozen": {f"client:{j}": bool(v) for j, v in enumerate(frozen)},
-            "witnesses": witness_lists,
-            "tight": {f"facility:{i}": bool(v) for i, v in enumerate(tight)},
-        },
-    )
+class _Observer:
+    """Reads the run state at the schedule's snapshot points.
 
+    It charges the bit ledger and writes flight-recorder checkpoints.
+    In process it runs between kernels; in a sharded run the parent runs
+    it while every worker is parked at a snapshot barrier. Ledger charges
+    compare the state with the previous snapshot, so both run modes charge
+    exactly the same counts.
+    """
 
-def _record_dual_rounding_checkpoint(recorder, is_open) -> None:
-    recorder.observe(
-        "dual:rounding",
-        {"open": {f"facility:{i}": bool(v) for i, v in enumerate(is_open)}},
-    )
+    def __init__(self, cinst: ColumnarInstance, state, recorder, ledger) -> None:
+        self.cinst, self.s, self.recorder, self.ledger = cinst, state, recorder, ledger
+        self.active = self.unfrozen = cinst.n
+        self.active_edges = self.unfrozen_edges = cinst.num_edges
+        self.opened = self.tight = 0
 
-
-# ----------------------------------------------------------------------
-# In-process drivers (shards == 1)
-# ----------------------------------------------------------------------
-
-
-def _greedy_columnar_arrays(
-    cinst: ColumnarInstance,
-    params: TradeoffParameters,
-    seed: int,
-    open_fraction: float,
-    recorder,
-    ledger,
-) -> tuple[np.ndarray, np.ndarray]:
-    m, n = cinst.m, cinst.n
-    pad = cinst.padded(0, m)
-    rngs = spawn_node_rng_range(seed, 0, m)
-    client_deg = cinst.client_degrees
-    state = {
-        "active": np.ones(n, dtype=bool),
-        "is_open": np.zeros(m, dtype=bool),
-        "assignment": np.full(n, -1, dtype=np.int64),
-        "priorities": np.empty(m, dtype=np.float64),
-        "best_size": np.zeros(m, dtype=np.int64),
-        "success": np.zeros(m, dtype=bool),
-        "member": np.zeros(cinst.num_edges, dtype=bool),
-        "best_fac": np.zeros(n, dtype=np.int64),
-        "has_offer": np.zeros(n, dtype=bool),
-        "forced_mask": np.zeros(n, dtype=bool),
-        "forced_target": np.zeros(n, dtype=np.int64),
-    }
-    for iteration in range(1, params.num_iterations + 1):
-        label = f"greedy:iter:{iteration}"
-        scale = params.scale_of_iteration(iteration)
-        if not state["active"].any():
-            # No facility observes an active client: no coins, no traffic —
-            # identical to the reference engines' skip branch.
+    def __call__(self, label: str) -> None:
+        cinst, s, ledger, recorder = self.cinst, self.s, self.ledger, self.recorder
+        if label.startswith("greedy:iter:"):
             if ledger is not None:
-                ledger.greedy_iteration(0, 0, 0, 0, 0)
+                self.greedy_charges()
             if recorder is not None:
-                _record_greedy_checkpoint(
-                    recorder, label, state["is_open"], state["assignment"]
+                recorder.observe(label, {
+                    "open": _leaves("facility", s["is_open"], bool),
+                    "assignment": _leaves("client", s["assignment"], int),
+                })
+        elif label.startswith("dual:level:"):
+            if ledger is not None:
+                tight = int(s["tight"].sum())
+                unfrozen = int((~s["frozen"]).sum())
+                ledger.dual_level(
+                    self.unfrozen, self.unfrozen_edges,
+                    tight - self.tight, self.unfrozen - unfrozen,
                 )
-            continue
-        active_edges = int(client_deg[state["active"]].sum()) if ledger is not None else 0
-        open_before = int(state["is_open"].sum()) if ledger is not None else 0
-        _greedy_facility_phase(
-            cinst, pad, params, scale, rngs, 0, m,
-            active=state["active"], is_open=state["is_open"],
-            priorities=state["priorities"], best_size=state["best_size"],
-            member=state["member"],
+                self.tight, self.unfrozen = tight, unfrozen
+                self.unfrozen_edges = int(cinst.client_degrees[~s["frozen"]].sum())
+            if recorder is not None:
+                # cli_* sorts by facility id within a client, so each list
+                # ascends like the loop engine's sorted witness sets.
+                flags = s["witness"][cinst.cli_edge]
+                bounds = zip(cinst.cli_ptr[:-1], cinst.cli_ptr[1:])
+                witnesses = [cinst.cli_fac[lo:hi][flags[lo:hi]] for lo, hi in bounds]
+                recorder.observe(label, {
+                    "alpha": _leaves("client", s["alphas"], float),
+                    "frozen": _leaves("client", s["frozen"], bool),
+                    "witnesses": _leaves("client", witnesses, lambda w: [int(f) for f in w]),
+                    "tight": _leaves("facility", s["tight"], bool),
+                })
+        elif label == "dual:ladder":
+            if not s["frozen"].all():
+                j = int(np.flatnonzero(~s["frozen"])[0])
+                raise AlgorithmError(
+                    f"client {j} has no witness after the final level; "
+                    "this contradicts the ladder's terminal property"
+                )
+        elif label == "dual:rounding" and recorder is not None:
+            recorder.observe(label, {"open": _leaves("facility", s["is_open"], bool)})
+
+    def greedy_charges(self) -> None:
+        if not self.active:
+            # No facility observed an active client: no coins, no traffic.
+            self.ledger.greedy_iteration(0, 0, 0, 0, 0)
+            return
+        s = self.s
+        active = int(s["active"].sum())
+        opened = int(s["is_open"].sum())
+        self.ledger.greedy_iteration(
+            self.active_edges,
+            int(s["member"].sum()),
+            int(s["has_offer"].sum()),
+            self.active - active,
+            opened - self.opened,
         )
-        accepted = _greedy_client_offer_phase(
-            cinst, 0, n,
-            member=state["member"], priorities=state["priorities"],
-            best_fac=state["best_fac"], has_offer=state["has_offer"],
-        )
-        _greedy_facility_open_phase(
-            cinst, accepted, open_fraction, 0, m,
-            is_open=state["is_open"], best_size=state["best_size"],
-            success=state["success"],
-        )
-        served = _greedy_client_serve_phase(
-            0, n,
-            success=state["success"], best_fac=state["best_fac"],
-            has_offer=state["has_offer"], assignment=state["assignment"],
-            active=state["active"],
-        )
-        if ledger is not None:
-            ledger.greedy_iteration(
-                active_edges,
-                int(state["member"].sum()),
-                int(state["has_offer"].sum()),
-                served,
-                int(state["is_open"].sum()) - open_before,
-            )
-        if recorder is not None:
-            _record_greedy_checkpoint(
-                recorder, label, state["is_open"], state["assignment"]
-            )
-    if state["active"].any():
-        if ledger is not None:
-            ledger.greedy_force(int(state["active"].sum()))
-        _greedy_force_compute_phase(
-            cinst, 0, n,
-            is_open=state["is_open"], active=state["active"],
-            assignment=state["assignment"], forced_mask=state["forced_mask"],
-            forced_target=state["forced_target"],
-        )
-        _greedy_force_apply_phase(
-            0, n,
-            is_open=state["is_open"], forced_mask=state["forced_mask"],
-            forced_target=state["forced_target"],
-        )
-    return state["is_open"], state["assignment"]
+        self.active, self.opened = active, opened
+        self.active_edges = int(self.cinst.client_degrees[s["active"]].sum())
+
+    def finish(self, variant: Variant) -> None:
+        """Charge the closing phase (greedy force / dual rounding)."""
+        if self.ledger is None:
+            return
+        if variant is Variant.GREEDY:
+            if self.active:
+                self.ledger.greedy_force(self.active)
+        else:
+            open_edges = int(self.cinst.facility_degrees[self.s["is_open"]].sum())
+            self.ledger.dual_rounding(self.cinst.n, open_edges, self.cinst.n)
 
 
-def _dual_columnar_arrays(
-    cinst: ColumnarInstance,
-    params: TradeoffParameters,
-    seed: int,
-    policy: RoundingPolicy,
-    recorder,
-    ledger,
-) -> tuple[np.ndarray, np.ndarray]:
-    m, n = cinst.m, cinst.n
-    pad = cinst.padded(0, m)
-    rngs = spawn_node_rng_range(seed, 0, m)
-    hook = _TEST_COLUMNAR_DUAL_ALPHA_RAISE_HOOK
-    lo, hi, starts, lengths = _client_segments(cinst, 0, n)
-    gamma = np.minimum.reduceat(cinst.cli_cost, starts)
+# ----------------------------------------------------------------------
+# The kernel schedule
+# ----------------------------------------------------------------------
+
+
+def _schedule(
+    cinst, variant, params, seed, s, shard, f, c, sync, snapshot,
+    *, open_fraction, policy, hook=None,
+) -> None:
+    """One shard's kernel schedule over facility slice ``f`` and client
+    slice ``c``, with state arrays ``s``.
+
+    ``sync()`` is a barrier across shards and ``snapshot(label)`` a point
+    where the caller reads the state. In process there is one shard:
+    ``sync`` does nothing and ``snapshot`` is the :class:`_Observer`. A
+    shard worker turns each snapshot into one more barrier, and the
+    sharded parent runs this same schedule with empty slices, which makes
+    every kernel a no-op, so its barriers always match the workers'.
+    """
+    (f0, f1), (c0, c1) = f, c
+    pad = cinst.padded(f0, f1)
+    rngs = spawn_node_rng_range(seed, f0, f1)
+    if variant is Variant.GREEDY:
+        for iteration in range(1, params.num_iterations + 1):
+            busy = bool(s["active"].any())
+            if busy:
+                _greedy_facility_phase(
+                    cinst, pad, params, params.scale_of_iteration(iteration), rngs, f0, f1,
+                    active=s["active"], is_open=s["is_open"], priorities=s["priorities"],
+                    best_size=s["best_size"], member=s["member"],
+                )
+            sync()
+            if busy:
+                s["accepted_partial"][shard] = _greedy_client_offer_phase(
+                    cinst, c0, c1, member=s["member"], priorities=s["priorities"],
+                    best_fac=s["best_fac"], has_offer=s["has_offer"],
+                )
+            sync()
+            if busy:
+                _greedy_facility_open_phase(
+                    cinst, s["accepted_partial"].sum(axis=0), open_fraction, f0, f1,
+                    is_open=s["is_open"], best_size=s["best_size"], success=s["success"],
+                )
+            sync()
+            if busy:
+                _greedy_client_serve_phase(
+                    c0, c1, success=s["success"], best_fac=s["best_fac"],
+                    has_offer=s["has_offer"], assignment=s["assignment"],
+                    active=s["active"],
+                )
+            sync()
+            snapshot(f"greedy:iter:{iteration}")
+        # Force phase: decisions are made against the open set as of the
+        # end of the iterations; forced openings land afterwards.
+        forcing = bool(s["active"].any())
+        if forcing:
+            _greedy_force_compute_phase(
+                cinst, c0, c1, is_open=s["is_open"], active=s["active"],
+                assignment=s["assignment"], forced_mask=s["forced_mask"],
+                forced_target=s["forced_target"],
+            )
+        sync()
+        if forcing:
+            _greedy_force_apply_phase(
+                c0, c1, is_open=s["is_open"], forced_mask=s["forced_mask"],
+                forced_target=s["forced_target"],
+            )
+        sync()
+        return
     slack = 1e-12 * np.maximum(cinst.opening, params.eff_max)
-    alphas = np.zeros(n, dtype=np.float64)
-    frozen = np.zeros(n, dtype=bool)
-    tight = np.zeros(m, dtype=bool)
-    witness = np.zeros(cinst.num_edges, dtype=bool)
-    target = np.zeros(n, dtype=np.int64)
-    is_open = np.zeros(m, dtype=bool)
-    assignment = np.zeros(n, dtype=np.int64)
-    forced_mask = np.zeros(n, dtype=bool)
-    client_deg = cinst.client_degrees
     for level in range(1, params.num_scales + 1):
-        unfrozen = int((~frozen).sum()) if ledger is not None else 0
-        unfrozen_edges = int(client_deg[~frozen].sum()) if ledger is not None else 0
-        tight_before = int(tight.sum()) if ledger is not None else 0
         _dual_client_alpha_phase(
-            0, n, params.threshold(level), hook, level,
-            alphas=alphas, frozen=frozen, gamma=gamma,
+            c0, c1, params.threshold(level), hook, level,
+            alphas=s["alphas"], frozen=s["frozen"], gamma=s["gamma"],
         )
+        sync()
         _dual_facility_phase(
-            cinst, pad, slack, 0, m, alphas=alphas, tight=tight, witness=witness
+            cinst, pad, slack, f0, f1,
+            alphas=s["alphas"], tight=s["tight"], witness=s["witness"],
         )
-        frozen_before = int(frozen.sum()) if ledger is not None else 0
-        _dual_client_freeze_phase(cinst, 0, n, witness=witness, frozen=frozen)
-        if ledger is not None:
-            ledger.dual_level(
-                unfrozen,
-                unfrozen_edges,
-                int(tight.sum()) - tight_before,
-                int(frozen.sum()) - frozen_before,
-            )
-        if recorder is not None:
-            _record_dual_level_checkpoint(
-                recorder, level, cinst, alphas, frozen, witness, tight
-            )
-    if not frozen.all():
-        j = int(np.flatnonzero(~frozen)[0])
-        raise AlgorithmError(
-            f"client {j} has no witness after the final level; "
-            "this contradicts the ladder's terminal property"
-        )
-    _dual_client_select_phase(cinst, 0, n, witness=witness, target=target)
+        sync()
+        _dual_client_freeze_phase(cinst, c0, c1, witness=s["witness"], frozen=s["frozen"])
+        sync()
+        snapshot(f"dual:level:{level}")
+    snapshot("dual:ladder")
+    _dual_client_select_phase(cinst, c0, c1, witness=s["witness"], target=s["target"])
+    sync()
     _dual_facility_round_phase(
-        cinst, pad, params, policy, rngs, 0, m,
-        alphas=alphas, target=target, is_open=is_open,
+        cinst, pad, params, policy, rngs, f0, f1,
+        alphas=s["alphas"], target=s["target"], is_open=s["is_open"],
     )
-    if recorder is not None:
-        _record_dual_rounding_checkpoint(recorder, is_open)
+    sync()
+    snapshot("dual:rounding")
     _dual_join_compute_phase(
-        cinst, 0, n,
-        witness=witness, is_open=is_open, target=target,
-        assignment=assignment, forced_mask=forced_mask,
+        cinst, c0, c1, witness=s["witness"], is_open=s["is_open"],
+        target=s["target"], assignment=s["assignment"], forced_mask=s["forced_mask"],
     )
+    sync()
     _dual_join_apply_phase(
-        0, n, forced_mask=forced_mask, target=target, is_open=is_open
+        c0, c1, forced_mask=s["forced_mask"], target=s["target"], is_open=s["is_open"]
     )
-    if ledger is not None:
-        ledger.dual_rounding(
-            n, int(np.diff(cinst.fac_ptr)[is_open].sum()), n
-        )
-    return is_open, assignment
+    sync()
 
 
-# ----------------------------------------------------------------------
-# Sharded execution over shared memory
-# ----------------------------------------------------------------------
+#: The instance columns every shard reads (shared read-only when sharded).
+_PLANE_COLUMNS = (
+    "opening", "fac_ptr", "g_fac", "g_cli", "g_cost", "byc_cli",
+    "byc_cost", "cli_ptr", "cli_fac", "cli_cost", "cli_edge",
+)
 
-_ALIGN = 64
 
+def _state_specs(cinst: ColumnarInstance, variant: Variant, rows: int):
+    """Name -> (shape, dtype) of one run's mutable state arrays.
 
-def _shared_specs(m: int, n: int, num_edges: int, variant: Variant, shards: int):
-    """Name -> (shape, dtype) for every shared array of one run."""
-    specs: dict[str, tuple[tuple[int, ...], str]] = {
-        "opening": ((m,), "f8"),
-        "fac_ptr": ((m + 1,), "i8"),
-        "g_fac": ((num_edges,), "i8"),
-        "g_cli": ((num_edges,), "i8"),
-        "g_cost": ((num_edges,), "f8"),
-        "byc_cli": ((num_edges,), "i8"),
-        "byc_cost": ((num_edges,), "f8"),
-        "cli_ptr": ((n + 1,), "i8"),
-        "cli_fac": ((num_edges,), "i8"),
-        "cli_cost": ((num_edges,), "f8"),
-        "cli_edge": ((num_edges,), "i8"),
-        "is_open": ((m,), "?"),
-    }
+    ``rows`` sizes the per-party partial accept counts of the greedy
+    offer phase (one row per shard, plus one for the sharded parent).
+    """
+    m, n, num_edges = cinst.m, cinst.n, cinst.num_edges
+    specs: dict[str, tuple[tuple[int, ...], str]] = {"is_open": ((m,), "?")}
     if variant is Variant.GREEDY:
         specs.update(
             {
@@ -867,7 +875,7 @@ def _shared_specs(m: int, n: int, num_edges: int, variant: Variant, shards: int)
                 "has_offer": ((n,), "?"),
                 "forced_mask": ((n,), "?"),
                 "forced_target": ((n,), "i8"),
-                "accepted_partial": ((shards, m), "i8"),
+                "accepted_partial": ((rows, m), "i8"),
             }
         )
     else:
@@ -884,6 +892,59 @@ def _shared_specs(m: int, n: int, num_edges: int, variant: Variant, shards: int)
             }
         )
     return specs
+
+
+def _init_state(cinst: ColumnarInstance, variant: Variant, s) -> None:
+    """Starting values on zeroed state arrays."""
+    if variant is Variant.GREEDY:
+        s["active"][...] = True
+        s["assignment"][...] = -1
+    else:
+        _, _, starts, _ = _client_segments(cinst, 0, cinst.n)
+        s["gamma"][...] = np.minimum.reduceat(cinst.cli_cost, starts)
+
+
+def _run(
+    cinst: ColumnarInstance,
+    variant: Variant,
+    params: TradeoffParameters,
+    seed: int,
+    *,
+    shards: int = 1,
+    open_fraction: float = 0.5,
+    policy: RoundingPolicy | None = None,
+    recorder=None,
+    ledger=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one variant in process (``shards <= 1``) or sharded; returns
+    the open mask and the assignment."""
+    policy = policy or RoundingPolicy()
+    if shards > 1:
+        return _run_sharded(
+            cinst, variant, params, seed, shards=shards,
+            open_fraction=open_fraction, policy=policy,
+            recorder=recorder, ledger=ledger,
+        )
+    s = {
+        name: np.zeros(shape, dtype=dtype)
+        for name, (shape, dtype) in _state_specs(cinst, variant, 1).items()
+    }
+    _init_state(cinst, variant, s)
+    observer = _Observer(cinst, s, recorder, ledger)
+    _schedule(
+        cinst, variant, params, seed, s, 0, (0, cinst.m), (0, cinst.n),
+        lambda: None, observer, open_fraction=open_fraction, policy=policy,
+        hook=_TEST_COLUMNAR_DUAL_ALPHA_RAISE_HOOK,
+    )
+    observer.finish(variant)
+    return s["is_open"], s["assignment"]
+
+
+# ----------------------------------------------------------------------
+# Sharded execution over shared memory
+# ----------------------------------------------------------------------
+
+_ALIGN = 64
 
 
 def _plane_layout(specs):
@@ -909,172 +970,102 @@ def _split_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     return [(int(bounds[s]), int(bounds[s + 1])) for s in range(shards)]
 
 
-def _shard_instance(arrays, m: int, n: int, name: str) -> ColumnarInstance:
-    """A :class:`ColumnarInstance` whose columns are shared-memory views."""
-    return ColumnarInstance(
-        m=m,
-        n=n,
-        opening=arrays["opening"],
-        fac_ptr=arrays["fac_ptr"],
-        g_fac=arrays["g_fac"],
-        g_cli=arrays["g_cli"],
-        g_cost=arrays["g_cost"],
-        byc_cli=arrays["byc_cli"],
-        byc_cost=arrays["byc_cost"],
-        cli_ptr=arrays["cli_ptr"],
-        cli_fac=arrays["cli_fac"],
-        cli_cost=arrays["cli_cost"],
-        cli_edge=arrays["cli_edge"],
-        name=name,
-    )
-
-
 def _shard_worker(
     shm_name, specs, offsets, dims, variant_value, params, seed, policy,
-    open_fraction, shard, ranges_f, ranges_c, barrier, errors,
+    open_fraction, shard, f, c, link,
 ) -> None:
-    """One shard: runs the kernel schedule against the shared plane.
+    """One shard: runs :func:`_schedule` against the shared plane.
 
-    The phase/barrier schedule here MUST mirror the parent's wait loop in
-    :func:`_run_sharded` barrier for barrier — a mismatch deadlocks (and
-    surfaces as a barrier timeout, not silent corruption).
+    ``link`` is this shard's pipe to the parent: a barrier is an empty
+    message up and an empty release message down; a failure is reported
+    as a non-empty message up, after which the worker exits.
     """
+
+    def sync() -> None:
+        link.send_bytes(b"")
+        if not link.poll(_BARRIER_TIMEOUT_S):
+            raise TimeoutError(f"no barrier release in {_BARRIER_TIMEOUT_S:.0f} s")
+        link.recv_bytes()
+
     shm = None
     try:
-        m, n, num_edges = dims
-        variant = Variant(variant_value)
+        m, n = dims
         shm = shared_memory.SharedMemory(name=shm_name)
         arrays = _plane_views(shm, specs, offsets)
-        cinst = _shard_instance(arrays, m, n, "shard")
-        f0, f1 = ranges_f[shard]
-        c0, c1 = ranges_c[shard]
-        pad = cinst.padded(f0, f1)
-        rngs = spawn_node_rng_range(seed, f0, f1)
-        if variant is Variant.GREEDY:
-            for iteration in range(1, params.num_iterations + 1):
-                scale = params.scale_of_iteration(iteration)
-                busy = arrays["active"].any()
-                if busy:
-                    _greedy_facility_phase(
-                        cinst, pad, params, scale, rngs, f0, f1,
-                        active=arrays["active"], is_open=arrays["is_open"],
-                        priorities=arrays["priorities"],
-                        best_size=arrays["best_size"], member=arrays["member"],
-                    )
-                barrier.wait(_BARRIER_TIMEOUT_S)
-                if busy:
-                    arrays["accepted_partial"][shard] = _greedy_client_offer_phase(
-                        cinst, c0, c1,
-                        member=arrays["member"], priorities=arrays["priorities"],
-                        best_fac=arrays["best_fac"], has_offer=arrays["has_offer"],
-                    )
-                barrier.wait(_BARRIER_TIMEOUT_S)
-                if busy:
-                    accepted = arrays["accepted_partial"].sum(axis=0)
-                    _greedy_facility_open_phase(
-                        cinst, accepted, open_fraction, f0, f1,
-                        is_open=arrays["is_open"], best_size=arrays["best_size"],
-                        success=arrays["success"],
-                    )
-                barrier.wait(_BARRIER_TIMEOUT_S)
-                if busy:
-                    _greedy_client_serve_phase(
-                        c0, c1,
-                        success=arrays["success"], best_fac=arrays["best_fac"],
-                        has_offer=arrays["has_offer"],
-                        assignment=arrays["assignment"], active=arrays["active"],
-                    )
-                barrier.wait(_BARRIER_TIMEOUT_S)
-                # Snapshot barrier: the parent reads iteration state (bit
-                # ledger, flight-recorder checkpoint) between the barrier
-                # above and this one, so the next iteration's writes to
-                # ``member``/``priorities``/``best_size`` must not start
-                # until every party passes here.
-                barrier.wait(_BARRIER_TIMEOUT_S)
-            if arrays["active"].any():
-                _greedy_force_compute_phase(
-                    cinst, c0, c1,
-                    is_open=arrays["is_open"], active=arrays["active"],
-                    assignment=arrays["assignment"],
-                    forced_mask=arrays["forced_mask"],
-                    forced_target=arrays["forced_target"],
-                )
-                barrier.wait(_BARRIER_TIMEOUT_S)
-                _greedy_force_apply_phase(
-                    c0, c1,
-                    is_open=arrays["is_open"], forced_mask=arrays["forced_mask"],
-                    forced_target=arrays["forced_target"],
-                )
-            else:
-                barrier.wait(_BARRIER_TIMEOUT_S)
-            barrier.wait(_BARRIER_TIMEOUT_S)
-        else:
-            slack = 1e-12 * np.maximum(cinst.opening, params.eff_max)
-            for level in range(1, params.num_scales + 1):
-                _dual_client_alpha_phase(
-                    c0, c1, params.threshold(level), None, level,
-                    alphas=arrays["alphas"], frozen=arrays["frozen"],
-                    gamma=arrays["gamma"],
-                )
-                barrier.wait(_BARRIER_TIMEOUT_S)
-                _dual_facility_phase(
-                    cinst, pad, slack, f0, f1,
-                    alphas=arrays["alphas"], tight=arrays["tight"],
-                    witness=arrays["witness"],
-                )
-                barrier.wait(_BARRIER_TIMEOUT_S)
-                _dual_client_freeze_phase(
-                    cinst, c0, c1, witness=arrays["witness"], frozen=arrays["frozen"]
-                )
-                barrier.wait(_BARRIER_TIMEOUT_S)
-                # Snapshot barrier: the parent reads level state (ledger
-                # counts, ``dual:level:{l}`` checkpoint) between the
-                # barrier above and this one, so the next level's alpha
-                # writes must not start until every party passes here.
-                barrier.wait(_BARRIER_TIMEOUT_S)
-            # The parent validates the terminal ladder property between
-            # these barriers and aborts the barrier on violation.
-            barrier.wait(_BARRIER_TIMEOUT_S)
-            _dual_client_select_phase(
-                cinst, c0, c1, witness=arrays["witness"], target=arrays["target"]
-            )
-            barrier.wait(_BARRIER_TIMEOUT_S)
-            _dual_facility_round_phase(
-                cinst, pad, params, policy, rngs, f0, f1,
-                alphas=arrays["alphas"], target=arrays["target"],
-                is_open=arrays["is_open"],
-            )
-            barrier.wait(_BARRIER_TIMEOUT_S)
-            _dual_join_compute_phase(
-                cinst, c0, c1,
-                witness=arrays["witness"], is_open=arrays["is_open"],
-                target=arrays["target"], assignment=arrays["assignment"],
-                forced_mask=arrays["forced_mask"],
-            )
-            barrier.wait(_BARRIER_TIMEOUT_S)
-            _dual_join_apply_phase(
-                c0, c1,
-                forced_mask=arrays["forced_mask"], target=arrays["target"],
-                is_open=arrays["is_open"],
-            )
-            barrier.wait(_BARRIER_TIMEOUT_S)
-    except threading.BrokenBarrierError:
-        # A peer shard (or the parent) aborted the barrier after queueing
-        # its own error report; nothing useful to add from this side.
-        pass
+        cinst = ColumnarInstance(
+            m=m, n=n, name="shard", **{name: arrays[name] for name in _PLANE_COLUMNS}
+        )
+        _schedule(
+            cinst, Variant(variant_value), params, seed, arrays, shard, f, c,
+            sync, lambda label: sync(), open_fraction=open_fraction, policy=policy,
+        )
     except Exception as error:  # noqa: BLE001 — shipped to the parent
-        import traceback
-
         try:
-            errors.put((shard, f"{type(error).__name__}: {error}", traceback.format_exc()))
-        finally:
-            try:
-                barrier.abort()
-            except Exception:  # noqa: BLE001 — already broken is fine
-                pass
+            link.send_bytes(f"{type(error).__name__}: {error}".encode())
+        except OSError:
+            pass  # the parent is gone or already tearing the run down
     finally:
         if shm is not None:
             shm.close()
+        link.close()
+
+
+class _ShardLinks:
+    """The parent's end of the shard barrier: one pipe per worker.
+
+    The parent is the barrier's coordinator: :meth:`wait` blocks until
+    every shard has arrived, then releases them all. Its single blocking
+    call also watches every worker's process sentinel, so a shard that
+    dies — even one killed while parked at a barrier — fails the run at
+    once with its exit code, instead of leaving the parent blocked until
+    the barrier timeout.
+    """
+
+    def __init__(self, links, workers) -> None:
+        self.links = links
+        self.workers = workers
+
+    def wait(self) -> None:
+        pending = dict(zip(self.links, range(len(self.links))))
+        sentinels = {w.sentinel: s for s, w in enumerate(self.workers)}
+        deadline = time.monotonic() + _BARRIER_TIMEOUT_S
+        while pending:
+            ready = multiprocessing.connection.wait(
+                [*pending, *sentinels], max(0.0, deadline - time.monotonic())
+            )
+            if not ready:
+                raise AlgorithmError(
+                    f"sharded columnar run failed: shards {sorted(pending.values())} "
+                    f"missed a barrier for {_BARRIER_TIMEOUT_S:.0f} s"
+                )
+            for handle in ready:
+                shard = pending.pop(handle, None)
+                if shard is None:  # a sentinel: the worker has exited
+                    raise self.failure(sentinels[handle])
+                try:
+                    report = handle.recv_bytes()
+                except (EOFError, OSError):
+                    raise self.failure(shard) from None
+                if report:
+                    raise self.failure(shard, report.decode())
+        for shard, link in enumerate(self.links):
+            try:
+                link.send_bytes(b"")
+            except OSError:
+                raise self.failure(shard) from None
+
+    def failure(self, shard: int, detail: str = "") -> AlgorithmError:
+        """The error for a failed shard: its own report, else its exit code."""
+        link, worker = self.links[shard], self.workers[shard]
+        try:
+            while not detail and link.poll(0):
+                detail = link.recv_bytes().decode()
+        except (EOFError, OSError):
+            pass
+        if not detail:
+            worker.join(5)
+            detail = f"worker exited with code {worker.exitcode}"
+        return AlgorithmError(f"sharded columnar run failed: shard {shard}: {detail}")
 
 
 def _run_sharded(
@@ -1084,53 +1075,48 @@ def _run_sharded(
     seed: int,
     *,
     shards: int,
-    open_fraction: float = 0.5,
-    policy: RoundingPolicy | None = None,
+    open_fraction: float,
+    policy: RoundingPolicy,
     recorder=None,
     ledger=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive ``shards`` worker processes over one shared state plane.
 
-    The parent participates in every barrier as a passive party. Each
-    greedy iteration / dual level ends with an extra *snapshot* barrier:
-    the parent reads the shared state for the flight recorder and the
-    bit ledger between the last phase barrier and the snapshot barrier,
-    while every worker is still parked — so recordings are taken at
-    exactly the same protocol points as the in-process path and never
+    The parent coordinates every barrier (see :class:`_ShardLinks`) by
+    running :func:`_schedule` itself with empty slices. At each snapshot
+    it runs the :class:`_Observer` before releasing the snapshot barrier,
+    while every worker is parked, so recordings and ledger charges are
+    taken at exactly the same protocol points as in process and never
     overlap the next phase's writes.
     """
     m, n = cinst.m, cinst.n
-    specs = _shared_specs(m, n, cinst.num_edges, variant, shards)
+    state_specs = _state_specs(cinst, variant, shards + 1)
+    specs = {
+        **{name: (getattr(cinst, name).shape, getattr(cinst, name).dtype.str)
+           for name in _PLANE_COLUMNS},
+        **state_specs,
+    }
     offsets, total = _plane_layout(specs)
     shm = shared_memory.SharedMemory(create=True, size=total)
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     )
-    barrier = ctx.Barrier(shards + 1)
-    errors = ctx.Queue()
+    pipes = [ctx.Pipe() for _ in range(shards)]
     workers: list[Any] = []
     try:
         arrays = _plane_views(shm, specs, offsets)
-        for name in (
-            "opening", "fac_ptr", "g_fac", "g_cli", "g_cost", "byc_cli",
-            "byc_cost", "cli_ptr", "cli_fac", "cli_cost", "cli_edge",
-        ):
+        for name in _PLANE_COLUMNS:
             arrays[name][...] = getattr(cinst, name)
-        lo, hi, starts, _ = _client_segments(cinst, 0, n)
-        if variant is Variant.GREEDY:
-            arrays["active"][...] = True
-            arrays["assignment"][...] = -1
-        else:
-            arrays["gamma"][...] = np.minimum.reduceat(cinst.cli_cost, starts)
+        _init_state(cinst, variant, arrays)
         ranges_f = _split_ranges(m, shards)
         ranges_c = _split_ranges(n, shards)
         workers = [
             ctx.Process(
                 target=_shard_worker,
                 args=(
-                    shm.name, specs, offsets, (m, n, cinst.num_edges),
-                    variant.value, params, seed, policy, open_fraction,
-                    shard, ranges_f, ranges_c, barrier, errors,
+                    shm.name, specs, offsets, (m, n), variant.value, params,
+                    seed, policy, open_fraction, shard, ranges_f[shard],
+                    ranges_c[shard], pipes[shard][1],
                 ),
                 daemon=True,
             )
@@ -1138,124 +1124,35 @@ def _run_sharded(
         ]
         for worker in workers:
             worker.start()
-        client_deg = cinst.client_degrees
+        for _, child_end in pipes:
+            child_end.close()
+        wait = _ShardLinks([parent_end for parent_end, _ in pipes], workers).wait
+        observer = _Observer(cinst, arrays, recorder, ledger)
 
-        def wait() -> None:
-            barrier.wait(_BARRIER_TIMEOUT_S)
+        def snapshot(label: str) -> None:
+            observer(label)
+            wait()
 
-        if variant is Variant.GREEDY:
-            active_remaining = n
-            for iteration in range(1, params.num_iterations + 1):
-                if ledger is not None:
-                    busy = bool(arrays["active"].any())
-                    active_edges = (
-                        int(client_deg[arrays["active"]].sum()) if busy else 0
-                    )
-                    open_before = int(arrays["is_open"].sum())
-                    assigned_before = int((arrays["assignment"] >= 0).sum())
-                wait()
-                wait()
-                wait()
-                wait()
-                # Snapshot window: workers are parked at the iteration's
-                # snapshot barrier, so the reads below cannot overlap the
-                # next facility phase's writes.
-                if ledger is not None:
-                    if busy:
-                        ledger.greedy_iteration(
-                            active_edges,
-                            int(arrays["member"].sum()),
-                            int(arrays["has_offer"].sum()),
-                            int((arrays["assignment"] >= 0).sum()) - assigned_before,
-                            int(arrays["is_open"].sum()) - open_before,
-                        )
-                    else:
-                        ledger.greedy_iteration(0, 0, 0, 0, 0)
-                if recorder is not None:
-                    _record_greedy_checkpoint(
-                        recorder,
-                        f"greedy:iter:{iteration}",
-                        arrays["is_open"],
-                        arrays["assignment"],
-                    )
-                active_remaining = int(arrays["active"].sum())
-                wait()
-            if ledger is not None and active_remaining:
-                ledger.greedy_force(active_remaining)
-            wait()
-            wait()
-        else:
-            for level in range(1, params.num_scales + 1):
-                if ledger is not None:
-                    unfrozen = int((~arrays["frozen"]).sum())
-                    unfrozen_edges = int(client_deg[~arrays["frozen"]].sum())
-                    tight_before = int(arrays["tight"].sum())
-                    frozen_before = int(arrays["frozen"].sum())
-                wait()
-                wait()
-                wait()
-                # Snapshot window: workers are parked at the level's
-                # snapshot barrier, so the reads below cannot overlap the
-                # next level's alpha-phase writes.
-                if ledger is not None:
-                    ledger.dual_level(
-                        unfrozen,
-                        unfrozen_edges,
-                        int(arrays["tight"].sum()) - tight_before,
-                        int(arrays["frozen"].sum()) - frozen_before,
-                    )
-                if recorder is not None:
-                    _record_dual_level_checkpoint(
-                        recorder, level, cinst,
-                        arrays["alphas"], arrays["frozen"],
-                        arrays["witness"], arrays["tight"],
-                    )
-                wait()
-            if not arrays["frozen"].all():
-                j = int(np.flatnonzero(~arrays["frozen"])[0])
-                barrier.abort()
-                raise AlgorithmError(
-                    f"client {j} has no witness after the final level; "
-                    "this contradicts the ladder's terminal property"
-                )
-            wait()
-            wait()
-            wait()
-            if recorder is not None:
-                _record_dual_rounding_checkpoint(recorder, arrays["is_open"])
-            wait()
-            wait()
-            if ledger is not None:
-                ledger.dual_rounding(
-                    n,
-                    int(np.diff(arrays["fac_ptr"])[arrays["is_open"]].sum()),
-                    n,
-                )
+        _schedule(
+            cinst, variant, params, seed, arrays, shards, (0, 0), (0, 0),
+            wait, snapshot, open_fraction=open_fraction, policy=policy,
+        )
+        observer.finish(variant)
         for worker in workers:
             worker.join(timeout=_BARRIER_TIMEOUT_S)
-        is_open = arrays["is_open"].copy()
-        assignment = arrays["assignment"].copy()
-        return is_open, assignment
-    except (threading.BrokenBarrierError, multiprocessing.context.ProcessError) as broken:
-        failures = []
-        try:
-            # A failing shard queues its report *before* aborting the
-            # barrier, but the queue feeder thread may lag the abort —
-            # allow a short grace period so details are not lost.
-            while True:
-                failures.append(errors.get(timeout=1.0))
-        except Exception:  # noqa: BLE001 — best-effort drain
-            pass
-        detail = "; ".join(f"shard {s}: {msg}" for s, msg, _tb in failures)
-        raise AlgorithmError(
-            "sharded columnar run failed: " + (detail or "barrier broken")
-        ) from broken
+        return arrays["is_open"].copy(), arrays["assignment"].copy()
     finally:
+        # SIGKILL, not SIGTERM: a forked worker inherits the parent's
+        # Python signal handlers (``repro serve`` turns SIGTERM into a
+        # drain flag), and it holds no lock a kill could strand.
         for worker in workers:
             if worker.is_alive():
-                worker.terminate()
+                worker.kill()
         for worker in workers:
             worker.join(timeout=5)
+        for parent_end, child_end in pipes:
+            parent_end.close()
+            child_end.close()
         shm.close()
         try:
             shm.unlink()
@@ -1274,59 +1171,29 @@ def _as_columnar(instance) -> ColumnarInstance:
     return ColumnarInstance.from_instance(instance)
 
 
-def emulate_greedy_columnar(
+def emulate_columnar(
     instance,
+    variant: Variant,
     params: TradeoffParameters,
     seed: int,
-    open_fraction: float = 0.5,
-    recorder=None,
     *,
+    open_fraction: float = 0.5,
+    policy: RoundingPolicy | None = None,
+    recorder=None,
     shards: int = 1,
     ledger=None,
 ) -> tuple[set[int], dict[int, int]]:
-    """Columnar scaled-parallel-greedy emulation (drop-in for the dense one).
+    """Columnar emulation of one variant (drop-in for the loop engine's).
 
     ``instance`` may be a dense :class:`FacilityLocationInstance` (it is
     converted) or a :class:`ColumnarInstance`. ``shards > 1`` runs the
     sharded shared-memory path; results are identical at every count.
     """
     cinst = _as_columnar(instance)
-    if shards <= 1:
-        is_open, assignment = _greedy_columnar_arrays(
-            cinst, params, seed, open_fraction, recorder, ledger
-        )
-    else:
-        is_open, assignment = _run_sharded(
-            cinst, Variant.GREEDY, params, seed,
-            shards=shards, open_fraction=open_fraction,
-            recorder=recorder, ledger=ledger,
-        )
-    open_set = {int(i) for i in np.flatnonzero(is_open)}
-    connected = {int(j): int(assignment[j]) for j in range(cinst.n)}
-    return open_set, connected
-
-
-def emulate_dual_columnar(
-    instance,
-    params: TradeoffParameters,
-    seed: int,
-    policy: RoundingPolicy,
-    recorder=None,
-    *,
-    shards: int = 1,
-    ledger=None,
-) -> tuple[set[int], dict[int, int]]:
-    """Columnar dual-ascent emulation (drop-in for the dense one)."""
-    cinst = _as_columnar(instance)
-    if shards <= 1:
-        is_open, assignment = _dual_columnar_arrays(
-            cinst, params, seed, policy, recorder, ledger
-        )
-    else:
-        is_open, assignment = _run_sharded(
-            cinst, Variant.DUAL_ASCENT, params, seed,
-            shards=shards, policy=policy, recorder=recorder, ledger=ledger,
-        )
+    is_open, assignment = _run(
+        cinst, Variant(variant), params, seed, shards=shards,
+        open_fraction=open_fraction, policy=policy, recorder=recorder, ledger=ledger,
+    )
     open_set = {int(i) for i in np.flatnonzero(is_open)}
     connected = {int(j): int(assignment[j]) for j in range(cinst.n)}
     return open_set, connected
@@ -1338,7 +1205,7 @@ class ColumnarSolveResult:
 
     Built by :func:`solve_columnar` for instances far past what the dense
     result types can hold; ``cost``/``feasible`` are computed with
-    vectorized reductions over the edge plane.
+    array reductions over the edge plane.
     """
 
     instance: ColumnarInstance
@@ -1381,12 +1248,10 @@ def solve_columnar(
     Unlike :func:`~repro.core.sequential_sim.run_sequential` this never
     materializes dense matrices or per-client Python dicts: parameters
     come from :func:`columnar_parameters`, the solution stays in arrays,
-    and the cost/feasibility checks are vectorized gathers. The modeled
+    and the cost/feasibility checks are array gathers. The modeled
     CONGEST traffic (``metrics``/``timeline``) comes from a
     :class:`repro.net.columnar.ColumnarBitLedger` unless disabled.
     """
-    import time
-
     cinst = _as_columnar(instance)
     variant = Variant(variant)
     params = columnar_parameters(cinst, k, variant)
@@ -1396,28 +1261,10 @@ def solve_columnar(
 
         ledger = ColumnarBitLedger(cinst.m, cinst.n, cinst.num_edges)
     start = time.perf_counter()
-    if variant is Variant.GREEDY:
-        if shards <= 1:
-            is_open, assignment = _greedy_columnar_arrays(
-                cinst, params, seed, open_fraction, recorder, ledger
-            )
-        else:
-            is_open, assignment = _run_sharded(
-                cinst, variant, params, seed,
-                shards=shards, open_fraction=open_fraction,
-                recorder=recorder, ledger=ledger,
-            )
-    else:
-        policy = rounding or RoundingPolicy()
-        if shards <= 1:
-            is_open, assignment = _dual_columnar_arrays(
-                cinst, params, seed, policy, recorder, ledger
-            )
-        else:
-            is_open, assignment = _run_sharded(
-                cinst, variant, params, seed,
-                shards=shards, policy=policy, recorder=recorder, ledger=ledger,
-            )
+    is_open, assignment = _run(
+        cinst, variant, params, seed, shards=shards, open_fraction=open_fraction,
+        policy=rounding, recorder=recorder, ledger=ledger,
+    )
     wall = time.perf_counter() - start
     if recorder is not None:
         recorder.observe_final(
@@ -1463,7 +1310,7 @@ def _solution_cost(cinst: ColumnarInstance, is_open, assignment) -> float:
     for j in range(0, cinst.n, 1 << 20):
         stop = min(j + (1 << 20), cinst.n)
         block = slice(j, stop)
-        # searchsorted per segment, vectorized over one block at a time to
+        # searchsorted per segment, batched over one block at a time to
         # bound the temporary: offsets into the global edge array.
         seg_lo = lo[block]
         seg_hi = hi[block]

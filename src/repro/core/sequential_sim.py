@@ -24,12 +24,9 @@ import math
 from dataclasses import dataclass
 
 from repro.core.algorithm import Variant
+from repro.core.columnar import emulate_columnar
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
-from repro.core.vectorized import (
-    emulate_dual_vectorized,
-    emulate_greedy_vectorized,
-)
 from repro.exceptions import AlgorithmError
 from repro.fl.instance import FacilityLocationInstance
 from repro.fl.solution import FacilityLocationSolution
@@ -62,11 +59,10 @@ class SequentialRunResult:
         return self.solution.cost
 
 
-#: Available emulation engines: the numpy-batched hot path (default), the
-#: pure-Python reference loops it is validated against bit for bit, and
-#: the columnar CSR engine (optionally sharded across processes) that
-#: scales the same semantics to million-node instances.
-ENGINES = ("vectorized", "loop", "columnar")
+#: Available emulation engines: the pure-Python reference loops and the
+#: columnar CSR engine (the default; optionally sharded across processes)
+#: that is validated against them bit for bit.
+ENGINES = ("loop", "columnar")
 
 
 def run_sequential(
@@ -76,24 +72,21 @@ def run_sequential(
     seed: int = 0,
     rounding: RoundingPolicy | None = None,
     open_fraction: float = 0.5,
-    engine: str = "vectorized",
+    engine: str = "columnar",
     recorder=None,
     shards: int = 1,
     ledger=None,
 ) -> SequentialRunResult:
     """Emulate one protocol run; see module docstring for semantics.
 
-    ``engine`` selects the implementation: ``"vectorized"`` (the default)
-    batches every per-iteration update into numpy array operations over
-    the instance's dense cost matrix, ``"loop"`` is the original
-    pure-Python reference, and ``"columnar"`` runs the CSR edge-plane
-    engine from :mod:`repro.core.columnar` (the only engine that honors
-    ``shards > 1``, splitting the node range across worker processes over
-    shared memory). All three are bit-identical — same open sets, same
-    assignments, same coin flips — which the cross-validation tests
-    assert on every instance family and both variants; the vectorized
-    engine is an order of magnitude faster at scale and the columnar one
-    extends that to instances dense matrices cannot hold.
+    ``engine`` selects the implementation: ``"columnar"`` (the default)
+    runs the numpy CSR edge-plane engine from :mod:`repro.core.columnar`
+    (the only engine that honors ``shards > 1``, splitting the node range
+    across worker processes over shared memory), and ``"loop"`` is the
+    original pure-Python reference. Both are bit-identical — same open
+    sets, same assignments, same coin flips — which the cross-validation
+    tests assert on every instance family and both variants; columnar is
+    an order of magnitude faster at scale.
 
     ``recorder`` (a :class:`repro.obs.recorder.FlightRecorder`) captures
     per-iteration/per-level state digests; in full-record mode the loop
@@ -113,46 +106,22 @@ def run_sequential(
     variant = Variant(variant)
     if variant is Variant.GREEDY:
         params = TradeoffParameters.from_instance(instance, k)
-        if engine == "columnar":
-            from repro.core.columnar import emulate_greedy_columnar
-
-            open_set, assignment = emulate_greedy_columnar(
-                instance,
-                params,
-                seed,
-                open_fraction,
-                recorder=recorder,
-                shards=shards,
-                ledger=ledger,
-            )
-        else:
-            emulate = (
-                emulate_greedy_vectorized if engine == "vectorized" else _emulate_greedy
-            )
-            open_set, assignment = emulate(
-                instance, params, seed, open_fraction, recorder=recorder
-            )
     else:
         params = TradeoffParameters.linear(instance, k)
-        if engine == "columnar":
-            from repro.core.columnar import emulate_dual_columnar
-
-            open_set, assignment = emulate_dual_columnar(
-                instance,
-                params,
-                seed,
-                rounding or RoundingPolicy(),
-                recorder=recorder,
-                shards=shards,
-                ledger=ledger,
-            )
-        else:
-            emulate = (
-                emulate_dual_vectorized if engine == "vectorized" else _emulate_dual
-            )
-            open_set, assignment = emulate(
-                instance, params, seed, rounding or RoundingPolicy(), recorder=recorder
-            )
+    policy = rounding or RoundingPolicy()
+    if engine == "columnar":
+        open_set, assignment = emulate_columnar(
+            instance, variant, params, seed, open_fraction=open_fraction,
+            policy=policy, recorder=recorder, shards=shards, ledger=ledger,
+        )
+    elif variant is Variant.GREEDY:
+        open_set, assignment = _emulate_greedy(
+            instance, params, seed, open_fraction, recorder=recorder
+        )
+    else:
+        open_set, assignment = _emulate_dual(
+            instance, params, seed, policy, recorder=recorder
+        )
     # Canonical (client-sorted) insertion order: solution costs sum the
     # assignment in dict order, so without this the two engines could
     # disagree in the last ulp despite producing the same mapping.

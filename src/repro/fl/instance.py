@@ -287,7 +287,7 @@ class FacilityLocationInstance:
         edges (``inf``) make the left side vacuous whenever the right side
         is also infinite.
 
-        The check is O(m^2 n^2 / (vectorized)) and intended for tests and
+        The check is O(m^2 n^2) (as numpy array operations) and intended for tests and
         small instances; generators tag their own output instead of calling
         this on every instance.
         """

@@ -2,7 +2,7 @@
 
 Three engines claim to run the *same* protocol — the message-passing
 :class:`~repro.net.simulator.Simulator`, the loop emulation oracle, and
-the vectorized numpy engine — and the repo's correctness story rests on
+the columnar numpy engine — and the repo's correctness story rests on
 them agreeing round for round, not just on final bytes. The recorder
 turns that claim into an artifact: at every protocol checkpoint it
 captures the full execution state (duals, open set, assignments, and for
@@ -17,7 +17,7 @@ with both values — which is what ``repro divergence`` renders and what
 the perf suites and the chaos harness use to localize engine mismatches
 automatically.
 
-Checkpoint labels are aligned across engines: the loop and vectorized
+Checkpoint labels are aligned across engines: the loop and columnar
 engines emit ``greedy:iter:<t>`` / ``dual:level:<l>`` / ``dual:rounding``
 / ``final``, and the simulator emits the *same* labels at the round where
 its state provably coincides (end of each DECIDE round for greedy, end
@@ -63,7 +63,7 @@ __all__ = [
 RECORDING_SCHEMA = "repro.recording/v1"
 
 #: Engines a recording can come from.
-RECORDING_ENGINES = ("loop", "vectorized", "simulator", "columnar")
+RECORDING_ENGINES = ("loop", "simulator", "columnar")
 
 
 def canonical_value(value: Any) -> str:
@@ -207,7 +207,7 @@ class FlightRecorder:
     Parameters
     ----------
     engine:
-        Which engine produced the recording (``"loop"``, ``"vectorized"``
+        Which engine produced the recording (``"loop"``, ``"columnar"``
         or ``"simulator"``) — recordings carry their origin so diffs are
         attributable.
     full:
@@ -702,7 +702,7 @@ def replay_recording(
     """Re-run a recording's embedded solve recipe; returns the new recording.
 
     ``engine`` overrides the recorded engine (the cross-engine check:
-    replay a loop recording on the vectorized engine and diff). Raises
+    replay a loop recording on the columnar engine and diff). Raises
     :class:`~repro.exceptions.ReproError` when the recording embeds no
     instance (e.g. one produced through the service's ``record`` flag —
     re-request it instead).

@@ -33,7 +33,7 @@ class RoundTimelineEntry:
     and absent from the JSONL representation — for unprobed runs.
 
     ``engine`` names the engine that produced the round (``"simulator"``,
-    ``"loop"``, ``"vectorized"``) so traces from different engines stay
+    ``"loop"``, ``"columnar"``) so traces from different engines stay
     attributable when diffed; like ``probe`` it is omitted from the JSONL
     representation when ``None``, keeping pre-existing traces byte-stable.
     """

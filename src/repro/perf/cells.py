@@ -93,7 +93,7 @@ class SequentialCell:
     seed: int = 0
     rounding: RoundingPolicy | None = None
     open_fraction: float | None = None
-    engine: str = "vectorized"
+    engine: str = "columnar"
     shards: int = 1
 
 

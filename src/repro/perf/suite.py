@@ -6,12 +6,12 @@ trajectory point (see :mod:`repro.obs.bench`) that ``repro compare``
 can gate in CI:
 
 * ``emulator_greedy`` / ``emulator_dual`` — single-core speedup of the
-  vectorized sequential emulation over the pure-Python loop engine, with
+  columnar sequential emulation over the pure-Python loop engine, with
   the two engines cross-checked for identical open sets and assignments
   on every timed run;
 * ``sweep_emulation`` — a (family, k, seed) grid of sequential cells run
   the **legacy** way (loop engine, no memo caches, in-process) and the
-  **optimized** way (vectorized engine, warm caches,
+  **optimized** way (columnar engine, warm caches,
   :class:`~repro.perf.executor.SweepExecutor` fan-out), with the
   parallel output compared element-for-element against a serial
   optimized run;
@@ -154,7 +154,7 @@ def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
 def _engine_divergence_detail(
     instance: Any, k: int, seed: int, variant: str = Variant.GREEDY.value
 ) -> str:
-    """Bisect a loop/vectorized disagreement via the flight recorder.
+    """Bisect a loop/columnar disagreement via the flight recorder.
 
     Re-runs the offending cell under both sequential engines with
     recording on and renders the :class:`~repro.obs.recorder.
@@ -165,7 +165,7 @@ def _engine_divergence_detail(
 
     left = record_run(instance, engine="loop", k=k, seed=seed, variant=variant)
     right = record_run(
-        instance, engine="vectorized", k=k, seed=seed, variant=variant
+        instance, engine="columnar", k=k, seed=seed, variant=variant
     )
     return diff_recordings(left, right).render()
 
@@ -173,27 +173,27 @@ def _engine_divergence_detail(
 def _emulator_record(
     variant: Variant, m: int, n: int, k: int, repeats: int, workers: int
 ) -> dict[str, Any]:
-    """Loop vs vectorized engine on one instance; engines must agree."""
+    """Loop vs columnar engine on one instance; engines must agree."""
     from repro.core.sequential_sim import run_sequential
 
     instance = cached_instance("euclidean", m, n, 3)
     loop_seconds = 0.0
-    vec_seconds = 0.0
+    columnar_seconds = 0.0
     identical = True
     for seed in range(repeats):
         elapsed, loop = _timed(
             lambda: run_sequential(instance, k=k, seed=seed, variant=variant, engine="loop")
         )
         loop_seconds += elapsed
-        elapsed, vec = _timed(
+        elapsed, fast = _timed(
             lambda: run_sequential(
-                instance, k=k, seed=seed, variant=variant, engine="vectorized"
+                instance, k=k, seed=seed, variant=variant, engine="columnar"
             )
         )
-        vec_seconds += elapsed
+        columnar_seconds += elapsed
         identical = identical and (
-            loop.open_facilities == vec.open_facilities
-            and loop.assignment == vec.assignment
+            loop.open_facilities == fast.open_facilities
+            and loop.assignment == fast.assignment
         )
     # Deeper than the final-answer check above: one recorded run per
     # engine, compared checkpoint by checkpoint (per-iteration state
@@ -203,18 +203,18 @@ def _emulator_record(
     digest_identical = diff_recordings(
         record_run(instance, engine="loop", k=k, seed=0, variant=variant.value),
         record_run(
-            instance, engine="vectorized", k=k, seed=0, variant=variant.value
+            instance, engine="columnar", k=k, seed=0, variant=variant.value
         ),
     ).identical
     return {
         "source": "perf-suite",
-        "wall_seconds": vec_seconds,
+        "wall_seconds": columnar_seconds,
         "params": {"m": m, "n": n, "k": k, "repeats": repeats, "workers": workers},
         "metrics": {
             "loop_seconds": loop_seconds,
-            "vectorized_seconds": vec_seconds,
-            "speedup": loop_seconds / max(vec_seconds, 1e-9),
-            "inverse_speedup": vec_seconds / max(loop_seconds, 1e-9),
+            "columnar_seconds": columnar_seconds,
+            "speedup": loop_seconds / max(columnar_seconds, 1e-9),
+            "inverse_speedup": columnar_seconds / max(loop_seconds, 1e-9),
             "identical": float(identical),
             "digest_identical": float(digest_identical),
         },
@@ -234,7 +234,7 @@ def _sweep_emulation_record(
     *Legacy* reproduces the pre-perf-layer path cell for cell: regenerate
     the instance, re-solve the LP bound, and emulate with the loop
     engine, all in-process. *Optimized* is the shipped path: memo caches,
-    vectorized engine, executor fan-out.
+    columnar engine, executor fan-out.
     """
 
     def legacy() -> list[tuple[Any, ...]]:
@@ -296,7 +296,7 @@ def _sweep_emulation_record(
             cached_instance(family, m, n, 3), k=k, seed=seed
         )
         raise ReproError(
-            "perf suite: vectorized sweep output diverged from the loop "
+            "perf suite: columnar sweep output diverged from the loop "
             f"engine (cell family={family} k={k} seed={seed})\n{detail}"
         )
     cells = len(legacy_results)
@@ -317,7 +317,7 @@ def _sweep_emulation_record(
             "optimized_serial_seconds": serial_seconds,
             "optimized_parallel_seconds": parallel_seconds,
             "cells_per_second": cells / max(parallel_seconds, 1e-9),
-            # The headline: the shipped configuration (vectorized engine,
+            # The headline: the shipped configuration (columnar engine,
             # warm caches, `workers` processes) against the pre-perf-layer
             # serial path, on the same grid.
             "speedup": legacy_seconds / max(parallel_seconds, 1e-9),
@@ -373,7 +373,7 @@ def _sweep_distributed_record(
 
 
 def _scale_equivalence_record() -> dict[str, Any]:
-    """Oracle-sized four-way digest identity: the scale suite's correctness
+    """Oracle-sized digest identity: the scale suite's correctness
     anchor. Every rung above it runs only the columnar engine (nothing
     else fits), so this record proves — per variant, at shards 1 and 4 —
     that the engine being scaled is checkpoint-for-checkpoint identical
@@ -389,10 +389,10 @@ def _scale_equivalence_record() -> dict[str, Any]:
             lambda: record_run(instance, engine="loop", k=k, seed=seed, variant=variant)
         )
         elapsed_total += elapsed
-        for engine, shards in (("vectorized", 1), ("columnar", 1), ("columnar", 4)):
+        for shards in (1, 4):
             elapsed, other = _timed(
                 lambda: record_run(
-                    instance, engine=engine, k=k, seed=seed, variant=variant,
+                    instance, engine="columnar", k=k, seed=seed, variant=variant,
                     shards=shards,
                 )
             )
@@ -401,7 +401,7 @@ def _scale_equivalence_record() -> dict[str, Any]:
             compared += 1
             if not report.identical:
                 raise ReproError(
-                    f"scale suite: {engine} (shards={shards}, {variant}) "
+                    f"scale suite: columnar (shards={shards}, {variant}) "
                     f"diverged from the loop oracle\n{report.render()}"
                 )
     return {

@@ -38,12 +38,7 @@ __all__ = [
 #: Engines a request may select. ``"simulator"`` (the default) is the
 #: message-passing simulator every pre-engine client gets; the emulation
 #: engines skip network simulation (columnar additionally shards).
-SERVICE_ENGINES: tuple[str, ...] = (
-    "simulator",
-    "loop",
-    "vectorized",
-    "columnar",
-)
+SERVICE_ENGINES: tuple[str, ...] = ("simulator", "loop", "columnar")
 
 #: Admission priority classes, lowest first. Under overload the service
 #: sheds the lowest class first (see

@@ -2,9 +2,8 @@
 
 The contract under test is the strongest one the repo makes: the
 columnar engine — in-process or sharded across worker processes — must
-be *byte-identical* to the pure-Python loop oracle and the vectorized
-engine: same open sets, same assignments, same flight-recorder digests
-at every checkpoint. A deliberate single-client perturbation on the
+be *byte-identical* to the pure-Python loop oracle: same open sets, same
+assignments, same flight-recorder digests at every checkpoint. A deliberate single-client perturbation on the
 columnar plane must be pinpointed (level, field, client) by the same
 divergence bisection that covers the other engines.
 """
@@ -12,6 +11,11 @@ divergence bisection that covers the other engines.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from repro.fl.generators import make_instance
 from repro.net.columnar import ColumnarBitLedger, InboxPool
 from repro.obs.recorder import diff_recordings, record_run
 from repro.service.request import InstanceRecipe, SolveRequest
+from repro.service.server import ServiceProtocol
+from repro.service.service import SolveService
 from repro.service.worker import ServiceCell, run_service_cell
 
 
@@ -79,9 +85,7 @@ class TestColumnarInstance:
     def test_sparse_instance_matches_densified_solve(self):
         cinst = ColumnarInstance.generate_sparse(12, 60, seed=5)
         native = solve_columnar(cinst, k=6, seed=2)
-        dense = run_sequential(
-            cinst.to_instance(), k=6, seed=2, engine="vectorized"
-        )
+        dense = run_sequential(cinst.to_instance(), k=6, seed=2, engine="loop")
         assert native.feasible
         assert native.open_facilities == dense.open_facilities
         assert {
@@ -90,7 +94,7 @@ class TestColumnarInstance:
 
 
 class TestByteIdentity:
-    """Solutions and recorder digests, three engines, shards 1 and 4."""
+    """Solutions and recorder digests, loop vs columnar, shards 1 and 4."""
 
     @pytest.mark.parametrize("variant", ["greedy", "dual_ascent"])
     @pytest.mark.parametrize("shards", [1, 4])
@@ -98,20 +102,15 @@ class TestByteIdentity:
         loop = run_sequential(
             instance, k=5, variant=variant, seed=3, engine="loop"
         )
-        vectorized = run_sequential(
-            instance, k=5, variant=variant, seed=3, engine="vectorized"
-        )
         sharded = run_sequential(
             instance, k=5, variant=variant, seed=3, engine="columnar",
             shards=shards,
         )
-        assert loop.open_facilities == vectorized.open_facilities
         assert loop.open_facilities == sharded.open_facilities
-        assert loop.assignment == vectorized.assignment
         assert loop.assignment == sharded.assignment
         # Canonical (client-sorted) summation makes even the float total
         # identical, not merely close.
-        assert loop.cost == vectorized.cost == sharded.cost
+        assert loop.cost == sharded.cost
 
     @pytest.mark.parametrize("variant", ["greedy", "dual_ascent"])
     @pytest.mark.parametrize("shards", [1, 4])
@@ -134,7 +133,42 @@ class TestByteIdentity:
 
     def test_only_columnar_shards(self, instance):
         with pytest.raises(AlgorithmError, match="does not shard"):
-            run_sequential(instance, k=4, engine="vectorized", shards=2)
+            run_sequential(instance, k=4, engine="loop", shards=2)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory in /dev/shm"
+)
+class TestDeadShard:
+    """A shard killed mid-solve fails the run promptly and leaks nothing."""
+
+    def test_sigkilled_shard_raises_and_cleans_up(self):
+        cinst = ColumnarInstance.generate_sparse(8000, 72000, seed=1)
+        segments_before = set(os.listdir("/dev/shm"))
+        children_before = set(multiprocessing.active_children())
+        killed: list[int] = []
+
+        def kill_first_shard() -> None:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                shards = set(multiprocessing.active_children()) - children_before
+                if shards:
+                    pid = min(shard.pid for shard in shards)
+                    os.kill(pid, signal.SIGKILL)
+                    killed.append(pid)
+                    return
+                time.sleep(0.001)
+
+        killer = threading.Thread(target=kill_first_shard, daemon=True)
+        killer.start()
+        start = time.monotonic()
+        with pytest.raises(AlgorithmError, match=r"shard \d: worker exited with code -9"):
+            solve_columnar(cinst, k=8, shards=2)
+        assert time.monotonic() - start < 30
+        killer.join(5)
+        assert killed
+        assert set(multiprocessing.active_children()) <= children_before
+        assert set(os.listdir("/dev/shm")) <= segments_before
 
 
 class TestDivergenceBisection:
@@ -239,6 +273,22 @@ class TestServiceEngineSelection:
         assert "engine" not in base.to_wire()
         assert "shards" not in base.to_wire()
 
+    def test_removed_dense_engine_is_refused_on_the_wire(self):
+        """The deleted dense engine is rejected, not aliased to columnar."""
+        protocol = ServiceProtocol(SolveService())
+        recipe = {"family": "uniform", "m": 8, "n": 24, "seed": 3}
+        (ack,) = protocol.handle(
+            {"type": "solve", "request_id": "old", "recipe": recipe,
+             "k": 6, "engine": "vectorized"}
+        )
+        assert ack == {
+            "type": "ack",
+            "request_id": "old",
+            "accepted": False,
+            "reason": "malformed request: unknown engine 'vectorized'; "
+            "expected one of ['simulator', 'loop', 'columnar']",
+        }
+
     def test_shards_stay_out_of_the_work_key(self):
         recipe = InstanceRecipe("uniform", 8, 24, 3)
         one = SolveRequest(
@@ -331,7 +381,6 @@ class TestCliDigest:
         reference = self._digest(capsys, *base)
         for engine_args in (
             ("--engine", "loop"),
-            ("--engine", "vectorized"),
             ("--engine", "columnar"),
             ("--engine", "columnar", "--shards", "2"),
         ):

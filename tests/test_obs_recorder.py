@@ -54,13 +54,13 @@ def instance():
 
 class TestCrossEngineDeterminism:
     @pytest.mark.parametrize("variant,rounding", CONFIGS)
-    def test_loop_vs_vectorized_zero_divergence(self, instance, variant, rounding):
+    def test_loop_vs_columnar_zero_divergence(self, instance, variant, rounding):
         left = record_run(
             instance, engine="loop", k=4, variant=variant, seed=7, rounding=rounding
         )
         right = record_run(
             instance,
-            engine="vectorized",
+            engine="columnar",
             k=4,
             variant=variant,
             seed=7,
@@ -95,9 +95,22 @@ class TestCrossEngineDeterminism:
 
     def test_cross_engine_replay(self, instance):
         recording = record_run(instance, engine="loop", k=4, seed=7)
-        replayed = replay_recording(recording, engine="vectorized")
-        assert replayed.engine == "vectorized"
+        replayed = replay_recording(recording, engine="columnar")
+        assert replayed.engine == "columnar"
         assert diff_recordings(recording, replayed).identical
+
+    def test_recording_from_removed_engine_loads_diffs_and_replays(self, instance):
+        """Recordings tagged with the deleted dense ``vectorized`` engine
+        stay readable: they load and diff, and replay on columnar; a
+        replay on their own engine is refused as unknown."""
+        payload = record_run(instance, engine="loop", k=4, seed=7).to_payload()
+        payload["engine"] = payload["config"]["engine"] = "vectorized"
+        old = FlightRecorder.from_payload(payload)
+        assert old.engine == "vectorized"
+        assert diff_recordings(old, record_run(instance, engine="loop", k=4, seed=7)).identical
+        assert diff_recordings(old, replay_recording(old, engine="columnar")).identical
+        with pytest.raises(ReproError, match="unknown recording engine 'vectorized'"):
+            replay_recording(old)
 
 
 class TestDivergenceBisection:
@@ -105,7 +118,7 @@ class TestDivergenceBisection:
         """A single forced alpha mis-raise is bisected to its exact
         level and client — the issue's acceptance scenario."""
         baseline = record_run(
-            instance, engine="vectorized", k=4, variant="dual_ascent", seed=7
+            instance, engine="columnar", k=4, variant="dual_ascent", seed=7
         )
         perturbed_clients: list[int] = []
 
@@ -136,7 +149,7 @@ class TestDivergenceBisection:
             instance, engine="loop", k=4, variant="dual_ascent", seed=7
         )
         right = record_run(
-            instance, engine="vectorized", k=4, variant="dual_ascent", seed=7
+            instance, engine="columnar", k=4, variant="dual_ascent", seed=7
         )
         assert diff_recordings(left, right).identical
 
@@ -167,8 +180,8 @@ class TestProvenance:
         assert "propose" in explanation or "force" in explanation
 
     def test_full_mode_requires_loop_engine(self, instance):
-        with pytest.raises(ReproError):
-            record_run(instance, engine="vectorized", k=4, seed=7, full=True)
+        with pytest.raises(ReproError, match="requires the loop engine"):
+            record_run(instance, engine="columnar", k=4, seed=7, full=True)
 
     def test_provenance_survives_payload_roundtrip(self, instance, tmp_path):
         recording = record_run(instance, engine="loop", k=4, seed=7, full=True)
@@ -245,7 +258,7 @@ class TestProcessBoundaries:
 
 class TestZeroFootprint:
     def test_recorder_off_sequential_identical(self, instance):
-        for engine in ("loop", "vectorized"):
+        for engine in ("loop", "columnar"):
             plain = run_sequential(instance, k=4, seed=7, engine=engine)
             recorded = run_sequential(
                 instance,

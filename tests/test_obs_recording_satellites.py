@@ -163,13 +163,13 @@ class TestCliVerbs:
         self, inst_path, tmp_path, capsys
     ):
         loop = self.record(inst_path, tmp_path, "loop.json", "--engine", "loop")
-        vec = self.record(
-            inst_path, tmp_path, "vec.json", "--engine", "vectorized"
+        col = self.record(
+            inst_path, tmp_path, "col.json", "--engine", "columnar"
         )
         assert "final=" in capsys.readouterr().out
         assert main(["replay", loop]) == 0
         assert "replay identical" in capsys.readouterr().out
-        assert main(["divergence", loop, vec]) == 0
+        assert main(["divergence", loop, col]) == 0
         assert "digest-identical" in capsys.readouterr().out
 
     def test_divergence_exit_one_and_json(self, tmp_path, capsys):
@@ -199,7 +199,7 @@ class TestCliVerbs:
 
     def test_inspect_digests_flag(self, inst_path, tmp_path, capsys):
         a = self.record(inst_path, tmp_path, "a.json")
-        b = self.record(inst_path, tmp_path, "b.json", "--engine", "vectorized")
+        b = self.record(inst_path, tmp_path, "b.json", "--engine", "columnar")
         capsys.readouterr()
         assert main(["inspect", a, b, "--digests"]) == 0
         out = capsys.readouterr().out

@@ -9,22 +9,26 @@ regardless of input:
   (LP <= cost and cost <= family-specific envelope),
 * the distributed protocol equals its sequential emulation seed-for-seed,
 * serialization round-trips exactly,
-* message bit accounting is monotone in payload.
+* message bit accounting is monotone in payload,
+* the dense columnar conversion equals the edge-list one array for array.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.greedy import greedy_solve
 from repro.baselines.jain_vazirani import jain_vazirani_solve
 from repro.baselines.lp import solve_lp
 from repro.core.algorithm import Variant, solve_distributed
+from repro.core.columnar import ColumnarInstance
 from repro.core.parameters import TradeoffParameters, efficiency_range
 from repro.core.sequential_sim import run_sequential
 from repro.fl.instance import FacilityLocationInstance
@@ -79,6 +83,23 @@ def instances(draw, max_facilities: int = 6, max_clients: int = 10):
         if not np.isfinite(connection[:, j]).any():
             connection[0, j] = float(j)
     return FacilityLocationInstance(opening, connection, name="hypothesis")
+
+
+@st.composite
+def tied_instances(draw, max_facilities: int = 6, max_clients: int = 8):
+    """Instances whose costs come from a tiny palette: many equal-cost
+    ties, zero-cost edges and absent (``inf``) edges."""
+    m = draw(st.integers(min_value=1, max_value=max_facilities))
+    n = draw(st.integers(min_value=1, max_value=max_clients))
+    palette = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf])
+    connection = np.array(
+        draw(st.lists(st.lists(palette, min_size=n, max_size=n), min_size=m, max_size=m))
+    )
+    for j in range(n):
+        if not np.isfinite(connection[:, j]).any():
+            connection[draw(st.integers(0, m - 1)), j] = 0.0
+    opening = draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=m, max_size=m))
+    return FacilityLocationInstance(opening, connection, name="tied")
 
 
 class TestInstanceInvariants:
@@ -170,6 +191,35 @@ class TestEquivalenceProperty:
         sequential = run_sequential(instance, k=k, seed=seed)
         assert sequential.open_facilities == distributed.open_facilities
         assert sequential.assignment == distributed.solution.assignment
+
+
+class TestColumnarConversion:
+    @settings(_SETTINGS, max_examples=60, derandomize=True)
+    @given(tied_instances(), st.randoms(use_true_random=False))
+    @example(
+        FacilityLocationInstance([1.0], [[0.0, 0.0, 1.0, 2.0, 0.0]]),
+        random.Random(0),
+    )
+    @example(
+        FacilityLocationInstance([0.0, 1.0, 1.0], [[1.0], [1.0], [math.inf]]),
+        random.Random(1),
+    )
+    def test_from_instance_equals_from_edges(self, instance, rng):
+        costs = instance.connection_costs
+        fac, cli = np.nonzero(np.isfinite(costs))
+        order = rng.sample(range(fac.size), fac.size)  # edge lists come unsorted
+        dense = ColumnarInstance.from_instance(instance)
+        edges = ColumnarInstance.from_edges(
+            instance.opening_costs, fac[order], cli[order], costs[fac, cli][order],
+            num_clients=instance.num_clients, name=instance.name,
+        )
+        for field in dataclasses.fields(ColumnarInstance):
+            left, right = getattr(dense, field.name), getattr(edges, field.name)
+            if isinstance(left, np.ndarray):
+                assert left.dtype == right.dtype, field.name
+                assert np.array_equal(left, right), field.name
+            else:
+                assert left == right, field.name
 
 
 class TestMessageBits:

@@ -5,7 +5,7 @@ independently written implementations of each protocol (message-passing
 nodes vs. sequential emulation) must produce the *identical* open set and
 assignment for every instance family, seed and trade-off parameter.
 Every case runs under both sequential engines (the pure-Python loop
-reference and the numpy-vectorized hot path), so the engines are also
+reference and the columnar numpy hot path), so the engines are also
 cross-validated against each other through the same oracle.
 """
 
@@ -105,12 +105,12 @@ def test_engines_bit_identical(variant, family):
         loop = run_sequential(
             instance, k=9, variant=variant, seed=seed, engine="loop"
         )
-        vectorized = run_sequential(
-            instance, k=9, variant=variant, seed=seed, engine="vectorized"
+        columnar = run_sequential(
+            instance, k=9, variant=variant, seed=seed, engine="columnar"
         )
-        assert loop.open_facilities == vectorized.open_facilities
-        assert loop.assignment == vectorized.assignment
-        assert loop.cost == vectorized.cost
+        assert loop.open_facilities == columnar.open_facilities
+        assert loop.assignment == columnar.assignment
+        assert loop.cost == columnar.cost
 
 
 def test_unknown_engine_rejected():
