@@ -111,6 +111,13 @@ def _check_edges(cost: np.ndarray, client_degrees: np.ndarray) -> None:
         raise AlgorithmError(f"client {j} has no facility edge; instance infeasible")
 
 
+def _check_ids(ids: np.ndarray, limit: int, kind: str) -> None:
+    """Reject node ids outside ``[0, limit)``, naming the first bad one."""
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= limit):
+        bad = int(ids[(ids < 0) | (ids >= limit)][0])
+        raise AlgorithmError(f"{kind} index {bad} out of range [0, {limit})")
+
+
 @dataclass(frozen=True)
 class ColumnarInstance:
     """CSR edge-plane representation of a facility-location instance.
@@ -175,21 +182,86 @@ class ColumnarInstance:
         num_clients: int,
         name: str = "columnar",
     ) -> "ColumnarInstance":
-        """Build the dual-ordered CSR plane from an edge triplet list."""
-        fac_idx = np.asarray(fac_idx, dtype=np.int64)
-        cli_idx = np.asarray(cli_idx, dtype=np.int64)
+        """Build the dual-ordered CSR plane from an edge triplet list.
+
+        Edges may come in any order; a repeated (facility, client) pair
+        keeps its cheapest cost, as in
+        :meth:`FacilityLocationInstance.from_edges`. Every edge order is
+        one ``argsort`` of a packed int64 key, never a multi-key sort:
+
+        * (client, facility): ``client * m + facility``. An edge list
+          already strictly in this order (``generate_sparse`` emits one)
+          skips the sort.
+        * greedy (facility, cost, client): ``facility * E + rank``, where
+          ``rank`` is each client-major edge's position in cost order,
+          equal costs kept in client-major order.
+        * (facility, client): ``facility * n + client`` over the greedy
+          edges.
+
+        Once repeats are merged every key is unique, so only the first
+        sort needs to be stable. The keys fit in int64 because
+        ``m * max(n, E) < 2**63`` is checked up front.
+        """
+        opening = np.ascontiguousarray(opening, dtype=np.float64)
+        m, n = int(opening.shape[0]), int(num_clients)
+        fac = np.asarray(fac_idx, dtype=np.int64)
+        cli = np.asarray(cli_idx, dtype=np.int64)
         cost = np.asarray(cost, dtype=np.float64)
-        _check_edges(cost, np.bincount(cli_idx, minlength=int(num_clients)))
-        # Greedy order: (facility, cost, client). lexsort keys are listed
-        # least-significant first and the sort is stable.
-        greedy = np.lexsort((cli_idx, cost, fac_idx))
-        g_fac = fac_idx[greedy]
-        g_cli = cli_idx[greedy]
+        _check_ids(fac, m, "facility")
+        _check_ids(cli, n, "client")
+        if m * max(n, cost.size) >= 2**63:
+            raise AlgorithmError(
+                f"m * max(n, edges) = {m * max(n, cost.size)} overflows the int64 sort keys"
+            )
+        key = cli * m + fac
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            first = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            fac, cli = fac[order][starts], cli[order][starts]
+            cost = np.minimum.reduceat(cost[order], starts)
+            del order, first, starts
+        del key
+        _check_edges(cost, np.bincount(cli, minlength=n))
+        num_edges = cost.size
+        # Cost order; argsort is not stable, so equal-cost runs are put
+        # back in client-major order here to make ties fall to client id.
+        order = np.argsort(cost)
+        sorted_cost = cost[order]
+        tied = sorted_cost[1:] == sorted_cost[:-1]
+        if tied.any():
+            in_run = np.zeros(num_edges, dtype=bool)
+            in_run[1:] = tied
+            in_run[:-1] |= tied
+            runs = np.flatnonzero(in_run)
+            order[runs] = order[runs][np.lexsort((order[runs], sorted_cost[runs]))]
+            del in_run, runs
+        del sorted_cost, tied
+        edge_ids = np.arange(num_edges, dtype=np.int64)
+        rank = np.empty(num_edges, dtype=np.int64)
+        rank[order] = edge_ids
+        del order
+        key = fac * num_edges
+        key += rank
+        del rank
+        greedy = np.argsort(key)
+        del key
+        cli_edge = np.empty(num_edges, dtype=np.int64)
+        cli_edge[greedy] = edge_ids
+        del edge_ids
+        g_fac, g_cli, g_cost = fac[greedy], cli[greedy], cost[greedy]
+        del greedy
+        key = g_fac * n
+        key += g_cli
+        byc = np.argsort(key)
+        del key
         return cls._from_greedy_order(
-            opening, g_fac, g_cli, cost[greedy],
-            byc=np.lexsort((g_cli, g_fac)),
-            cli_edge=np.lexsort((g_fac, g_cli)),
-            num_clients=num_clients,
+            opening, g_fac, g_cli, g_cost,
+            byc=byc,
+            cli_edge=cli_edge,
+            num_clients=n,
             name=name,
         )
 
@@ -279,20 +351,26 @@ class ColumnarInstance:
             raise AlgorithmError("sparse columnar instance needs m, n, degree >= 1")
         rng = np.random.default_rng(seed)
         neighbors = rng.integers(0, m, size=(n, d), dtype=np.int64)
-        while True:
+        # Each row is kept sorted by facility, so the edge list comes out
+        # in (client, facility) order and from_edges skips that sort.
+        order = np.argsort(neighbors, axis=1)
+        fac = np.take_along_axis(neighbors, order, axis=1)
+        del neighbors
+        bad = np.flatnonzero((fac[:, 1:] == fac[:, :-1]).any(axis=1))
+        while bad.size:
             # Re-sample rows with duplicate facilities; expected a handful
             # of passes since collision probability is ~d^2/m per client.
-            ordered = np.sort(neighbors, axis=1)
-            bad = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-            if not bad.any():
-                break
-            neighbors[bad] = rng.integers(0, m, size=(int(bad.sum()), d))
-        costs = rng.uniform(0.1, 1.0, size=(n, d))
+            rows = rng.integers(0, m, size=(bad.size, d))
+            order[bad] = np.argsort(rows, axis=1)
+            fac[bad] = np.take_along_axis(rows, order[bad], axis=1)
+            bad = bad[(fac[bad, 1:] == fac[bad, :-1]).any(axis=1)]
+        costs = np.take_along_axis(rng.uniform(0.1, 1.0, size=(n, d)), order, axis=1)
+        del order
         opening = rng.uniform(0.5, 1.5, size=m) * float(opening_scale)
         cli_idx = np.repeat(np.arange(n, dtype=np.int64), d)
         return cls.from_edges(
             opening,
-            neighbors.ravel(),
+            fac.ravel(),
             cli_idx,
             costs.ravel(),
             num_clients=n,

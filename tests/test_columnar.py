@@ -10,12 +10,14 @@ divergence bisection that covers the other engines.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +83,49 @@ class TestColumnarInstance:
         for j in range(cinst.n):
             facs = cinst.cli_fac[cinst.cli_ptr[j] : cinst.cli_ptr[j + 1]]
             assert len(set(facs.tolist())) == 3
+
+    @pytest.mark.parametrize(
+        ("m", "n", "digest"),
+        [
+            (200, 9800, "6c0619b27faa7fd357e7896cd28a68289720cef88cc86c295336394f31abd770"),
+            (2000, 98000, "b4337b477508d2b09bdb5db324b9452fce9e8d4f3de4f176d437633f2af09087"),
+        ],
+    )
+    def test_generate_sparse_plane_bytes_are_pinned(self, m, n, digest):
+        # Digests of the three-lexsort construction; every array must
+        # keep its dtype and bytes.
+        cinst = ColumnarInstance.generate_sparse(m, n, seed=7)
+        h = hashlib.sha256()
+        for name, value in vars(cinst).items():
+            if isinstance(value, np.ndarray):
+                h.update(name.encode())
+                h.update(str(value.dtype).encode())
+                h.update(value.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_generate_sparse_peak_memory(self):
+        tracemalloc.start()
+        try:
+            cinst = ColumnarInstance.generate_sparse(2000, 98000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = sum(v.nbytes for v in vars(cinst).values() if isinstance(v, np.ndarray))
+        assert peak <= 1.75 * plane
+
+    def test_from_edges_rejects_out_of_range(self):
+        with pytest.raises(AlgorithmError, match="facility index 5"):
+            ColumnarInstance.from_edges([1.0], [5], [0], [1.0], num_clients=1)
+        with pytest.raises(AlgorithmError, match="facility index -1"):
+            ColumnarInstance.from_edges([1.0], [0, -1], [0, 0], [1.0, 1.0], num_clients=1)
+        with pytest.raises(AlgorithmError, match="client index 5"):
+            ColumnarInstance.from_edges([1.0], [0, 0], [0, 5], [1.0, 1.0], num_clients=1)
+        with pytest.raises(AlgorithmError, match="client index -2"):
+            ColumnarInstance.from_edges([1.0], [0], [-2], [1.0], num_clients=1)
+
+    def test_from_edges_rejects_keys_beyond_int64(self):
+        with pytest.raises(AlgorithmError, match="int64"):
+            ColumnarInstance.from_edges([1.0, 1.0], [0], [0], [1.0], num_clients=2**62)
 
     def test_sparse_instance_matches_densified_solve(self):
         cinst = ColumnarInstance.generate_sparse(12, 60, seed=5)

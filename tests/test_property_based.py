@@ -10,7 +10,8 @@ regardless of input:
 * the distributed protocol equals its sequential emulation seed-for-seed,
 * serialization round-trips exactly,
 * message bit accounting is monotone in payload,
-* the dense columnar conversion equals the edge-list one array for array.
+* the dense columnar conversion equals the edge-list one array for array,
+  and the edge-list one equals a three-``lexsort`` reference byte for byte.
 """
 
 from __future__ import annotations
@@ -193,6 +194,69 @@ class TestEquivalenceProperty:
         assert sequential.assignment == distributed.solution.assignment
 
 
+@st.composite
+def edge_lists(draw, duplicates: bool = False):
+    """Shuffled (facility, client, cost) lists with tied and zero costs.
+
+    Every client gets at least one edge (often exactly one); unless
+    ``duplicates``, no (facility, client) pair repeats.
+    """
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=8))
+    opening = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=m, max_size=m))
+    costs = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5])
+    edges = []
+    for j in range(n):
+        facilities = st.lists(
+            st.integers(min_value=0, max_value=m - 1),
+            min_size=1,
+            max_size=2 * m if duplicates else m,
+            unique=not duplicates,
+        )
+        edges += [(i, j, draw(costs)) for i in draw(facilities)]
+    return opening, draw(st.permutations(edges)), n
+
+
+def _columns(edges):
+    fac, cli, cost = zip(*edges)
+    return np.array(fac), np.array(cli), np.array(cost, dtype=np.float64)
+
+
+def _lexsort_plane(opening, fac, cli, cost, num_clients):
+    """Reference: the plane as three ``lexsort``s over the edges build it."""
+    opening = np.asarray(opening, dtype=np.float64)
+    m = opening.size
+    greedy = np.lexsort((cli, cost, fac))
+    g_fac, g_cli, g_cost = fac[greedy], cli[greedy], cost[greedy]
+    byc = np.lexsort((g_cli, g_fac))
+    cli_edge = np.lexsort((g_fac, g_cli))
+    return ColumnarInstance(
+        m=m,
+        n=num_clients,
+        opening=opening,
+        fac_ptr=np.concatenate(([0], np.cumsum(np.bincount(g_fac, minlength=m)))),
+        g_fac=g_fac,
+        g_cli=g_cli,
+        g_cost=g_cost,
+        byc_cli=g_cli[byc],
+        byc_cost=g_cost[byc],
+        cli_ptr=np.concatenate(([0], np.cumsum(np.bincount(g_cli, minlength=num_clients)))),
+        cli_fac=g_fac[cli_edge],
+        cli_cost=g_cost[cli_edge],
+        cli_edge=cli_edge,
+    )
+
+
+def _assert_same_plane(left, right):
+    for field in dataclasses.fields(ColumnarInstance):
+        a, b = getattr(left, field.name), getattr(right, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
 class TestColumnarConversion:
     @settings(_SETTINGS, max_examples=60, derandomize=True)
     @given(tied_instances(), st.randoms(use_true_random=False))
@@ -213,13 +277,30 @@ class TestColumnarConversion:
             instance.opening_costs, fac[order], cli[order], costs[fac, cli][order],
             num_clients=instance.num_clients, name=instance.name,
         )
-        for field in dataclasses.fields(ColumnarInstance):
-            left, right = getattr(dense, field.name), getattr(edges, field.name)
-            if isinstance(left, np.ndarray):
-                assert left.dtype == right.dtype, field.name
-                assert np.array_equal(left, right), field.name
-            else:
-                assert left == right, field.name
+        _assert_same_plane(dense, edges)
+
+    @settings(_SETTINGS, max_examples=300, derandomize=True)
+    @given(edge_lists())
+    @example(([1.0], [(0, 0, 0.0)], 1))  # m = n = 1
+    @example(([1.0], [(0, 2, 0.5), (0, 0, 0.5), (0, 1, 0.0)], 3))  # m = 1
+    @example(([1.0, 0.0, 2.0], [(2, 0, 1.0), (0, 0, 1.0), (1, 0, -0.0)], 1))  # n = 1
+    def test_from_edges_equals_lexsort_reference(self, case):
+        opening, edges, n = case
+        fac, cli, cost = _columns(edges)
+        _assert_same_plane(
+            ColumnarInstance.from_edges(opening, fac, cli, cost, num_clients=n),
+            _lexsort_plane(opening, fac, cli, cost, n),
+        )
+
+    @settings(_SETTINGS, max_examples=100, derandomize=True)
+    @given(edge_lists(duplicates=True))
+    @example(([1.0], [(0, 0, 0.3), (0, 0, 0.9)], 1))
+    def test_repeated_edges_keep_the_cheapest_cost(self, case):
+        opening, edges, n = case
+        cinst = ColumnarInstance.from_edges(opening, *_columns(edges), num_clients=n)
+        dense = FacilityLocationInstance.from_edges(opening, edges, n)
+        assert cinst.num_edges == np.isfinite(dense.connection_costs).sum()
+        assert np.array_equal(cinst.to_instance().connection_costs, dense.connection_costs)
 
 
 class TestMessageBits:
