@@ -44,7 +44,7 @@ from typing import Any, Mapping, Sequence
 from repro.analysis.experiments import ExperimentResult
 from repro.exceptions import ReproError
 from repro.service.batcher import WorkUnit
-from repro.service.client import ServiceClient, SocketServiceClient
+from repro.service.client import ServiceClient, StreamServiceClient
 from repro.service.queue import QueuedRequest
 from repro.service.request import InstanceRecipe, SolveRequest, SolveResponse
 from repro.service.resilience import (
@@ -467,7 +467,7 @@ def _drive_socket(
     injected = {"drops": 0, "malformed": 0}
     terminals: dict[str, list[SolveResponse]] = {}
     retrying = RetryingServiceClient(
-        lambda: SocketServiceClient(socket_path, timeout_s=60.0),
+        lambda: StreamServiceClient(path=socket_path, timeout_s=60.0),
         policy=policy,
         sleep=lambda _s: None,
     )

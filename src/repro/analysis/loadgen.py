@@ -5,7 +5,7 @@ millions of users. This module generates the *shape* of that traffic at
 test scale and drives it against a real server — usually the
 multi-worker TCP front end (`repro serve --tcp --service-workers K`,
 i.e. a :class:`~repro.service.router.ServiceRouter` behind
-:func:`~repro.service.tcp.serve_tcp`) — measuring what a capacity
+:func:`~repro.service.server.serve_tcp`) — measuring what a capacity
 review actually asks about:
 
 * **latency quantiles** (p50 / p95 / p99) per completed request;
@@ -31,8 +31,8 @@ Two driving disciplines:
 * ``closed`` loop — ``num_users`` synchronous users, each submitting
   its next request only after the previous one completed. Offered load
   self-regulates; this is the SLO-style measurement.
-* ``open`` loop — one pipelining
-  :class:`~repro.service.async_client.AsyncServiceClient` injecting
+* ``open`` loop — one
+  :class:`~repro.service.client.StreamServiceClient` pipelining
   requests on a fixed arrival schedule regardless of completion;
   latency includes queueing delay, which is what overload looks like.
 
@@ -49,12 +49,11 @@ from typing import Any, Mapping, Sequence
 
 from repro.analysis.chaos_serve import _direct_signature, _strip_wall_clock
 from repro.exceptions import ReproError
-from repro.service.async_client import AsyncServiceClient
-from repro.service.client import TcpServiceClient
+from repro.service.client import StreamServiceClient
 from repro.service.request import InstanceRecipe, SolveRequest, SolveResponse
 from repro.service.router import RouterConfig, ServiceRouter
+from repro.service.server import serve_tcp
 from repro.service.service import ServiceConfig
-from repro.service.tcp import serve_tcp
 
 __all__ = [
     "LoadShape",
@@ -425,7 +424,7 @@ def _drive_closed(
     lock = threading.Lock()
 
     def run_user(script: tuple[SolveRequest, ...]) -> None:
-        with TcpServiceClient(address=address, timeout_s=timeout_s) as client:
+        with StreamServiceClient(address=address, timeout_s=timeout_s) as client:
             for request in script:
                 started = time.perf_counter()
                 accepted = client.submit(request)
@@ -470,7 +469,7 @@ def _drive_open(
     answers: dict[str, SolveResponse] = {}
     submitted_at: dict[str, float] = {}
 
-    def settle(client: AsyncServiceClient) -> None:
+    def settle(client: StreamServiceClient) -> None:
         for response in client.flush():
             done = time.perf_counter()
             answers.setdefault(response.request_id, response)
@@ -478,7 +477,7 @@ def _drive_open(
             if started is not None:
                 latencies.append((done - started) * 1000.0)
 
-    with AsyncServiceClient(address=address, timeout_s=timeout_s) as client:
+    with StreamServiceClient(address=address, timeout_s=timeout_s) as client:
         origin = time.perf_counter()
         previous_offset = 0.0
         for offset, request in plan.arrivals:
@@ -491,7 +490,7 @@ def _drive_open(
             if delay > 0:
                 time.sleep(delay)
             submitted_at[request.request_id] = time.perf_counter()
-            client.submit(request)
+            client.submit_nowait(request)
         settle(client)
         for _, request in plan.arrivals:
             if request.request_id not in answers:
@@ -559,7 +558,7 @@ def run_loadtest(
         else:
             latencies, answers = _drive_open(plan, address, timeout_s)
         wall = time.perf_counter() - started
-        with TcpServiceClient(address=address, timeout_s=timeout_s) as admin:
+        with StreamServiceClient(address=address, timeout_s=timeout_s) as admin:
             metrics = admin.metrics()
             if owned_thread is not None:
                 admin.shutdown()

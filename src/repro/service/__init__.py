@@ -25,8 +25,12 @@ throughput-oriented service front-end, the shape a deployment that
   :class:`~repro.obs.registry.MetricsRegistry`.
 * :class:`~repro.service.client.ServiceClient` — the in-process helper
   used by tests, examples and the ``repro serve`` CLI; plus the JSONL
-  wire codec and the synchronous Unix-socket / TCP stream clients over
-  the shared :class:`~repro.service.transport.LineTransport`.
+  wire codec and :class:`~repro.service.client.StreamServiceClient`,
+  the one TCP / Unix-socket client over the shared
+  :class:`~repro.service.transport.LineTransport`: round-trip or
+  pipelined submits (many in-flight requests per connection, acks and
+  responses matched by request id), wrappable by
+  :class:`~repro.service.resilience.RetryingServiceClient`.
 * :mod:`~repro.service.resilience` — the fault-tolerance layer: the
   typed ``Retriable``/``Fatal`` service-error taxonomy, the
   crash-surviving :class:`~repro.service.resilience.ResilientExecutor`
@@ -42,13 +46,12 @@ throughput-oriented service front-end, the shape a deployment that
   :class:`~repro.service.router.SharedResultCache`, so dedup and result
   reuse survive sharding; ``repro serve --service-workers K`` builds
   one.
-* :func:`~repro.service.tcp.serve_tcp` — the concurrent TCP front end
-  (``repro serve --tcp HOST:PORT``), one reader thread per connection,
-  same line protocol as every other transport.
-* :class:`~repro.service.async_client.AsyncServiceClient` — the
-  pipelining client: many in-flight requests per connection, acks and
-  responses matched out-of-order by request id, wrappable by
-  :class:`~repro.service.resilience.RetryingServiceClient`.
+* :mod:`~repro.service.server` — the transports: stdin/JSONL
+  (:func:`~repro.service.server.serve_jsonl`) and the concurrent Unix
+  socket and TCP front ends (:func:`~repro.service.server.serve_socket`,
+  :func:`~repro.service.server.serve_tcp`; ``repro serve --socket PATH``
+  / ``--tcp HOST:PORT``), one reader thread per connection, all fed
+  through the one line loop :func:`~repro.service.server.serve_lines`.
 
 See ``docs/SERVING.md`` for the full serving guide,
 ``docs/ARCHITECTURE.md`` ("Serving layer", "Serving resilience") for
@@ -56,11 +59,10 @@ the data flow and ``examples/serving.py`` for a worked mixed-batch
 session.
 """
 
-from repro.service.async_client import AsyncServiceClient
 from repro.service.batcher import Batch, Batcher, WorkUnit
 from repro.service.client import (
     ServiceClient,
-    SocketServiceClient,
+    StreamServiceClient,
     TcpServiceClient,
     decode_line,
     encode_line,
@@ -92,10 +94,14 @@ from repro.service.router import (
     ServiceRouter,
     SharedResultCache,
 )
-from repro.service.server import ServiceProtocol, serve_jsonl, serve_socket
+from repro.service.server import (
+    ServiceProtocol,
+    serve_jsonl,
+    serve_socket,
+    serve_tcp,
+)
 from repro.service.service import ServiceConfig, SolveService
 from repro.service.store import ResultStore, StoreMiss
-from repro.service.tcp import serve_tcp
 from repro.service.transport import LineTransport, parse_hostport
 from repro.service.worker import (
     ServiceCell,
@@ -106,7 +112,6 @@ from repro.service.worker import (
 __all__ = [
     "AdmissionQueue",
     "AdmissionResult",
-    "AsyncServiceClient",
     "Batch",
     "Batcher",
     "ExecutionReport",
@@ -130,11 +135,11 @@ __all__ = [
     "ServiceProtocol",
     "ServiceRouter",
     "SharedResultCache",
-    "SocketServiceClient",
     "SolveRequest",
     "SolveResponse",
     "SolveService",
     "StoreMiss",
+    "StreamServiceClient",
     "TcpServiceClient",
     "TokenBucket",
     "WorkUnit",

@@ -1,25 +1,18 @@
 """Clients of the solve service, plus the JSONL wire codec.
 
-Three synchronous clients share one mental model — submit requests,
-flush, collect responses by request id:
+Two clients share one mental model — submit requests, flush, collect
+responses by request id:
 
 * :class:`ServiceClient` wraps an in-process
   :class:`~repro.service.service.SolveService`; tests, examples and the
   stdin transport use it.
-* :class:`SocketServiceClient` speaks the line protocol over a Unix
-  domain socket to a ``repro serve --socket PATH`` process.
-* :class:`TcpServiceClient` speaks the same protocol over TCP to a
-  ``repro serve --tcp HOST:PORT`` front end (usually a
-  :class:`~repro.service.router.ServiceRouter` fronting several service
-  workers).
-
-Every sent line yields at least one reply line, so the stream clients
-stay simple request/response loops (see :mod:`repro.service.server` for
-the protocol table); the framed I/O, typed-error mapping and
-broken-connection poisoning they share live in
-:class:`~repro.service.transport.LineTransport`. For many in-flight
-requests per connection, use
-:class:`~repro.service.async_client.AsyncServiceClient` instead.
+* :class:`StreamServiceClient` speaks the line protocol (see
+  :mod:`repro.service.server` for the protocol table) to a
+  ``repro serve --tcp HOST:PORT`` front end or a
+  ``repro serve --socket PATH`` server. Its submits either round-trip
+  or pipeline many in-flight requests per connection; the framed I/O,
+  typed-error mapping and broken-connection poisoning live in
+  :class:`~repro.service.transport.LineTransport`.
 
 The codec pair :func:`encode_line` / :func:`decode_line` (re-exported
 from :mod:`repro.service.transport`) defines the wire format: one
@@ -31,7 +24,7 @@ served against direct results.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.exceptions import ReproError
 from repro.obs.spans import Tracer
@@ -48,7 +41,7 @@ from repro.service.transport import (
 
 __all__ = [
     "ServiceClient",
-    "SocketServiceClient",
+    "StreamServiceClient",
     "TcpServiceClient",
     "decode_line",
     "encode_line",
@@ -143,31 +136,98 @@ class ServiceClient:
         return out
 
 
-class _StreamServiceClient:
-    """Shared body of the synchronous stream clients (Unix and TCP).
+class StreamServiceClient:
+    """Line-protocol client over TCP or a Unix socket.
 
-    Subclasses open the connection (a
-    :class:`~repro.service.transport.LineTransport`) in ``__init__``;
-    everything else — the request/response verbs, the context-manager
-    protocol, the chaos hooks — is transport-agnostic and lives here.
+    Parameters
+    ----------
+    address:
+        ``HOST:PORT`` of a ``repro serve --tcp`` front end.
+    path:
+        Alternatively, the path of a ``repro serve --socket`` server.
+        Exactly one of ``address`` and ``path`` must be given.
+    timeout_s:
+        Per-read/write transport timeout.
+    max_in_flight:
+        Bound on unread acks before :meth:`submit_nowait` reads the
+        oldest one.
+    tracer:
+        When given, submitted requests are stamped with the tracer's
+        current span context (``trace`` wire field), so a tracing server
+        parents its spans under this client — one trace tree across the
+        socket boundary.
+
+    :meth:`submit` round-trips: it sends the solve line and waits for
+    its ack. :meth:`submit_nowait` *pipelines*: it writes the solve line
+    and returns without reading the ack, so many requests ride the
+    connection back-to-back instead of paying one round trip each. The
+    server answers lines strictly in arrival order, so the reply stream
+    holds the pipelined acks (each carrying its ``request_id``) ahead of
+    whatever the next verb's replies are; every verb that reads a reply
+    first consumes the acks queued ahead of it. ``max_in_flight`` is not
+    decoration: the server writes each ack immediately, so a client that
+    pipelined without ever reading would eventually fill both socket
+    buffers and deadlock against its own submit.
+
+    Completion is matched by ``request_id``, never by position:
+    :meth:`flush` files its responses by id for :meth:`take_response`,
+    so callers may collect in any order. Usable as a context manager;
+    :meth:`close` drops the connection (the server keeps running),
+    while :meth:`shutdown` asks the server process to exit. Typical
+    pipelined session::
+
+        with StreamServiceClient(address="127.0.0.1:9000") as client:
+            for request in requests:         # no round trips here
+                client.submit_nowait(request)
+            responses = client.flush()       # acks + responses resolved
 
     Transport failures surface as the typed taxonomy from
-    :mod:`repro.service.resilience`: a receive timeout, connection
-    reset, broken pipe or server-side EOF raises
-    :class:`~repro.service.resilience.RetriableServiceError` — and marks
-    the connection *broken*, because after a half-read the line buffer
-    is in an undefined state. Every later call on a broken client
-    raises :class:`~repro.service.resilience.FatalServiceError` until a
-    fresh client is built (which is what
-    :class:`~repro.service.resilience.RetryingServiceClient` does
-    automatically).
+    :mod:`repro.service.resilience` (via the shared
+    :class:`~repro.service.transport.LineTransport`): a receive timeout,
+    connection reset, broken pipe or server-side EOF raises
+    :class:`~repro.service.resilience.RetriableServiceError` and marks
+    the connection broken, after which every call raises
+    :class:`~repro.service.resilience.FatalServiceError` until a fresh
+    client is built — which is what
+    :class:`~repro.service.resilience.RetryingServiceClient` does.
     """
 
-    _transport: LineTransport
+    def __init__(
+        self,
+        address: str | None = None,
+        path: str | None = None,
+        timeout_s: float = 30.0,
+        max_in_flight: int = 64,
+        tracer: Tracer | None = None,
+    ) -> None:
+        if max_in_flight < 1:
+            raise ReproError(
+                f"max_in_flight must be >= 1, got {max_in_flight}"
+            )
+        if (address is None) == (path is None):
+            raise ReproError(
+                "StreamServiceClient needs exactly one of "
+                "address='HOST:PORT' or path=<unix socket>"
+            )
+        self.timeout_s = float(timeout_s)
+        self.max_in_flight = int(max_in_flight)
+        self.tracer = tracer
+        self._transport: LineTransport
+        if path is not None:
+            self._transport = connect_unix(str(path), self.timeout_s)
+        else:
+            host, port = parse_hostport(str(address))
+            self._transport = connect_tcp(host, port, self.timeout_s)
+        #: Submitted ids whose acks have not been read yet, oldest first.
+        self._awaiting_acks: list[str] = []
+        #: Ack outcomes seen so far: request_id -> accepted bool.
+        self._acks: dict[str, bool] = {}
+        #: Rejection reasons for refused submits: request_id -> reason.
+        self._rejections: dict[str, str] = {}
+        #: Responses of the last flush not yet taken, keyed by request_id.
+        self._responses: dict[str, SolveResponse] = {}
 
-    tracer: Tracer | None = None
-
-    def __enter__(self) -> "_StreamServiceClient":
+    def __enter__(self) -> "StreamServiceClient":
         """Context-manager entry; the connection is already open."""
         return self
 
@@ -196,24 +256,91 @@ class _StreamServiceClient:
         harness injects malformed frames through a live connection. The
         newline is appended when missing.
         """
+        self.drain_acks()
         self._transport.send_raw(line)
         return self._transport.recv_payload()
 
-    def submit(self, request: SolveRequest) -> bool:
-        """Send one solve request; True when the server admitted it."""
+    # ------------------------------------------------------------------
+    # Submission
+
+    @property
+    def in_flight(self) -> int:
+        """Pipelined submits whose acks have not been read yet."""
+        return len(self._awaiting_acks)
+
+    def _read_one_ack(self) -> bool:
+        """Read the oldest pending ack off the wire, file it, and return
+        whether it admitted its request."""
+        expected = self._awaiting_acks.pop(0)
+        payload = self._transport.recv_payload()
+        if payload.get("type") != "ack":
+            raise ReproError(
+                f"protocol desync: expected ack for {expected!r}, "
+                f"got {payload.get('type')!r}"
+            )
+        request_id = str(payload.get("request_id", expected))
+        accepted = bool(payload.get("accepted", False))
+        self._acks[request_id] = accepted
+        if not accepted:
+            self._rejections[request_id] = str(payload.get("reason", ""))
+        return accepted
+
+    def drain_acks(self) -> dict[str, bool]:
+        """Read every pending ack; the full id → accepted map so far."""
+        while self._awaiting_acks:
+            self._read_one_ack()
+        return dict(self._acks)
+
+    def submit_nowait(self, request: SolveRequest) -> bool:
+        """Pipeline one solve request without waiting for its ack.
+
+        Returns ``True``, meaning *pipelined* — admission is not known
+        yet. The verdict lands in :meth:`accepted` /
+        :meth:`rejection_reason` once acks are read. When the in-flight
+        bound is reached, the oldest ack is read first, so a long
+        submission loop self-regulates instead of deadlocking.
+        """
         if self.tracer is not None:
             request = _stamp_trace(request, self.tracer)
+        while len(self._awaiting_acks) >= self.max_in_flight:
+            self._read_one_ack()
         self._transport.send_payload(request.to_wire())
-        ack = self._transport.recv_payload()
-        return bool(ack.get("accepted", False))
+        self._awaiting_acks.append(request.request_id)
+        return True
+
+    def submit(self, request: SolveRequest) -> bool:
+        """Send one solve request; True when the server admitted it.
+
+        Reads every pending ack up to this request's own, in order.
+        """
+        self.submit_nowait(request)
+        accepted = False
+        while self._awaiting_acks:
+            accepted = self._read_one_ack()
+        return accepted
+
+    def accepted(self, request_id: str) -> bool | None:
+        """Ack outcome for a submit: True/False, or None while unread."""
+        return self._acks.get(request_id)
+
+    def rejection_reason(self, request_id: str) -> str:
+        """Server's rejection reason for a refused submit ("" if none)."""
+        return self._rejections.get(request_id, "")
+
+    # ------------------------------------------------------------------
+    # Completion
 
     def flush(self) -> list[SolveResponse]:
         """Ask the server to process everything queued.
 
         The server answers with one response line per completed request
         followed by a ``flush_done`` line carrying the count, so the
-        client knows exactly how many lines to read.
+        client knows exactly how many lines to read. The responses come
+        back in the server's completion order and are also filed by
+        ``request_id`` for :meth:`take_response`, replacing the previous
+        flush's untaken ones.
         """
+        self.drain_acks()
         self._transport.send_payload({"type": "flush"})
         responses: list[SolveResponse] = []
         while True:
@@ -221,10 +348,29 @@ class _StreamServiceClient:
             if payload.get("type") == "flush_done":
                 break
             responses.append(SolveResponse.from_wire(payload))
+        self._responses = {
+            response.request_id: response for response in responses
+        }
         return responses
 
+    def take_response(self, request_id: str) -> SolveResponse | None:
+        """Pop a response the last :meth:`flush` collected.
+
+        Purely local — no wire traffic. ``None`` when that flush did not
+        deliver the id (use :meth:`fetch` to ask the server).
+        """
+        return self._responses.pop(request_id, None)
+
     def fetch(self, request_id: str) -> SolveResponse | None:
-        """Re-fetch a retained response by id (``None`` when unknown)."""
+        """A retained response by id (``None`` when the server has none).
+
+        Takes a response the last :meth:`flush` collected when there is
+        one; otherwise round-trips a ``fetch`` line.
+        """
+        local = self.take_response(request_id)
+        if local is not None:
+            return local
+        self.drain_acks()
         self._transport.send_payload(
             {"type": "fetch", "request_id": request_id}
         )
@@ -233,68 +379,23 @@ class _StreamServiceClient:
             return None
         return SolveResponse.from_wire(payload)
 
+    # ------------------------------------------------------------------
+    # Service control
+
     def metrics(self) -> dict[str, Any]:
         """The server's flat metrics summary."""
+        self.drain_acks()
         self._transport.send_payload({"type": "metrics"})
         payload = self._transport.recv_payload()
         return dict(payload.get("metrics", {}))
 
     def shutdown(self) -> None:
         """Ask the server process to stop accepting and exit."""
+        self.drain_acks()
         self._transport.send_payload({"type": "shutdown"})
         self._transport.recv_payload()  # the "bye" line
 
 
-class SocketServiceClient(_StreamServiceClient):
-    """Synchronous client for the ``repro serve --socket`` transport.
-
-    Usable as a context manager; :meth:`close` just drops the
-    connection (the server keeps running), while :meth:`shutdown` asks
-    the server process to exit. With a ``tracer``, submitted requests
-    are stamped with the tracer's current span context (``trace`` wire
-    field), so a tracing server parents its spans under this client —
-    one trace tree across the socket boundary.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        timeout_s: float = 30.0,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.path = str(path)
-        self.timeout_s = float(timeout_s)
-        self.tracer = tracer
-        self._transport = connect_unix(self.path, self.timeout_s)
-
-
-class TcpServiceClient(_StreamServiceClient):
-    """Synchronous client for the ``repro serve --tcp`` front end.
-
-    ``address`` is a ``HOST:PORT`` string (or pass ``host``/``port``
-    explicitly). The protocol — and therefore every verb, the tracing
-    behavior and the typed failure taxonomy — is identical to
-    :class:`SocketServiceClient`; only the connection differs, which is
-    the point of the shared
-    :class:`~repro.service.transport.LineTransport`.
-    """
-
-    def __init__(
-        self,
-        address: str | None = None,
-        host: str | None = None,
-        port: int | None = None,
-        timeout_s: float = 30.0,
-        tracer: Tracer | None = None,
-    ) -> None:
-        if address is not None:
-            host, port = parse_hostport(address)
-        if host is None or port is None:
-            raise ReproError(
-                "TcpServiceClient needs address='HOST:PORT' or host and port"
-            )
-        self.host = str(host)
-        self.port = int(port)
-        self.timeout_s = float(timeout_s)
-        self.tracer = tracer
-        self._transport = connect_tcp(self.host, self.port, self.timeout_s)
+# perfbench/serve_zipf.py imports this name, and the benchmark's files
+# change only together with the benchmark itself.
+TcpServiceClient = StreamServiceClient

@@ -438,7 +438,7 @@ class RetryingServiceClient:
     ----------
     client_factory:
         Zero-argument callable building a fresh client (e.g.
-        ``lambda: SocketServiceClient(path)`` or
+        ``lambda: StreamServiceClient(path=path)`` or
         ``lambda: ServiceClient(service)``). A *factory* rather than an
         instance because recovering from a transport failure means
         reconnecting — the broken client is dropped and a new one built.

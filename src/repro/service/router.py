@@ -25,9 +25,10 @@ The router exposes the same surface a
 ``run_until_drained`` / ``lookup`` / ``fetch`` / ``metrics_summary`` /
 ``shutdown``), so every transport —
 :func:`~repro.service.server.serve_jsonl`,
-:func:`~repro.service.server.serve_socket`, and the TCP front end in
-:mod:`repro.service.tcp` — serves a router exactly the way it serves a
-single service. ``repro serve --service-workers K`` builds one.
+:func:`~repro.service.server.serve_socket` and
+:func:`~repro.service.server.serve_tcp` — serves a router exactly the
+way it serves a single service. ``repro serve --service-workers K``
+builds one.
 
 Everything is measured: routing decisions land in ``service.route.*``
 and cache traffic in ``service.shared_cache.*`` (see

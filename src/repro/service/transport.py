@@ -1,11 +1,10 @@
-"""Shared line-framed transport for the service's stream clients.
+"""Line framing, the wire codec, and the stream client's transport.
 
-Every stream transport of the serving layer — the original Unix-domain
-socket, the multi-worker TCP front end, and the pipelining async client
-— speaks the same frame: one compact, key-sorted JSON object per
-newline-terminated line. What they also share, and what used to be
-duplicated inside :class:`~repro.service.client.SocketServiceClient`,
-is the *failure* discipline:
+Every stream transport of the serving layer — the Unix-domain socket
+and the multi-worker TCP front end — speaks the same frame: one
+compact, key-sorted JSON object per newline-terminated line. The
+client side of that frame, :class:`LineTransport`, also owns the
+*failure* discipline:
 
 * a receive timeout, connection reset, broken pipe or server-side EOF
   is a transient transport loss and surfaces as
@@ -18,10 +17,10 @@ is the *failure* discipline:
 * operating on a closed file object is protocol misuse and is fatal
   immediately.
 
-:class:`LineTransport` owns exactly that behavior in one place; the
-socket clients and the async client compose it rather than re-implement
-it. The codec pair :func:`encode_line` / :func:`decode_line` defines
-the frame bytes both directions use — key sorting makes encoded bytes
+:class:`~repro.service.client.StreamServiceClient` composes it. The
+codec pair :func:`encode_line` / :func:`decode_line` defines the frame
+bytes both directions use (the servers in :mod:`repro.service.server`
+call them too) — key sorting makes encoded bytes
 deterministic, which the equivalence suite relies on when diffing
 served against direct results.
 """
@@ -101,8 +100,7 @@ class LineTransport:
     :meth:`send_raw` / :meth:`abort`, and :meth:`close`. All failure
     mapping onto the typed taxonomy of
     :mod:`repro.service.resilience`, and the broken-connection
-    poisoning that follows a half-read, live here — shared by every
-    stream client instead of copied into each.
+    poisoning that follows a half-read, live here.
     """
 
     def __init__(self, sock: socket.socket, timeout_s: float, peer: str) -> None:

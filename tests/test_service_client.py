@@ -1,5 +1,5 @@
 """Tests for the wire codec, the line protocol and both clients
-(in-process and Unix socket)."""
+(in-process and stream, here over a Unix socket)."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from repro.exceptions import ReproError
 from repro.service import (
     ServiceClient,
     ServiceProtocol,
-    SocketServiceClient,
     SolveService,
+    StreamServiceClient,
     decode_line,
     encode_line,
     serve_jsonl,
@@ -144,7 +144,7 @@ class TestSocketTransport:
         server.start()
         try:
             assert ready.wait(10)
-            with SocketServiceClient(socket_path) as client:
+            with StreamServiceClient(path=socket_path) as client:
                 assert client.submit(request("a"))
                 assert client.submit(request("a2"))  # duplicate work
                 responses = client.flush()
@@ -156,7 +156,7 @@ class TestSocketTransport:
                 assert client.metrics()["dedup_hits"] == 1
 
             # State survives across connections (fetch on a new one).
-            with SocketServiceClient(socket_path) as client:
+            with StreamServiceClient(path=socket_path) as client:
                 again = client.fetch("a")
                 assert again is not None and again.status == "ok"
                 client.shutdown()

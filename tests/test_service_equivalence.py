@@ -315,10 +315,10 @@ class TestServedViaTcpRouter:
         return router, f"127.0.0.1:{bound['port']}", thread
 
     def test_tcp_router_matches_direct_solves(self):
-        from repro.service import TcpServiceClient
+        from repro.service import StreamServiceClient
 
         router, address, thread = self.serve_router()
-        with TcpServiceClient(address=address) as client:
+        with StreamServiceClient(address=address) as client:
             for spec in WORKLOAD:
                 assert client.submit(build_request(spec))
             by_id = {r.request_id: r for r in client.flush()}
@@ -341,7 +341,7 @@ class TestServedViaTcpRouter:
         # is answered from it — and every response, cached or solved,
         # must be byte-identical to the direct solve of its spec.
         from repro.analysis.loadgen import LoadShape, build_workload
-        from repro.service import TcpServiceClient
+        from repro.service import StreamServiceClient
 
         shape = LoadShape(
             num_users=3,
@@ -366,7 +366,7 @@ class TestServedViaTcpRouter:
             for request in wave_one
         ]
         router, address, thread = self.serve_router()
-        with TcpServiceClient(address=address) as client:
+        with StreamServiceClient(address=address) as client:
             for request in wave_one:
                 assert client.submit(request)
             first = {r.request_id: r for r in client.flush()}

@@ -23,10 +23,10 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceError,
-    SocketServiceClient,
     SolveRequest,
     SolveResponse,
     SolveService,
+    StreamServiceClient,
     TokenBucket,
     WorkerCrashError,
     serve_jsonl,
@@ -597,7 +597,7 @@ class TestRetryingServiceClient:
 class TestSocketTypedErrors:
     def test_connect_failure_is_retriable(self, tmp_path):
         with pytest.raises(RetriableServiceError, match="cannot connect"):
-            SocketServiceClient(str(tmp_path / "nope.sock"), timeout_s=0.5)
+            StreamServiceClient(path=str(tmp_path / "nope.sock"), timeout_s=0.5)
 
     def test_recv_timeout_then_fatal_until_reconnect(self, tmp_path):
         path = str(tmp_path / "mute.sock")
@@ -612,7 +612,7 @@ class TestSocketTypedErrors:
 
         thread = threading.Thread(target=accept_and_hold, daemon=True)
         thread.start()
-        client = SocketServiceClient(path, timeout_s=0.3)
+        client = StreamServiceClient(path=path, timeout_s=0.3)
         try:
             with pytest.raises(RetriableServiceError, match="timed out"):
                 client.fetch("anything")
@@ -641,7 +641,7 @@ class TestSocketTypedErrors:
 
         thread = threading.Thread(target=accept_and_close, daemon=True)
         thread.start()
-        client = SocketServiceClient(path, timeout_s=2.0)
+        client = StreamServiceClient(path=path, timeout_s=2.0)
         try:
             with pytest.raises(
                 RetriableServiceError, match="closed the connection"

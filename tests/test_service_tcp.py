@@ -1,31 +1,30 @@
-"""The TCP front end, the pipelining client, and the shared transport.
+"""The concurrent socket servers, the stream client, and the transport.
 
-Covers the three pieces PR-level serving scale added on the wire side:
-``serve_tcp`` (concurrent connections, drain, malformed frames), the
-pipelined :class:`~repro.service.async_client.AsyncServiceClient`
-(many in-flight requests, out-of-order completion by request id,
-composition with :class:`RetryingServiceClient`), and the
+Covers the wire side of serving: the accept loop behind ``serve_tcp``
+and ``serve_socket`` (concurrent connections, drain, malformed frames,
+each over both address families), the pipelined use of
+:class:`~repro.service.client.StreamServiceClient` (many in-flight
+requests, out-of-order completion by request id, composition with
+:class:`RetryingServiceClient`), and the
 :class:`~repro.service.transport.LineTransport` helper whose framing +
-typed-error mapping + poisoning discipline both stream clients share.
+typed-error mapping + poisoning discipline the client relies on.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ReproError
 from repro.service import (
-    AsyncServiceClient,
     RetryingServiceClient,
     RetryPolicy,
     RouterConfig,
     ServiceRouter,
     SolveService,
-    TcpServiceClient,
+    StreamServiceClient,
     serve_socket,
     serve_tcp,
 )
@@ -35,6 +34,8 @@ from repro.service.resilience import (
     RetriableServiceError,
 )
 from repro.service.transport import LineTransport, parse_hostport
+
+FAMILIES = ["unix", "tcp"]
 
 
 def make_request(rid: str, seed: int = 1, k: int = 4) -> SolveRequest:
@@ -46,32 +47,39 @@ def make_request(rid: str, seed: int = 1, k: int = 4) -> SolveRequest:
 
 
 @pytest.fixture
-def tcp_server():
-    """A serve_tcp thread on an ephemeral port; yields its address."""
+def server(tmp_path):
+    """Start a server thread; yields ``start(service, family="tcp",
+    **kwargs) -> (endpoint, thread)``, where ``endpoint`` holds the
+    client's ``address=`` or ``path=`` keyword."""
 
-    def start(service):
+    def start(service, family="tcp", **kwargs):
         ready = threading.Event()
         bound: dict[str, int] = {}
+        if family == "unix":
+            path = str(tmp_path / "svc.sock")
+            target, args = serve_socket, (service, path)
+        else:
+            target, args = serve_tcp, (service, "127.0.0.1", 0)
+            kwargs["on_bound"] = lambda port: bound.update(port=port)
         thread = threading.Thread(
-            target=serve_tcp,
-            args=(service, "127.0.0.1", 0),
-            kwargs={
-                "ready": ready,
-                "on_bound": lambda port: bound.update(port=port),
-            },
+            target=target,
+            args=args,
+            kwargs={"ready": ready, **kwargs},
             daemon=True,
         )
         thread.start()
-        assert ready.wait(10.0), "TCP server failed to start"
-        return f"127.0.0.1:{bound['port']}", thread
+        assert ready.wait(10.0), f"{family} server failed to start"
+        if family == "unix":
+            return {"path": path}, thread
+        return {"address": f"127.0.0.1:{bound['port']}"}, thread
 
     return start
 
 
 class TestServeTcp:
-    def test_round_trip_single_service(self, tcp_server):
-        address, thread = tcp_server(SolveService())
-        with TcpServiceClient(address=address) as client:
+    def test_round_trip_single_service(self, server):
+        endpoint, thread = server(SolveService())
+        with StreamServiceClient(**endpoint) as client:
             assert client.submit(make_request("t0"))
             responses = client.flush()
             assert [r.status for r in responses] == ["ok"]
@@ -80,10 +88,10 @@ class TestServeTcp:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
 
-    def test_router_behind_tcp(self, tcp_server):
+    def test_router_behind_tcp(self, server):
         router = ServiceRouter(RouterConfig(num_workers=2))
-        address, thread = tcp_server(router)
-        with TcpServiceClient(address=address) as client:
+        endpoint, thread = server(router)
+        with StreamServiceClient(**endpoint) as client:
             for index in range(4):
                 assert client.submit(make_request(f"r{index}", seed=index % 2))
             responses = {r.request_id: r for r in client.flush()}
@@ -94,23 +102,25 @@ class TestServeTcp:
             client.shutdown()
         thread.join(timeout=10.0)
 
-    def test_concurrent_connections(self, tcp_server):
-        address, thread = tcp_server(SolveService())
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_concurrent_connections(self, server, family):
+        endpoint, thread = server(SolveService(), family)
         # An idle connection must not block another client's traffic.
-        idle = TcpServiceClient(address=address)
+        idle = StreamServiceClient(**endpoint)
         try:
-            with TcpServiceClient(address=address) as busy:
+            with StreamServiceClient(**endpoint, timeout_s=10.0) as busy:
                 assert busy.submit(make_request("c0"))
                 assert [r.status for r in busy.flush()] == ["ok"]
         finally:
             idle.close()
-        with TcpServiceClient(address=address) as client:
+        with StreamServiceClient(**endpoint) as client:
             client.shutdown()
         thread.join(timeout=10.0)
 
-    def test_malformed_frame_answers_error_and_survives(self, tcp_server):
-        address, thread = tcp_server(SolveService())
-        with TcpServiceClient(address=address) as client:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_malformed_frame_answers_error_and_survives(self, server, family):
+        endpoint, thread = server(SolveService(), family)
+        with StreamServiceClient(**endpoint) as client:
             reply = client.raw_request("this is not json")
             assert reply["type"] == "error"
             # Same connection still works afterwards.
@@ -119,37 +129,39 @@ class TestServeTcp:
             client.shutdown()
         thread.join(timeout=10.0)
 
-    def test_drain_signal_stops_the_server(self):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_drain_signal_stops_the_server(self, server, family):
         service = SolveService()
-        ready = threading.Event()
         drain = threading.Event()
-        bound: dict[str, int] = {}
-        thread = threading.Thread(
-            target=serve_tcp,
-            args=(service, "127.0.0.1", 0),
-            kwargs={
-                "ready": ready,
-                "on_bound": lambda port: bound.update(port=port),
-                "drain_signal": drain,
-                "drain_timeout_s": 5.0,
-            },
-            daemon=True,
+        endpoint, thread = server(
+            service, family, drain_signal=drain, drain_timeout_s=5.0
         )
-        thread.start()
-        assert ready.wait(10.0)
-        drain.set()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
+        # A client sitting idle on an open connection must not pin the
+        # server past the drain.
+        with StreamServiceClient(**endpoint) as idle:
+            assert isinstance(idle.metrics(), dict)
+            drain.set()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
         assert service.draining
+
+    def test_refuses_to_replace_a_regular_file(self, tmp_path):
+        path = tmp_path / "not-a-socket"
+        path.write_text("user data\n")
+        with pytest.raises(ReproError, match="not a socket"):
+            serve_socket(SolveService(), path)
+        assert path.read_text() == "user data\n"
 
 
 class TestAsyncServiceClient:
-    def test_pipelined_submits_resolve_out_of_order(self, tcp_server):
-        address, thread = tcp_server(SolveService())
-        with AsyncServiceClient(address=address, max_in_flight=3) as client:
+    """Pipelined (``submit_nowait``) use of the stream client."""
+
+    def test_pipelined_submits_resolve_out_of_order(self, server):
+        endpoint, thread = server(SolveService())
+        with StreamServiceClient(**endpoint, max_in_flight=3) as client:
             rids = [f"p{i}" for i in range(6)]
             for index, rid in enumerate(rids):
-                client.submit(make_request(rid, seed=index % 2))
+                client.submit_nowait(make_request(rid, seed=index % 2))
             assert client.in_flight <= 3  # the bound drained the rest
             client.flush()
             # Collect in reverse submission order: matching is by id.
@@ -160,14 +172,14 @@ class TestAsyncServiceClient:
             client.shutdown()
         thread.join(timeout=10.0)
 
-    def test_rejection_reasons_surface_after_drain(self, tcp_server):
+    def test_rejection_reasons_surface_after_drain(self, server):
         from repro.service import ServiceConfig
 
         service = SolveService(config=ServiceConfig(max_queue_depth=1))
-        address, thread = tcp_server(service)
-        with AsyncServiceClient(address=address) as client:
-            client.submit(make_request("keep", seed=1))
-            client.submit(make_request("spill", seed=2))
+        endpoint, thread = server(service)
+        with StreamServiceClient(**endpoint) as client:
+            client.submit_nowait(make_request("keep", seed=1))
+            client.submit_nowait(make_request("spill", seed=2))
             acks = client.drain_acks()
             assert acks["keep"] is True
             assert acks["spill"] is False
@@ -175,22 +187,13 @@ class TestAsyncServiceClient:
             client.shutdown()
         thread.join(timeout=10.0)
 
-    def test_pipelining_over_unix_socket(self, tmp_path):
+    def test_pipelining_over_unix_socket(self, server):
         # Pipelining is a protocol property, not a TCP one — and this
-        # exercises the serve_socket read-buffer fix directly.
-        path = str(tmp_path / "svc.sock")
-        ready = threading.Event()
-        thread = threading.Thread(
-            target=serve_socket,
-            args=(SolveService(), path),
-            kwargs={"ready": ready},
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(10.0)
-        with AsyncServiceClient(path=path) as client:
+        # exercises the server's split read/write buffers directly.
+        endpoint, thread = server(SolveService(), "unix")
+        with StreamServiceClient(**endpoint) as client:
             for index in range(4):
-                client.submit(make_request(f"u{index}", seed=index % 2))
+                client.submit_nowait(make_request(f"u{index}", seed=index % 2))
             responses = client.flush()
             assert sorted(r.request_id for r in responses) == [
                 "u0",
@@ -202,10 +205,10 @@ class TestAsyncServiceClient:
             client.shutdown()
         thread.join(timeout=10.0)
 
-    def test_composes_with_retrying_client(self, tcp_server):
-        address, thread = tcp_server(SolveService())
+    def test_composes_with_retrying_client(self, server):
+        endpoint, thread = server(SolveService())
         retrying = RetryingServiceClient(
-            lambda: AsyncServiceClient(address=address),
+            lambda: StreamServiceClient(**endpoint),
             policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0, jitter=0.0),
             sleep=lambda _s: None,
         )
@@ -216,15 +219,15 @@ class TestAsyncServiceClient:
         assert [r.status for r in responses] == ["ok", "ok"]
         assert retrying.stats.reconnects >= 1
         retrying.close()
-        with TcpServiceClient(address=address) as client:
+        with StreamServiceClient(**endpoint) as client:
             client.shutdown()
         thread.join(timeout=10.0)
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ReproError):
-            AsyncServiceClient()
+            StreamServiceClient()
         with pytest.raises(ReproError):
-            AsyncServiceClient(address="127.0.0.1:1", max_in_flight=0)
+            StreamServiceClient(address="127.0.0.1:1", max_in_flight=0)
 
 
 class TestParseHostport:
