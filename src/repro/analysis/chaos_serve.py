@@ -31,7 +31,6 @@ un-served solve. ``repro chaos-serve`` drives this from the CLI and CI
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import socket
 import tempfile
@@ -57,7 +56,7 @@ from repro.service.resilience import (
 )
 from repro.service.server import serve_socket
 from repro.service.service import ServiceConfig, SolveService
-from repro.service.worker import run_service_cell_guarded
+from repro.service.worker import canonical_answer, run_service_cell_guarded
 
 __all__ = [
     "CellFault",
@@ -66,6 +65,7 @@ __all__ = [
     "ChaosServePlan",
     "ChaosServeReport",
     "build_chaos_workload",
+    "direct_signature",
     "run_chaos_envelope",
     "run_chaos_serve",
 ]
@@ -266,26 +266,17 @@ def _terminal_signature(response: SolveResponse) -> str:
     fields are stripped for the same reason the equivalence suite
     strips them.
     """
-    return json.dumps(
+    return canonical_answer(
         {
             "status": response.status,
             "error": response.error,
             "result": dict(response.result),
-            "manifest": _strip_wall_clock(dict(response.manifest)),
-        },
-        sort_keys=True,
+            "manifest": dict(response.manifest),
+        }
     )
 
 
-def _strip_wall_clock(manifest: dict[str, Any]) -> dict[str, Any]:
-    cleaned = json.loads(json.dumps(manifest))
-    if cleaned:
-        cleaned["wall_seconds"] = 0.0
-        cleaned.get("timeline_summary", {}).pop("total_wall_ms", None)
-    return cleaned
-
-
-def _direct_signature(request: SolveRequest) -> str:
+def direct_signature(request: SolveRequest) -> str:
     """The oracle: the same work solved directly, no service in between."""
     cell = WorkUnit(
         leader=QueuedRequest(
@@ -293,12 +284,11 @@ def _direct_signature(request: SolveRequest) -> str:
         )
     ).cell()
     outcome = run_service_cell_guarded(cell)
-    return json.dumps(
+    return canonical_answer(
         {
-            "result": dict(outcome.get("result", {})),
-            "manifest": _strip_wall_clock(dict(outcome.get("manifest", {}))),
-        },
-        sort_keys=True,
+            "result": outcome.get("result", {}),
+            "manifest": outcome.get("manifest", {}),
+        }
     )
 
 
@@ -593,13 +583,9 @@ def run_chaos_serve(
         if first.status == "ok":
             key = request.work_key()
             if key not in direct_cache:
-                direct_cache[key] = _direct_signature(request)
-            served = json.dumps(
-                {
-                    "result": dict(first.result),
-                    "manifest": _strip_wall_clock(dict(first.manifest)),
-                },
-                sort_keys=True,
+                direct_cache[key] = direct_signature(request)
+            served = canonical_answer(
+                {"result": dict(first.result), "manifest": dict(first.manifest)}
             )
             if served != direct_cache[key]:
                 divergent.append(rid)

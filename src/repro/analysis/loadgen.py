@@ -47,13 +47,14 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
-from repro.analysis.chaos_serve import _direct_signature, _strip_wall_clock
+from repro.analysis.chaos_serve import direct_signature
 from repro.exceptions import ReproError
 from repro.service.client import StreamServiceClient
 from repro.service.request import InstanceRecipe, SolveRequest, SolveResponse
 from repro.service.router import RouterConfig, ServiceRouter
 from repro.service.server import serve_tcp
 from repro.service.service import ServiceConfig
+from repro.service.worker import canonical_answer
 
 __all__ = [
     "LoadShape",
@@ -64,7 +65,6 @@ __all__ = [
     "run_loadtest",
 ]
 
-import json
 import random
 
 
@@ -579,13 +579,12 @@ def run_loadtest(
             if check_correctness and response.status == "ok":
                 key = request.work_key()
                 if key not in oracle:
-                    oracle[key] = _direct_signature(request)
-                served = json.dumps(
+                    oracle[key] = direct_signature(request)
+                served = canonical_answer(
                     {
                         "result": dict(response.result),
-                        "manifest": _strip_wall_clock(dict(response.manifest)),
-                    },
-                    sort_keys=True,
+                        "manifest": dict(response.manifest),
+                    }
                 )
                 if served != oracle[key]:
                     divergent.append(request.request_id)

@@ -107,33 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the distributed algorithm")
     solve.add_argument("instance", nargs="?", help="instance JSON path")
     _add_instance_source(solve, require_family=False)
-    solve.add_argument("-k", type=int, default=9, help="round-budget parameter")
-    solve.add_argument(
-        "--variant",
-        choices=[v.value for v in Variant],
-        default=Variant.GREEDY.value,
-    )
-    solve.add_argument("--algo-seed", type=int, default=0, help="algorithm seed")
-    solve.add_argument(
-        "--rounding",
-        choices=["select_all", "randomized"],
-        default="select_all",
-        help="rounding policy (dual_ascent only)",
-    )
-    solve.add_argument("--c-round", type=float, default=1.0)
-    solve.add_argument(
-        "--engine",
-        choices=["simulator", "loop", "columnar"],
-        default="simulator",
-        help="execution engine (default: the message-passing simulator; "
+    _add_recipe_arguments(
+        solve,
+        default_engine="simulator",
+        engine_help="execution engine (default: the message-passing simulator; "
         "the emulation engines skip network simulation, and columnar "
         "scales to million-node instances)",
-    )
-    solve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker processes for --engine columnar (shared-memory "
+        shards_help="worker processes for --engine columnar (shared-memory "
         "node-range sharding; never changes the output bytes)",
     )
     solve.add_argument(
@@ -231,31 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("instance", nargs="?", help="instance JSON path")
     _add_instance_source(record, require_family=False)
-    record.add_argument("-k", type=int, default=9, help="round-budget parameter")
-    record.add_argument(
-        "--variant",
-        choices=[v.value for v in Variant],
-        default=Variant.GREEDY.value,
-    )
-    record.add_argument("--algo-seed", type=int, default=0, help="algorithm seed")
-    record.add_argument(
-        "--rounding",
-        choices=["select_all", "randomized"],
-        default="select_all",
-        help="rounding policy (dual_ascent only)",
-    )
-    record.add_argument("--c-round", type=float, default=1.0)
-    record.add_argument(
-        "--engine",
-        choices=["loop", "simulator", "columnar"],
-        default="loop",
-        help="which engine to record (default loop)",
-    )
-    record.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker processes for --engine columnar (digests are "
+    _add_recipe_arguments(
+        record,
+        default_engine="loop",
+        engine_help="which engine to record (default loop)",
+        shards_help="worker processes for --engine columnar (digests are "
         "shard-count independent by the determinism contract)",
     )
     record.add_argument(
@@ -933,6 +893,40 @@ def _add_instance_source(
     parser.add_argument("--seed", type=int, default=0, help="instance seed")
 
 
+def _add_recipe_arguments(
+    parser: argparse.ArgumentParser,
+    default_engine: str,
+    *,
+    engine_help: str,
+    shards_help: str,
+) -> None:
+    """The solve recipe flags shared by ``solve`` and ``record``."""
+    parser.add_argument("-k", type=int, default=9, help="round-budget parameter")
+    parser.add_argument(
+        "--variant",
+        choices=[v.value for v in Variant],
+        default=Variant.GREEDY.value,
+    )
+    parser.add_argument("--algo-seed", type=int, default=0, help="algorithm seed")
+    parser.add_argument(
+        "--rounding",
+        choices=["select_all", "randomized"],
+        default="select_all",
+        help="rounding policy (dual_ascent only)",
+    )
+    parser.add_argument("--c-round", type=float, default=1.0)
+    engines = ("simulator", "loop", "columnar")
+    # Each verb lists its default engine first in --help.
+    parser.add_argument(
+        "--engine",
+        choices=[default_engine]
+        + [engine for engine in engines if engine != default_engine],
+        default=default_engine,
+        help=engine_help,
+    )
+    parser.add_argument("--shards", type=int, default=1, help=shards_help)
+
+
 def _load_instance(args: argparse.Namespace) -> FacilityLocationInstance:
     path = getattr(args, "instance", None)
     if path:
@@ -949,43 +943,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     save_instance_json(instance, args.output)
     print(f"wrote {args.output}: {instance}")
     return 0
-
-
-def _final_solution_digest(
-    open_facilities: Any,
-    assignment: Any,
-    num_facilities: int,
-    num_clients: int,
-) -> str:
-    """Digest of the canonical ``final`` checkpoint, recorder-identical.
-
-    Built from the solution alone (no recording of the run), so two
-    engines printing the same string here would also produce recordings
-    with identical ``final`` checkpoints — the cheap CI cross-check.
-    ``assignment`` may be a client→facility mapping or an ``(n,)`` array.
-    """
-    from repro.obs.recorder import Checkpoint
-
-    open_set = {int(i) for i in open_facilities}
-    if hasattr(assignment, "get"):
-        served = {int(j): int(f) for j, f in assignment.items()}
-        assigned = {
-            f"client:{j}": served.get(j, -1) for j in range(num_clients)
-        }
-    else:
-        assigned = {
-            f"client:{j}": int(assignment[j]) for j in range(num_clients)
-        }
-    checkpoint = Checkpoint.build(
-        "final",
-        {
-            "open": {
-                f"facility:{i}": i in open_set for i in range(num_facilities)
-            },
-            "assignment": assigned,
-        },
-    )
-    return checkpoint.digest
 
 
 def _solve_instances(
@@ -1017,35 +974,27 @@ def _solve_instances(
     return cinst.to_instance(), cinst
 
 
-def _cmd_solve_emulated(
-    args: argparse.Namespace,
-    instance: FacilityLocationInstance | None,
-    cinst: Any,
-    policy: RoundingPolicy,
-) -> int:
-    """solve with ``--engine loop|columnar`` (no simulator)."""
-    import time
-
-    from repro.obs.spans import measure_peak_memory
-
+def _cmd_solve(args: argparse.Namespace) -> int:
+    instance, cinst = _solve_instances(args)
+    if args.shards != 1 and args.engine != "columnar":
+        raise ReproError("--shards applies to --engine columnar only")
+    simulator = args.engine == "simulator"
     for name, value in (
         ("--trace", args.trace),
         ("--watchdogs", args.watchdogs),
         ("--strict-watchdogs", args.strict_watchdogs),
         ("--spans", args.spans),
     ):
-        if value:
+        if value and not simulator:
             raise ReproError(f"{name} requires --engine simulator")
-    if args.metrics_out and args.engine != "columnar":
-        raise ReproError(
-            "--metrics-out needs a message plane: --engine simulator "
-            "or columnar"
-        )
-    if args.timeline and args.engine != "columnar":
-        raise ReproError(
-            "--timeline needs a message plane: --engine simulator "
-            "or columnar"
-        )
+    for name, value in (
+        ("--metrics-out", args.metrics_out),
+        ("--timeline", args.timeline),
+    ):
+        if value and args.engine == "loop":
+            raise ReproError(
+                f"{name} needs a message plane: --engine simulator or columnar"
+            )
     lp_value: float | None = None
     if not args.no_lp:
         if instance is None:
@@ -1054,139 +1003,7 @@ def _cmd_solve_emulated(
                 "with --sparse-degree + --engine columnar"
             )
         lp_value = solve_lp(instance).value
-
-    payload: dict[str, Any] = {
-        "instance": (instance or cinst).name,
-        "k": args.k,
-        "variant": args.variant,
-        "engine": args.engine,
-    }
-    started = time.perf_counter()
-    if args.engine == "columnar":
-        from repro.core.columnar import solve_columnar
-
-        def run():
-            return solve_columnar(
-                cinst if cinst is not None else instance,
-                k=args.k,
-                variant=args.variant,
-                seed=args.algo_seed,
-                rounding=policy,
-                shards=args.shards,
-            )
-
-        mem_peak_kb: float | None = None
-        if args.profile_memory:
-            result, mem_peak_kb = measure_peak_memory(run)
-        else:
-            result = run()
-        payload.update(
-            {
-                "shards": args.shards,
-                "cost": result.cost,
-                "feasible": result.feasible,
-                "num_open": int(result.open_mask.sum()),
-                "rounds": result.metrics.rounds,
-                "total_messages": result.metrics.total_messages,
-                "max_message_bits": result.metrics.max_message_bits,
-            }
-        )
-        digest_inputs = (
-            result.open_facilities,
-            result.assignment,
-            result.instance.m,
-            result.instance.n,
-        )
-        timeline = result.timeline
-        metrics = result.metrics
-    else:
-        from repro.core.sequential_sim import run_sequential
-
-        def run():
-            return run_sequential(
-                instance,
-                k=args.k,
-                variant=args.variant,
-                seed=args.algo_seed,
-                rounding=policy,
-                engine=args.engine,
-            )
-
-        mem_peak_kb = None
-        if args.profile_memory:
-            result, mem_peak_kb = measure_peak_memory(run)
-        else:
-            result = run()
-        payload.update(
-            {
-                "cost": result.cost,
-                "feasible": True,
-                "num_open": len(result.open_facilities),
-            }
-        )
-        digest_inputs = (
-            result.open_facilities,
-            result.assignment,
-            instance.num_facilities,
-            instance.num_clients,
-        )
-        timeline = None
-        metrics = None
-    payload["wall_seconds"] = time.perf_counter() - started
-    if mem_peak_kb is not None:
-        payload["mem_peak_kb"] = mem_peak_kb
-    if lp_value is not None:
-        payload["ratio_vs_lp"] = payload["cost"] / max(lp_value, 1e-12)
-    if args.digest:
-        payload["digest"] = _final_solution_digest(*digest_inputs)
-    if args.metrics_out and metrics is not None:
-        from repro.obs.metrics_io import write_snapshot
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        metrics.publish(registry)
-        write_snapshot(
-            registry,
-            args.metrics_out,
-            meta={
-                "command": "solve",
-                "engine": args.engine,
-                "instance": payload["instance"],
-                "k": args.k,
-                "variant": args.variant,
-            },
-        )
-        payload["metrics_out"] = args.metrics_out
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        rows = [(key, value) for key, value in payload.items()]
-        print(
-            render_table(
-                ("field", "value"),
-                rows,
-                title=f"{args.engine} solve",
-            )
-        )
-    if args.timeline and timeline is not None:
-        print(timeline.render())
-    return 0
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    policy = RoundingPolicy(mode=args.rounding, c_round=args.c_round)
-    instance, cinst = _solve_instances(args)
-    if args.shards != 1 and args.engine != "columnar":
-        raise ReproError("--shards applies to --engine columnar only")
-    if args.engine != "simulator":
-        return _cmd_solve_emulated(args, instance, cinst, policy)
     sink = JsonlTraceSink(args.trace) if args.trace else None
-    # The LP bound is computed *before* the run when probes will want it:
-    # the per-round quality probe turns it into the anytime ratio estimate.
-    want_probes = bool(args.trace or args.timeline)
-    lp_value: float | None = None
-    if not args.no_lp:
-        lp_value = solve_lp(instance).value
     watchdogs = ()
     if args.watchdogs or args.strict_watchdogs:
         watchdogs = default_watchdogs(strict=args.strict_watchdogs)
@@ -1200,19 +1017,44 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-    def run_simulator():
+    policy = RoundingPolicy(mode=args.rounding, c_round=args.c_round)
+    # Observers only the message-passing simulator feeds. The quality
+    # probe (with the LP bound computed above) turns the per-round trace
+    # and timeline into an anytime ratio estimate.
+    observers: dict[str, Any] = {}
+    if simulator:
+        observers = {
+            "trace": sink,
+            "probe_quality": bool(args.trace or args.timeline),
+            "lower_bound": lp_value,
+            "watchdogs": watchdogs,
+            "tracer": tracer,
+            "registry": registry,
+        }
+
+    def run():
+        if instance is None:
+            # --sparse-degree on columnar: the edge plane has no dense
+            # form, so it is solved where it lives.
+            from repro.core.columnar import solve_columnar
+
+            return solve_columnar(
+                cinst,
+                k=args.k,
+                variant=args.variant,
+                seed=args.algo_seed,
+                rounding=policy,
+                shards=args.shards,
+            )
         return solve_distributed(
             instance,
             k=args.k,
             variant=args.variant,
             seed=args.algo_seed,
             rounding=policy,
-            trace=sink,
-            probe_quality=want_probes,
-            lower_bound=lp_value,
-            watchdogs=watchdogs,
-            tracer=tracer,
-            registry=registry,
+            engine=args.engine,
+            shards=args.shards,
+            **observers,
         )
 
     mem_peak_kb: float | None = None
@@ -1220,36 +1062,45 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.profile_memory and tracer is None:
             from repro.obs.spans import measure_peak_memory
 
-            result, mem_peak_kb = measure_peak_memory(run_simulator)
+            result, mem_peak_kb = measure_peak_memory(run)
         else:
-            result = run_simulator()
+            result = run()
     except ReproError:
         if sink is not None:
             sink.close()
         raise
-    payload = {
-        "instance": instance.name,
+    metrics = result.metrics
+    payload: dict[str, Any] = {
+        "instance": (instance or cinst).name,
         "k": args.k,
         "variant": args.variant,
+        "engine": args.engine,
+        "shards": args.shards,
         "cost": result.cost,
-        "open_facilities": sorted(result.open_facilities),
-        "rounds": result.metrics.rounds,
-        "total_messages": result.metrics.total_messages,
-        "max_message_bits": result.metrics.max_message_bits,
+        "feasible": result.feasible,
+        "num_open": len(result.open_facilities),
+        "rounds": metrics.rounds,
+        "total_messages": metrics.total_messages,
+        "max_message_bits": metrics.max_message_bits,
         "wall_seconds": result.wall_seconds,
     }
+    if instance is not None:
+        # A sparse plane's open set runs to thousands of ids; num_open
+        # and the digest summarize it instead.
+        payload["open_facilities"] = sorted(result.open_facilities)
     if mem_peak_kb is not None:
         payload["mem_peak_kb"] = mem_peak_kb
     if args.digest:
-        assignment = (
-            result.solution.assignment if result.solution is not None else {}
-        )
-        payload["digest"] = _final_solution_digest(
-            result.open_facilities,
-            assignment,
-            instance.num_facilities,
-            instance.num_clients,
-        )
+        from repro.obs.recorder import final_checkpoint
+
+        if instance is None:
+            assignment, shape = result.assignment, (cinst.m, cinst.n)
+        else:
+            assignment = result.solution.assignment if result.feasible else {}
+            shape = (instance.num_facilities, instance.num_clients)
+        payload["digest"] = final_checkpoint(
+            result.open_facilities, assignment, *shape
+        ).digest
     extras: dict[str, object] = {}
     if lp_value is not None:
         extras["ratio_vs_lp"] = result.cost / max(lp_value, 1e-12)
@@ -1285,12 +1136,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if registry is not None:
         from repro.obs.metrics_io import write_snapshot
 
+        # The simulator published into the registry as it ran; the
+        # columnar ledger's totals land here.
+        metrics.publish(registry)
         write_snapshot(
             registry,
             args.metrics_out,
             meta={
                 "command": "solve",
-                "instance": instance.name,
+                "engine": args.engine,
+                "instance": payload["instance"],
                 "k": args.k,
                 "variant": args.variant,
             },
@@ -1300,7 +1155,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         rows = [(key, value) for key, value in payload.items()]
-        print(render_table(("field", "value"), rows, title="distributed solve"))
+        print(
+            render_table(
+                ("field", "value"),
+                rows,
+                title=f"distributed solve ({args.engine})",
+            )
+        )
     if args.timeline:
         print(result.timeline.render())
     return 0

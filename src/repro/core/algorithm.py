@@ -5,6 +5,9 @@ communication topology, instantiates the protocol nodes for the chosen
 variant, runs the synchronous simulator, and extracts a checked
 :class:`~repro.fl.solution.FacilityLocationSolution` together with the
 network metrics the paper's claims are stated in.
+:func:`solve_distributed` is the one solve entry point for every engine:
+the simulator, or the loop / columnar emulations shaped as the same
+:class:`DistributedRunResult`.
 
 Two protocol variants are provided (experiment E10 compares them):
 
@@ -465,9 +468,100 @@ def solve_distributed(
     k: int,
     variant: Variant | str = Variant.GREEDY,
     seed: int = 0,
+    engine: str = "simulator",
+    shards: int = 1,
     **kwargs: Any,
 ) -> DistributedRunResult:
-    """One-call convenience wrapper around :class:`DistributedFacilityLocation`."""
-    return DistributedFacilityLocation(
-        instance, k, variant=variant, seed=seed, **kwargs
-    ).run()
+    """Solve ``instance`` on one engine; the one solve entry point.
+
+    ``engine="simulator"`` (the default) runs
+    :class:`DistributedFacilityLocation`. ``"loop"`` and ``"columnar"``
+    run the emulation through
+    :func:`~repro.core.sequential_sim.run_sequential` and shape the
+    outcome as the same :class:`DistributedRunResult`: columnar carries
+    its modeled CONGEST traffic from a
+    :class:`~repro.net.columnar.ColumnarBitLedger`, and the loop engine
+    reports empty metrics (it exchanges no messages). ``shards`` splits
+    a columnar solve across worker processes and never changes the
+    answer. Every engine accepts ``rounding``, ``open_fraction`` and
+    ``recorder``; any other keyword (``trace``, ``tracer``, ``registry``,
+    ``watchdogs``, ``fault_plan``, ...) is the simulator's alone and
+    raises :class:`~repro.exceptions.AlgorithmError` on the emulation
+    engines.
+    """
+    if engine == "simulator":
+        if shards != 1:
+            raise AlgorithmError(
+                "engine 'simulator' does not shard; use engine='columnar' "
+                "for shards > 1"
+            )
+        return DistributedFacilityLocation(
+            instance, k, variant=variant, seed=seed, **kwargs
+        ).run()
+    refused = sorted(set(kwargs) - {"rounding", "open_fraction", "recorder"})
+    if refused:
+        raise AlgorithmError(
+            f"{', '.join(refused)} need engine='simulator'; engine "
+            f"{engine!r} runs no message-passing network"
+        )
+    return _run_emulation(instance, k, variant, seed, engine, shards, **kwargs)
+
+
+def _run_emulation(
+    instance: FacilityLocationInstance,
+    k: int,
+    variant: Variant | str,
+    seed: int,
+    engine: str,
+    shards: int,
+    rounding: RoundingPolicy | None = None,
+    open_fraction: float = 0.5,
+    recorder=None,
+) -> DistributedRunResult:
+    """Run an emulation engine, shaped as a :class:`DistributedRunResult`."""
+    import numpy as np
+
+    # Imported here: sequential_sim imports this module.
+    from repro.core.sequential_sim import run_sequential
+
+    ledger = None
+    if engine == "columnar":
+        from repro.net.columnar import ColumnarBitLedger
+
+        ledger = ColumnarBitLedger(
+            instance.num_facilities,
+            instance.num_clients,
+            int(np.isfinite(instance.connection_costs).sum()),
+        )
+    started = time.perf_counter()
+    run = run_sequential(
+        instance,
+        k=k,
+        variant=variant,
+        seed=seed,
+        rounding=rounding,
+        open_fraction=open_fraction,
+        engine=engine,
+        shards=shards,
+        recorder=recorder,
+        ledger=ledger,
+    )
+    wall_seconds = time.perf_counter() - started
+    if ledger is not None:
+        metrics = ledger.to_metrics()
+        timeline = ledger.to_timeline(instance.num_nodes)
+    else:
+        metrics = NetworkMetrics()
+        timeline = RoundTimeline()
+    return DistributedRunResult(
+        instance=instance,
+        params=run.params,
+        variant=run.variant,
+        solution=run.solution,
+        open_facilities=run.open_facilities,
+        unserved_clients=(),
+        metrics=metrics,
+        timeline=timeline,
+        wall_seconds=wall_seconds,
+        diagnostics={"engine": engine},
+    )

@@ -1346,10 +1346,7 @@ def solve_columnar(
     wall = time.perf_counter() - start
     if recorder is not None:
         recorder.observe_final(
-            {int(i) for i in np.flatnonzero(is_open)},
-            {int(j): int(assignment[j]) for j in range(cinst.n)},
-            cinst.m,
-            cinst.n,
+            np.flatnonzero(is_open), assignment, cinst.m, cinst.n
         )
     cost = _solution_cost(cinst, is_open, assignment)
     return ColumnarSolveResult(

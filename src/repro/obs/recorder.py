@@ -53,6 +53,7 @@ __all__ = [
     "FlightRecorder",
     "canonical_value",
     "diff_recordings",
+    "final_checkpoint",
     "leaf_sort_key",
     "load_recording",
     "record_run",
@@ -201,6 +202,37 @@ class Checkpoint:
         )
 
 
+def final_checkpoint(
+    open_facilities: Iterable[int],
+    assignment: Any,
+    num_facilities: int,
+    num_clients: int,
+) -> Checkpoint:
+    """The canonical ``final`` checkpoint of a solution, for every engine.
+
+    ``assignment`` is a client→facility mapping (clients it lacks count
+    as unassigned, ``-1``) or an ``(n,)`` array of facility ids. Built
+    from the solution alone, so ``repro solve --digest`` prints the same
+    digest a recording of the run ends with.
+    """
+    open_set = {int(i) for i in open_facilities}
+    if isinstance(assignment, Mapping):
+        served = [int(assignment.get(j, -1)) for j in range(num_clients)]
+    else:
+        served = [int(assignment[j]) for j in range(num_clients)]
+    return Checkpoint.build(
+        "final",
+        {
+            "open": {
+                f"facility:{i}": i in open_set for i in range(num_facilities)
+            },
+            "assignment": {
+                f"client:{j}": facility for j, facility in enumerate(served)
+            },
+        },
+    )
+
+
 class FlightRecorder:
     """Collects digested checkpoints (and optionally provenance) of one run.
 
@@ -247,23 +279,15 @@ class FlightRecorder:
     def observe_final(
         self,
         open_facilities: Iterable[int],
-        assignment: Mapping[int, int],
+        assignment: Any,
         num_facilities: int,
         num_clients: int,
     ) -> None:
         """The canonical end-of-run checkpoint, identical for every engine."""
-        open_set = set(open_facilities)
-        self.observe(
-            "final",
-            {
-                "open": {
-                    f"facility:{i}": i in open_set for i in range(num_facilities)
-                },
-                "assignment": {
-                    f"client:{j}": int(assignment.get(j, -1))
-                    for j in range(num_clients)
-                },
-            },
+        self.checkpoints.append(
+            final_checkpoint(
+                open_facilities, assignment, num_facilities, num_clients
+            )
         )
 
     def final_digest(self) -> str:
@@ -638,6 +662,7 @@ def record_run(
     contract, never changes the resulting digests — which replaying a
     ``shards=4`` recording at ``shards=1`` verifies for free).
     """
+    from repro.core.algorithm import solve_distributed
     from repro.core.dual_ascent_nodes import RoundingPolicy
     from repro.fl.io import instance_to_dict
 
@@ -666,33 +691,17 @@ def record_run(
     if int(shards) != 1:
         config["shards"] = int(shards)
     recorder = FlightRecorder(engine=engine, full=full, config=config)
-    policy = RoundingPolicy(mode=rounding, c_round=c_round)
-    if engine == "simulator":
-        from repro.core.algorithm import solve_distributed
-
-        solve_distributed(
-            instance,
-            k=k,
-            variant=variant,
-            seed=seed,
-            rounding=policy,
-            open_fraction=open_fraction,
-            recorder=recorder,
-        )
-    else:
-        from repro.core.sequential_sim import run_sequential
-
-        run_sequential(
-            instance,
-            k=k,
-            variant=variant,
-            seed=seed,
-            rounding=policy,
-            open_fraction=open_fraction,
-            engine=engine,
-            recorder=recorder,
-            shards=int(shards) if engine == "columnar" else 1,
-        )
+    solve_distributed(
+        instance,
+        k=k,
+        variant=variant,
+        seed=seed,
+        rounding=RoundingPolicy(mode=rounding, c_round=c_round),
+        open_fraction=open_fraction,
+        recorder=recorder,
+        engine=engine,
+        shards=int(shards) if engine == "columnar" else 1,
+    )
     return recorder
 
 

@@ -26,6 +26,7 @@ threshold of 1.0 turns into hard correctness gates.
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -468,6 +469,7 @@ def _scale_solve_record(name: str, m: int, n: int, shards: int) -> dict[str, Any
             "seed": _SCALE_SEED,
             "engine": "columnar",
             "shards": shards,
+            "cpu_count": os.cpu_count(),
             "variant": "greedy",
         },
         "metrics": {

@@ -7,20 +7,22 @@ collapses duplicate requests onto one cell, and
 :class:`~repro.perf.executor.SweepExecutor` can ship it to spawned
 interpreters — performs the actual solve.
 
-The correctness contract lives here: the cell calls the same
-:func:`~repro.core.algorithm.solve_distributed` path with the same
-arguments as the ``repro solve`` CLI and builds its manifest through the
-same :meth:`~repro.obs.manifest.RunRecord.from_run` constructor, so a
-batched answer is byte-identical (wall-clock fields aside) to a direct
-one. Instances and LP bounds come from :mod:`repro.perf.cache`, which is
+The correctness contract lives here: for every engine the cell makes
+the same :func:`~repro.core.algorithm.solve_distributed` call as the
+``repro solve`` CLI and builds its manifest through the same
+:meth:`~repro.obs.manifest.RunRecord.from_run` constructor, so a batched
+answer is byte-identical (wall-clock fields aside, see
+:func:`canonical_answer`) to a direct one. Instances and LP bounds come from :mod:`repro.perf.cache`, which is
 how a batch full of near-duplicate requests pays for its shared setup
 once per process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 from repro.core.algorithm import solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
@@ -31,7 +33,12 @@ from repro.obs.spans import SpanContext, Tracer
 from repro.perf.cache import cached_instance, cached_lp_value
 from repro.service.request import InstanceRecipe
 
-__all__ = ["ServiceCell", "run_service_cell", "run_service_cell_guarded"]
+__all__ = [
+    "ServiceCell",
+    "canonical_answer",
+    "run_service_cell",
+    "run_service_cell_guarded",
+]
 
 
 @dataclass(frozen=True)
@@ -52,11 +59,12 @@ class ServiceCell:
     flight recorder and ships the recording back under the extra
     ``"recording"`` key, riding beside the result exactly like spans.
 
-    ``engine`` selects the execution path: ``"simulator"`` (the default)
-    is the message-passing simulator; the emulation engines run through
-    :func:`~repro.core.sequential_sim.run_sequential` and shape their
-    outcome as a :class:`~repro.core.algorithm.DistributedRunResult` so
-    the manifest/payload tail is shared. ``shards`` (columnar only)
+    ``engine`` and ``shards`` pass straight to
+    :func:`~repro.core.algorithm.solve_distributed`: ``"simulator"``
+    (the default) is the message-passing simulator, and ``"loop"`` /
+    ``"columnar"`` come back as the same
+    :class:`~repro.core.algorithm.DistributedRunResult`, so the
+    manifest/payload tail is shared. ``shards`` (columnar only)
     splits the solve across worker processes and — by the sharding
     determinism contract — never changes the answer bytes, which is why
     the batcher may execute a dedup group with any member's shard count.
@@ -138,22 +146,27 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
                 "c_round": cell.c_round,
             },
         )
-    if cell.engine == "simulator":
+    # The simulator feeds the event trace and opens its own spans; the
+    # emulation engines take neither, so one ``worker.engine`` span
+    # stands for their whole solve.
+    observers: dict[str, Any] = {"trace": trace, "tracer": tracer}
+    engine_span: Any = contextlib.nullcontext()
+    if cell.engine != "simulator":
+        observers = {}
+        if tracer is not None:
+            engine_span = tracer.span("worker.engine", engine=cell.engine)
+    with engine_span:
         result = solve_distributed(
             instance,
             k=cell.k,
             variant=cell.variant,
             seed=cell.seed,
             rounding=RoundingPolicy(mode=cell.rounding, c_round=cell.c_round),
-            trace=trace,
-            tracer=tracer,
             recorder=recorder,
+            engine=cell.engine,
+            shards=cell.shards,
+            **observers,
         )
-    elif tracer is not None:
-        with tracer.span("worker.engine", engine=cell.engine):
-            result = _run_engine_result(cell, instance, recorder)
-    else:
-        result = _run_engine_result(cell, instance, recorder)
     extras: dict[str, Any] = {}
     if lp_value is not None:
         extras["ratio_vs_lp"] = result.cost / max(lp_value, 1e-12)
@@ -208,64 +221,21 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
     return out
 
 
-def _run_engine_result(cell: ServiceCell, instance, recorder):
-    """Run an emulation engine, shaped as a DistributedRunResult.
+def canonical_answer(answer: Mapping[str, Any]) -> str:
+    """Canonical bytes of an answer, with the wall-clock fields stripped.
 
-    Columnar runs carry their modeled CONGEST traffic in a
-    :class:`~repro.net.columnar.ColumnarBitLedger`; the in-memory
-    engines report empty metrics (they exchange no messages). Either
-    way the result quacks like the simulator's, so the manifest and
-    payload construction downstream is one shared path.
+    ``answer`` holds ``"result"`` and ``"manifest"`` (plus, for a
+    response, ``"status"`` and ``"error"``). The manifest's
+    ``wall_seconds`` and timeline ``total_wall_ms`` measure the machine,
+    not the algorithm, so two runs of the same work compare equal here
+    exactly when the service's byte-identity contract holds.
     """
-    import time
-
-    import numpy as np
-
-    from repro.core.algorithm import DistributedRunResult
-    from repro.core.sequential_sim import run_sequential
-    from repro.net.metrics import NetworkMetrics
-    from repro.obs.timeline import RoundTimeline
-
-    ledger = None
-    if cell.engine == "columnar":
-        from repro.net.columnar import ColumnarBitLedger
-
-        ledger = ColumnarBitLedger(
-            instance.num_facilities,
-            instance.num_clients,
-            int(np.isfinite(instance.connection_costs).sum()),
-        )
-    started = time.perf_counter()
-    run = run_sequential(
-        instance,
-        k=cell.k,
-        variant=cell.variant,
-        seed=cell.seed,
-        rounding=RoundingPolicy(mode=cell.rounding, c_round=cell.c_round),
-        engine=cell.engine,
-        shards=cell.shards,
-        recorder=recorder,
-        ledger=ledger,
-    )
-    wall_seconds = time.perf_counter() - started
-    if ledger is not None:
-        metrics = ledger.to_metrics()
-        timeline = ledger.to_timeline(instance.num_nodes)
-    else:
-        metrics = NetworkMetrics()
-        timeline = RoundTimeline()
-    return DistributedRunResult(
-        instance=instance,
-        params=run.params,
-        variant=run.variant,
-        solution=run.solution,
-        open_facilities=run.open_facilities,
-        unserved_clients=(),
-        metrics=metrics,
-        timeline=timeline,
-        wall_seconds=wall_seconds,
-        diagnostics={"engine": cell.engine},
-    )
+    data = json.loads(json.dumps(dict(answer)))
+    manifest = data.get("manifest")
+    if manifest:
+        manifest["wall_seconds"] = 0.0
+        manifest.get("timeline_summary", {}).pop("total_wall_ms", None)
+    return json.dumps(data, sort_keys=True)
 
 
 def run_service_cell_guarded(cell: ServiceCell) -> dict[str, Any]:

@@ -172,3 +172,37 @@ class TestStrictCongestConformance:
         simulator.enforce_single_message_per_edge = True
         simulator.run(max_rounds=runner.schedule_rounds() + 2)
         assert simulator.all_finished
+
+
+class TestEngineEntryPoint:
+    """``solve_distributed(engine=...)`` runs every engine to one result type."""
+
+    @pytest.mark.parametrize("variant", [Variant.GREEDY, Variant.DUAL_ASCENT])
+    def test_engines_agree(self, uniform_small, variant):
+        results = {
+            engine: solve_distributed(
+                uniform_small, k=6, variant=variant, seed=2, engine=engine
+            )
+            for engine in ("simulator", "loop", "columnar")
+        }
+        sharded = solve_distributed(
+            uniform_small, k=6, variant=variant, seed=2, engine="columnar",
+            shards=2,
+        )
+        reference = results["simulator"]
+        for result in (results["loop"], results["columnar"], sharded):
+            assert result.cost == reference.cost
+            assert result.open_facilities == reference.open_facilities
+        # Columnar carries its modeled traffic; the loop sends nothing.
+        assert results["columnar"].metrics.rounds > 0
+        assert results["loop"].metrics.total_messages == 0
+
+    def test_simulator_only_keywords_refused_by_emulation(self, uniform_small):
+        from repro.net.trace import Trace
+
+        with pytest.raises(AlgorithmError, match="trace"):
+            solve_distributed(uniform_small, k=4, engine="loop", trace=Trace())
+
+    def test_simulator_does_not_shard(self, uniform_small):
+        with pytest.raises(AlgorithmError, match="shard"):
+            solve_distributed(uniform_small, k=4, shards=2)

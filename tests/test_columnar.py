@@ -412,24 +412,64 @@ class TestCliDigest:
     """`repro solve --digest` is the cheap cross-engine identity check."""
 
     @staticmethod
-    def _digest(capsys, *argv):
+    def _solve(capsys, *argv):
         from repro.cli import main
 
         assert main(list(argv)) == 0
-        return json.loads(capsys.readouterr().out)["digest"]
+        return json.loads(capsys.readouterr().out)
 
     def test_digest_identical_across_engines(self, capsys):
-        base = (
-            "solve", "--family", "sparse", "-m", "8", "-n", "24",
-            "--seed", "3", "-k", "6", "--no-lp", "--digest", "--json",
-        )
-        reference = self._digest(capsys, *base)
-        for engine_args in (
-            ("--engine", "loop"),
-            ("--engine", "columnar"),
-            ("--engine", "columnar", "--shards", "2"),
+        # Every engine answers a dense solve with the same digest and the
+        # same cost float, and a served request with the same cost again.
+        for family, m, n, seed, k in (
+            ("sparse", 8, 24, 3, 6),
+            ("uniform", 30, 150, 3, 9),
         ):
-            assert self._digest(capsys, *base, *engine_args) == reference
+            base = (
+                "solve", "--family", family, "-m", str(m), "-n", str(n),
+                "--seed", str(seed), "-k", str(k), "--no-lp", "--digest",
+                "--json",
+            )
+            payloads = [
+                self._solve(capsys, *base, *engine_args)
+                for engine_args in (
+                    ("--engine", "simulator"),
+                    ("--engine", "loop"),
+                    ("--engine", "columnar"),
+                    ("--engine", "columnar", "--shards", "2"),
+                )
+            ]
+            reference = payloads[0]
+            for payload in payloads[1:]:
+                assert payload["digest"] == reference["digest"]
+                assert payload["cost"] == reference["cost"]
+            served = run_service_cell(
+                _cell(
+                    SolveRequest(
+                        request_id="a",
+                        recipe=InstanceRecipe(family, m, n, seed),
+                        k=k,
+                    )
+                )
+            )
+            assert served["result"]["cost"] == reference["cost"]
+
+    @pytest.mark.parametrize("engine", ["simulator", "loop", "columnar"])
+    def test_digest_is_the_recorders_final_checkpoint(self, capsys, engine):
+        payload = self._solve(
+            capsys, "solve", "--family", "uniform", "-m", "8", "-n", "24",
+            "--seed", "3", "-k", "6", "--variant", "dual_ascent", "--no-lp",
+            "--digest", "--json", "--engine", engine,
+        )
+        recording = record_run(
+            make_instance("uniform", 8, 24, 3),
+            engine=engine,
+            k=6,
+            variant="dual_ascent",
+        )
+        final = recording.checkpoints[-1]
+        assert final.label == "final"
+        assert payload["digest"] == final.digest
 
     def test_sparse_degree_needs_no_lp_on_columnar(self, capsys):
         from repro.cli import main

@@ -10,7 +10,6 @@ invisible in the output.
 
 from __future__ import annotations
 
-import json
 import tempfile
 from typing import Any
 
@@ -24,6 +23,7 @@ from repro.perf.cache import clear_caches
 from repro.perf.executor import SweepExecutor
 from repro.service import ServiceClient, SolveService
 from repro.service.request import InstanceRecipe, SolveRequest
+from repro.service.worker import canonical_answer
 
 #: A mixed workload: two recipes x two k values, one dual-ascent request,
 #: one inline-instance request, plus exact duplicates of the first two.
@@ -74,16 +74,15 @@ def direct_manifest(spec: dict[str, Any]) -> tuple[float, dict[str, Any]]:
     return result.cost, manifest.to_dict()
 
 
-def strip_wall_clock(manifest: dict[str, Any]) -> dict[str, Any]:
-    """Drop the fields that measure the machine, not the algorithm."""
-    cleaned = json.loads(json.dumps(manifest))
-    cleaned["wall_seconds"] = 0.0
-    cleaned.get("timeline_summary", {}).pop("total_wall_ms", None)
-    return cleaned
+def answer(response) -> str:
+    """Canonical bytes of a response's result and manifest."""
+    return canonical_answer(
+        {"result": dict(response.result), "manifest": dict(response.manifest)}
+    )
 
 
-def canonical(manifest: dict[str, Any]) -> str:
-    return json.dumps(strip_wall_clock(manifest), sort_keys=True)
+def manifest_bytes(manifest: dict[str, Any]) -> str:
+    return canonical_answer({"manifest": manifest})
 
 
 @pytest.fixture(autouse=True)
@@ -110,7 +109,7 @@ class TestServedEqualsDirect:
             assert response.status == "ok"
             cost, manifest = direct_manifest(spec)
             assert response.result["cost"] == cost  # exact, not approx
-            assert canonical(dict(response.manifest)) == canonical(manifest)
+            assert manifest_bytes(dict(response.manifest)) == manifest_bytes(manifest)
 
     def test_duplicates_served_from_one_solve(self):
         client, by_id = self.run_workload()
@@ -123,12 +122,7 @@ class TestServedEqualsDirect:
         assert summary["batch_size_mean"] == 6.0
         assert summary["batch_unique_mean"] == 4.0
         # Duplicate answers are the leader's answer, byte for byte.
-        assert canonical(dict(by_id["w4-dup-of-w0"].manifest)) == canonical(
-            dict(by_id["w0"].manifest)
-        )
-        assert (
-            by_id["w4-dup-of-w0"].result["cost"] == by_id["w0"].result["cost"]
-        )
+        assert answer(by_id["w4-dup-of-w0"]) == answer(by_id["w0"])
 
     def test_parallel_workers_change_nothing(self):
         _, serial = self.run_workload(workers=1)
@@ -136,9 +130,8 @@ class TestServedEqualsDirect:
         _, parallel = self.run_workload(workers=2)
         for spec in WORKLOAD:
             a, b = serial[spec["rid"]], parallel[spec["rid"]]
-            assert a.result["cost"] == b.result["cost"]
             assert a.dedup == b.dedup
-            assert canonical(dict(a.manifest)) == canonical(dict(b.manifest))
+            assert answer(a) == answer(b)
 
     def test_tracing_changes_no_output_bytes(self):
         # The tracing determinism guardrail: a fully traced pipeline
@@ -167,11 +160,8 @@ class TestServedEqualsDirect:
         for spec in WORKLOAD:
             a, b = plain[spec["rid"]], traced[spec["rid"]]
             assert a.status == b.status == "ok"
-            assert json.dumps(dict(a.result), sort_keys=True) == json.dumps(
-                dict(b.result), sort_keys=True
-            )
             assert a.dedup == b.dedup
-            assert canonical(dict(a.manifest)) == canonical(dict(b.manifest))
+            assert answer(a) == answer(b)
 
     def test_traced_parallel_workers_change_nothing(self):
         from repro.obs.spans import Tracer
@@ -192,8 +182,7 @@ class TestServedEqualsDirect:
         tracer.close()
         for spec in WORKLOAD:
             a, b = serial[spec["rid"]], traced[spec["rid"]]
-            assert a.result["cost"] == b.result["cost"]
-            assert canonical(dict(a.manifest)) == canonical(dict(b.manifest))
+            assert answer(a) == answer(b)
 
     def test_recording_changes_no_output_bytes(self):
         # The flight-recorder analogue of the tracing guardrail: with
@@ -218,10 +207,7 @@ class TestServedEqualsDirect:
             assert a.status == b.status == "ok"
             assert not a.recording
             assert b.recording["schema"] == "repro.recording/v1"
-            assert json.dumps(dict(a.result), sort_keys=True) == json.dumps(
-                dict(b.result), sort_keys=True
-            )
-            assert canonical(dict(a.manifest)) == canonical(dict(b.manifest))
+            assert answer(a) == answer(b)
             # Unrecorded wire bytes never mention the recording key.
             assert "recording" not in a.to_wire()
 
@@ -257,11 +243,8 @@ class TestServedEqualsDirect:
             for spec in WORKLOAD:
                 a, b = plain[spec["rid"]], crashed[spec["rid"]]
                 assert a.status == b.status == "ok"
-                assert a.result["cost"] == b.result["cost"]
                 assert a.dedup == b.dedup
-                assert canonical(dict(a.manifest)) == canonical(
-                    dict(b.manifest)
-                )
+                assert answer(a) == answer(b)
 
     def test_inline_instance_matches_recipe_answer(self):
         # The same problem submitted two ways (recipe vs inline upload)
@@ -330,7 +313,7 @@ class TestServedViaTcpRouter:
             assert response.status == "ok"
             cost, manifest = direct_manifest(spec)
             assert response.result["cost"] == cost
-            assert canonical(dict(response.manifest)) == canonical(manifest)
+            assert manifest_bytes(dict(response.manifest)) == manifest_bytes(manifest)
         # More than one worker actually took traffic for this workload.
         routed = router.route_counts()
         assert sum(routed.values()) > 0
@@ -378,16 +361,13 @@ class TestServedViaTcpRouter:
         thread.join(timeout=10.0)
         # The shared cache actually served wave two.
         assert metrics["shared_cache_hits"] >= len(wave_two)
-        oracle: dict[Any, tuple[str, str]] = {}
+        oracle: dict[Any, str] = {}
         for request in wave_one + wave_two:
             answers = first if request.request_id in first else second
             response = answers[request.request_id]
             assert response.status == "ok"
             key = request.work_key()
-            signature = (
-                json.dumps(dict(response.result), sort_keys=True),
-                canonical(dict(response.manifest)),
-            )
+            signature = answer(response)
             if key in oracle:
                 assert signature == oracle[key]  # byte-identical reuse
             else:
@@ -403,4 +383,4 @@ class TestServedViaTcpRouter:
             cost, manifest = direct_manifest(spec)
             response = first[request.request_id]
             assert response.result["cost"] == cost
-            assert canonical(dict(response.manifest)) == canonical(manifest)
+            assert manifest_bytes(dict(response.manifest)) == manifest_bytes(manifest)
