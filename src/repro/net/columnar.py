@@ -10,7 +10,7 @@ Two pieces live here:
   so each kernel phase reports its *counts* to the ledger, which charges
   them with the exact per-field bit prices
   :mod:`repro.net.message` uses (64-bit floats, 8 bits per kind
-  character, ``1 + max(1, ceil(log2 N))`` bits for a node id) and
+  character, ``1 + max(1, (N - 1).bit_length())`` bits for a node id) and
   accumulates them into the same :class:`~repro.net.metrics.NetworkMetrics`
   / :class:`~repro.obs.timeline.RoundTimeline` shapes every other engine
   produces. Downstream consumers (manifests, service payloads,
@@ -24,9 +24,9 @@ Two pieces live here:
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
+from repro.net.message import scalar_bits
 from repro.net.metrics import NetworkMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -67,8 +67,8 @@ class ColumnarBitLedger:
         self.num_clients = int(num_clients)
         self.num_edges = int(num_edges)
         num_nodes = self.num_facilities + self.num_clients
-        #: Bits to name one node, as message.py prices an int payload.
-        self.id_bits = 1 + max(1, math.ceil(math.log2(max(num_nodes, 2))))
+        #: Bits to name one node: the largest id priced as an int payload.
+        self.id_bits = scalar_bits(max(num_nodes, 2) - 1)
         self.metrics = NetworkMetrics()
         self._entries: list[tuple[int, int, int]] = []  # (round, msgs, bits)
 

@@ -217,10 +217,6 @@ class Simulator:
     # Engine
     # ------------------------------------------------------------------
 
-    def _submit(self, message: Message) -> None:
-        """Accept a message from a node context (internal API)."""
-        self._pending.append(message)
-
     def setup(self) -> None:
         """Run every node's :meth:`~repro.net.node.Node.on_setup` hook.
 
@@ -238,8 +234,7 @@ class Simulator:
         for node in self._nodes:
             ctx.rebind(node, round_number=0)
             node.on_setup(ctx)
-        for message in self._pending:
-            self.metrics.record_message(message)
+        self.metrics.record_messages(self._pending)
         # Round 0: setup traffic would otherwise be invisible in per-round
         # accounting (it predates the first metrics.start_round()).
         self._record_timeline_entry(
@@ -283,8 +278,7 @@ class Simulator:
             node.on_round(ctx, inbox)
         # Round over: every inbox has been consumed; reclaim the buffers.
         self._inbox_pool.release_all()
-        for message in self._pending:
-            self.metrics.record_message(message)
+        self.metrics.record_messages(self._pending)
         self._record_timeline_entry(
             round_number=self._round,
             wall_ms=(time.perf_counter() - start) * 1e3,

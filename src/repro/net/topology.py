@@ -36,6 +36,7 @@ class Topology:
             adjacency[u].add(v)
             adjacency[v].add(u)
         self._adjacency = tuple(frozenset(s) for s in adjacency)
+        self._neighbor_order = tuple(tuple(sorted(s)) for s in adjacency)
 
     # ------------------------------------------------------------------
     # Builders
@@ -99,6 +100,11 @@ class Topology:
     def neighbors(self, node: int) -> frozenset[int]:
         """The neighbor set of ``node``."""
         return self._adjacency[node]
+
+    def neighbor_order(self, node: int) -> tuple[int, ...]:
+        """The neighbors of ``node`` in increasing id order (sorted once,
+        when the topology is built; broadcasts walk this tuple)."""
+        return self._neighbor_order[node]
 
     def degree(self, node: int) -> int:
         """Degree of ``node``."""

@@ -421,11 +421,13 @@ def _scale_equivalence_record() -> dict[str, Any]:
 def _scale_solve_record(name: str, m: int, n: int, shards: int) -> dict[str, Any]:
     """One rung of the scale ladder: a native-sparse columnar solve.
 
-    Measures end-to-end wall clock and tracemalloc peak (the gated
-    ``mem_peak_kb`` budget), then re-solves with ``shards`` worker
+    Measures end-to-end wall clock, then re-solves with ``shards`` worker
     processes and requires byte-equal solution arrays — so every rung
     carries its own sharding-identity proof at full size, where the
-    flight recorder would be too heavy to afford.
+    flight recorder would be too heavy to afford. Both solves are timed
+    untraced, so ``solve_seconds`` and ``sharded_solve_seconds`` compare;
+    the tracemalloc peak (the gated ``mem_peak_kb`` budget) comes from a
+    third, untimed solve, because tracing slows the solve it watches.
     """
     from repro.core.columnar import ColumnarInstance, solve_columnar
     from repro.obs.spans import measure_peak_memory
@@ -437,8 +439,8 @@ def _scale_solve_record(name: str, m: int, n: int, shards: int) -> dict[str, Any
             cinst, k=_SCALE_K, variant=Variant.GREEDY, seed=_SCALE_SEED
         )
 
-    elapsed, timed = _timed(lambda: measure_peak_memory(solve_once))
-    result, mem_peak_kb = timed
+    elapsed, result = _timed(solve_once)
+    _, mem_peak_kb = measure_peak_memory(solve_once)
     if not result.feasible:
         raise ReproError(f"scale suite: columnar solve infeasible at {name}")
     sharded_elapsed, sharded = _timed(

@@ -54,6 +54,24 @@ class TestNetworkMetrics:
         assert metrics.max_messages_per_round == 3
         assert metrics.rounds == 2
 
+    def test_one_batch_per_round(self):
+        metrics = NetworkMetrics()
+        rounds = [
+            [Message(0, 1, "b", {"x": 1.0}), Message(1, 0, "a"), Message(2, 0, "b", {"n": 9})],
+            [],
+            [Message(0, 2, "c", {"s": "long"}), Message(1, 2, "a")],
+        ]
+        for messages in rounds:
+            metrics.start_round()
+            metrics.record_messages(messages)
+        summary = metrics.summary()
+        assert summary["rounds"] == 3
+        assert summary["total_messages"] == 5
+        assert summary["total_bits"] == (8 + 64) + 8 + (8 + 5) + (8 + 32) + 8
+        assert summary["max_message_bits"] == 8 + 64
+        assert summary["max_messages_per_round"] == 3
+        assert list(summary["messages_by_kind"].items()) == [("b", 2), ("a", 2), ("c", 1)]
+
     def test_mean_bits_empty(self):
         assert NetworkMetrics().mean_message_bits == 0.0
 

@@ -87,3 +87,35 @@ def test_scale_suite_reduced_ladder(tmp_path):
     assert rung["metrics"]["sharded_identical"] == 1.0
     assert rung["metrics"]["mem_peak_kb"] > 0.0
     assert rung["metrics"]["nodes_per_second"] > 0.0
+
+
+def test_scale_rung_times_both_solves_untraced(monkeypatch):
+    """``solve_seconds`` and ``sharded_solve_seconds`` must compare: neither
+    solve may be timed under tracemalloc, which only the untimed memory
+    solve turns on."""
+    import tracemalloc
+
+    from repro.core import columnar
+    from repro.perf import suite
+
+    timing = [False]
+    calls: list[tuple[bool, bool, int]] = []
+    solve = columnar.solve_columnar
+    timed = suite._timed
+
+    def watched_solve(*args, **kwargs):
+        calls.append((timing[0], tracemalloc.is_tracing(), kwargs.get("shards", 1)))
+        return solve(*args, **kwargs)
+
+    def watched_timed(fn):
+        timing[0] = True
+        try:
+            return timed(fn)
+        finally:
+            timing[0] = False
+
+    monkeypatch.setattr(columnar, "solve_columnar", watched_solve)
+    monkeypatch.setattr(suite, "_timed", watched_timed)
+    record = suite._scale_solve_record("scale_tiny", 20, 200, 2)
+    assert sorted(calls) == [(False, True, 1), (True, False, 1), (True, False, 2)]
+    assert record["metrics"]["mem_peak_kb"] > 0.0

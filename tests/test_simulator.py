@@ -336,3 +336,99 @@ def test_inbox_sorted_by_sender():
     simulator = Simulator(Topology.star(4), [Collector(i) for i in range(5)])
     simulator.run(max_rounds=3)
     assert received == [[1, 2, 3, 4]]
+
+
+class Announcer(Node):
+    """Node 0 runs ``action(ctx)`` in round 1; every node then finishes."""
+
+    action = staticmethod(lambda ctx: None)
+
+    def on_round(self, ctx, inbox):
+        if self.node_id == 0 and ctx.round_number == 1:
+            self.action(ctx)
+        self.finished = True
+
+
+def _announce(action, topology=None, **options):
+    nodes = [Announcer(i) for i in range(4)]
+    nodes[0].action = action
+    simulator = Simulator(topology or Topology.star(3), nodes, **options)
+    simulator.run(max_rounds=5)
+    return simulator
+
+
+def test_broadcast_after_send_in_strict_mode_rejected():
+    def send_then_broadcast(ctx):
+        ctx.send(2, "x")
+        ctx.broadcast("y")
+
+    with pytest.raises(SimulationError, match="sent two messages to 2"):
+        _announce(send_then_broadcast, enforce_single_message_per_edge=True)
+
+
+def test_strict_broadcast_alone_passes():
+    simulator = _announce(
+        lambda ctx: ctx.broadcast("y", v=1.0), enforce_single_message_per_edge=True
+    )
+    assert simulator.metrics.messages_by_kind == {"y": 3}
+
+
+def test_broadcast_over_budget_rejected_with_the_message():
+    with pytest.raises(MessageSizeError) as excinfo:
+        _announce(lambda ctx: ctx.broadcast("y", big="x" * 20), max_message_bits=64)
+    assert "Message(0->1 @r1 y[big='xxxxxxxxxxxxxxxxxxxx'])" in str(excinfo.value)
+    assert "168 bits, exceeding the 64-bit budget" in str(excinfo.value)
+
+
+def test_broadcast_within_budget_passes():
+    simulator = _announce(lambda ctx: ctx.broadcast("y", v=1.0), max_message_bits=72)
+    assert simulator.metrics.max_message_bits == 72
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"a": 1}, (1,)])
+def test_broadcast_and_send_reject_container_payloads(payload):
+    with pytest.raises(SimulationError, match="unsupported"):
+        _announce(lambda ctx: ctx.broadcast("y", v=payload))
+    with pytest.raises(SimulationError, match="unsupported"):
+        _announce(lambda ctx: ctx.send(1, "y", v=payload))
+
+
+def test_broadcast_reaches_every_neighbor_in_id_order_with_one_shared_payload():
+    pending = []
+
+    def broadcast(ctx):
+        ctx.broadcast("y", v=2.5, n=7)
+        pending.extend(simulator.pending_messages)
+
+    nodes = [Announcer(i) for i in range(4)]
+    nodes[0].action = broadcast
+    simulator = Simulator(Topology.star(3), nodes)
+    simulator.run(max_rounds=5)
+    bits = 8 + 64 + (1 + 3)  # kind "y", a float, the int 7
+    assert [m.receiver for m in pending] == [1, 2, 3]
+    assert len({id(m.payload) for m in pending}) == 1
+    assert all(m.bits == bits and m.round_sent == 1 for m in pending)
+    assert simulator.metrics.total_bits == 3 * bits
+
+
+def test_messages_are_read_only_inside_on_round():
+    checked: list[int] = []
+
+    class Mutator(Node):
+        def on_setup(self, ctx):
+            if self.node_id == 0:
+                ctx.send(1, "m", x=1)
+                ctx.broadcast("b", x=1)
+
+        def on_round(self, ctx, inbox):
+            for msg in inbox:
+                with pytest.raises(AttributeError):
+                    msg.kind = "forged"
+                with pytest.raises(TypeError):
+                    msg.payload["x"] = 2
+                assert msg["x"] == 1
+                checked.append(msg.receiver)
+            self.finished = True
+
+    Simulator(Topology.star(2), [Mutator(i) for i in range(3)]).run(max_rounds=3)
+    assert checked == [1, 1, 2]

@@ -36,6 +36,14 @@ class TestBuilders:
         assert topology.degree(0) == 6
         assert topology.diameter() == 2
 
+    def test_neighbor_order_is_the_sorted_neighbor_set(self):
+        topology = Topology(6, [(5, 0), (0, 3), (2, 0), (4, 5)])
+        for node in range(6):
+            order = topology.neighbor_order(node)
+            assert order == tuple(sorted(topology.neighbors(node)))
+        assert topology.neighbor_order(0) == (2, 3, 5)
+        assert topology.neighbor_order(1) == ()
+
     def test_from_instance(self, incomplete_instance):
         topology = Topology.from_instance(incomplete_instance)
         m = incomplete_instance.num_facilities
