@@ -16,14 +16,22 @@ sparse ones:
   (:class:`ColumnarInstance`), and a protocol "message" is a flag or
   value written into an edge column (e.g. the per-iteration ``member``
   proposal plane) that the receiving side gathers through a permutation.
-* **Sharding.** One instance's node range splits across worker processes
-  over ``multiprocessing.shared_memory``: every worker owns one facility
-  slice and one client slice, runs the same slice-parametric kernels the
-  in-process path runs, and synchronizes on a per-phase barrier. The
-  cross-shard "message exchange" is exactly the bucketed ndarray
-  scatter/gather through the shared edge plane — facility shards write
-  their edge slices, client shards gather them through the client-order
+* **Sharding.** One instance's node range splits across worker processes.
+  Every worker owns one facility slice and one client slice, runs the
+  same slice-parametric kernels the in-process path runs, and
+  synchronizes on a per-phase barrier. The read-only edge plane is
+  inherited through ``fork`` (copy-on-write, never written, so never
+  copied); only the mutable state arrays live in one
+  ``multiprocessing.shared_memory`` segment. The cross-shard "message
+  exchange" is exactly the bucketed ndarray scatter/gather through that
+  state — facility shards write their edge slices of the per-edge flag
+  columns, client shards gather them through the client-order
   permutation after the barrier.
+* **Bounded working set.** Every phase walks its slice in fixed-size
+  blocks: facility blocks of about :data:`_FACILITY_BLOCK_EDGES` edges,
+  each with its own degree-padded 2-D columns built once per solve, and
+  client blocks of :data:`_CLIENT_BLOCK` clients. Per-phase temporaries
+  are sized by a block, not by the edge count.
 
 **Determinism contract.** The loop engine stays the small-scale oracle,
 and this engine must match it *bit for bit* — same open sets, same
@@ -43,10 +51,14 @@ count:
   to edges attaining it — the minimum id among ties, which is exactly
   what a first-extremum scan returns.
 * Coin flips come from the same per-node ``SeedSequence`` streams
-  (:func:`~repro.net.rng.spawn_node_rng_range`); only facilities ever
-  draw, so a million-node run builds only ``m`` generators, and a shard
-  builds only its slice — streams identical to the full spawn by the
-  spawn-key prefix property.
+  (:func:`~repro.net.rng.node_rng`). Only facilities ever draw, and a
+  facility's generator is built on its first draw, so a run builds only
+  the streams it uses — identical to the full spawn by the spawn-key
+  prefix property, and independent of blocks and shards because each
+  stream depends only on its own draws.
+* Blocks never reorder arithmetic either: row-wise ``cumsum``,
+  per-segment ``reduceat``, min/max reductions and integer ``bincount``
+  sums give the same result whichever block a row or segment lands in.
 * Shard boundaries never reorder arithmetic: every kernel reads shared
   state only between barriers and writes only its own slice (plus
   idempotent single-byte ``True`` scatters in the two force/join apply
@@ -73,7 +85,7 @@ from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError
 from repro.fl.instance import FacilityLocationInstance
-from repro.net.rng import spawn_node_rng_range
+from repro.net.rng import node_rng
 
 __all__ = [
     "ColumnarInstance",
@@ -95,6 +107,12 @@ _TEST_COLUMNAR_DUAL_ALPHA_RAISE_HOOK: Callable[[int, int, float], float] | None 
 
 #: A barrier wait exceeding this is treated as a dead shard, not a slow one.
 _BARRIER_TIMEOUT_S = 600.0
+
+#: Edges per facility block (a block always holds at least one facility).
+_FACILITY_BLOCK_EDGES = 1 << 17
+
+#: Clients per client block.
+_CLIENT_BLOCK = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -383,34 +401,48 @@ class ColumnarInstance:
         dense[self.g_fac, self.g_cli] = self.g_cost
         return FacilityLocationInstance(self.opening, dense, name=self.name)
 
-    def padded(self, f0: int, f1: int) -> "_PaddedSlice":
-        """Degree-padded 2-D edge views for the facility slice ``[f0, f1)``."""
+    def padded(self, f0: int, f1: int, order: str) -> "_PaddedSlice":
+        """Degree-padded 2-D views of one edge order for the facility
+        slice ``[f0, f1)``: ``"g"`` (greedy order, absent slots cost 0.0)
+        or ``"byc"`` (client order, absent slots cost +inf). Absent slots
+        name client 0."""
         ptr = self.fac_ptr
         deg = ptr[f0 + 1 : f1 + 1] - ptr[f0:f1]
         width = int(deg.max()) if deg.size else 0
-        idx = ptr[f0:f1, None] + np.arange(width, dtype=np.int64)[None, :]
         valid = np.arange(width)[None, :] < deg[:, None]
-        safe = np.minimum(idx, max(self.num_edges - 1, 0))
-        return _PaddedSlice(
-            valid=valid,
-            g_cost=np.where(valid, self.g_cost[safe], 0.0),
-            g_cli=np.where(valid, self.g_cli[safe], 0),
-            byc_cost=np.where(valid, self.byc_cost[safe], np.inf),
-            byc_cli=np.where(valid, self.byc_cli[safe], 0),
-            degrees=deg,
-        )
+        # Row-major real slots enumerate the slice's edges in plane order.
+        edges = slice(int(ptr[f0]), int(ptr[f1]))
+        cost = np.full(valid.shape, 0.0 if order == "g" else np.inf)
+        cost[valid] = getattr(self, f"{order}_cost")[edges]
+        cli = np.zeros(valid.shape, dtype=np.int64)
+        cli[valid] = getattr(self, f"{order}_cli")[edges]
+        return _PaddedSlice(valid=valid, cost=cost, cli=cli)
 
 
 @dataclass(frozen=True)
 class _PaddedSlice:
-    """Per-facility-slice padded 2-D edge arrays (one row per facility)."""
+    """One edge order of a facility slice, padded to 2-D (one row per facility)."""
 
     valid: np.ndarray  # (ms, D) bool — real-edge slots
-    g_cost: np.ndarray  # (ms, D) greedy-order costs, 0.0 padded
-    g_cli: np.ndarray  # (ms, D) greedy-order client ids, 0 padded
-    byc_cost: np.ndarray  # (ms, D) client-order costs, +inf padded
-    byc_cli: np.ndarray  # (ms, D) client-order client ids, 0 padded
-    degrees: np.ndarray  # (ms,) real degrees
+    cost: np.ndarray  # (ms, D) float64
+    cli: np.ndarray  # (ms, D) int64 client ids, 0 padded
+
+
+def _facility_blocks(cinst: ColumnarInstance, f0: int, f1: int) -> list[tuple[int, int]]:
+    """Split ``[f0, f1)`` into runs of whole facilities holding at most
+    :data:`_FACILITY_BLOCK_EDGES` edges (or one facility, if it has more)."""
+    ptr, blocks = cinst.fac_ptr, []
+    while f0 < f1:
+        end = int(np.searchsorted(ptr, ptr[f0] + _FACILITY_BLOCK_EDGES, side="right")) - 1
+        end = min(f1, max(f0 + 1, end))
+        blocks.append((f0, end))
+        f0 = end
+    return blocks
+
+
+def _client_blocks(c0: int, c1: int) -> list[tuple[int, int]]:
+    """Split ``[c0, c1)`` into runs of :data:`_CLIENT_BLOCK` clients."""
+    return [(b, min(b + _CLIENT_BLOCK, c1)) for b in range(c0, c1, _CLIENT_BLOCK)]
 
 
 # ----------------------------------------------------------------------
@@ -423,20 +455,22 @@ def columnar_efficiency_range(cinst: ColumnarInstance) -> tuple[float, float]:
 
     The dense :func:`~repro.core.parameters.efficiency_range` cumsums each
     facility's sorted finite costs; the greedy edge order is that same
-    ascending cost sequence, so the padded-2-D cumsum reproduces every
-    prefix value exactly (identical float multiset in identical order),
-    and min/max are order-independent.
+    ascending cost sequence, so the padded-2-D cumsum (one facility block
+    at a time) reproduces every prefix value exactly (identical float
+    multiset in identical order), and min/max are order-independent.
     """
-    pad = cinst.padded(0, cinst.m)
-    if not pad.valid.any():
+    if not cinst.num_edges:
         raise AlgorithmError("instance has no facility-client edge")
-    prefix = np.cumsum(np.where(pad.valid, pad.g_cost, 0.0), axis=1)
-    sizes = np.arange(1, pad.valid.shape[1] + 1)
-    ratios = (cinst.opening[:, None] + prefix) / sizes
-    eff_min = float(ratios[pad.valid].min())
-    has_edges = pad.degrees > 0
-    rows = np.flatnonzero(has_edges)
-    last = pad.g_cost[rows, pad.degrees[rows] - 1]
+    eff_min = math.inf
+    for f0, f1 in _facility_blocks(cinst, 0, cinst.m):
+        pad = cinst.padded(f0, f1, "g")
+        if pad.valid.any():
+            prefix = np.cumsum(pad.cost, axis=1)
+            sizes = np.arange(1, pad.valid.shape[1] + 1)
+            ratios = (cinst.opening[f0:f1, None] + prefix) / sizes
+            eff_min = min(eff_min, float(ratios[pad.valid].min()))
+    rows = np.flatnonzero(cinst.facility_degrees > 0)
+    last = cinst.g_cost[cinst.fac_ptr[rows + 1] - 1]
     eff_max = float((cinst.opening[rows] + last).max())
     eff_max = max(eff_max, eff_min, 1e-300)
     eff_min = max(eff_min, eff_max * 1e-12)
@@ -509,12 +543,10 @@ def _greedy_facility_phase(
     cinst, pad, params, scale, rngs, f0, f1, *, active, is_open, priorities, best_size, member
 ) -> None:
     """Star search + proposal coins for the facility slice ``[f0, f1)``."""
-    if f1 <= f0:
-        return
-    act = active[pad.g_cli] & pad.valid
+    act = active[pad.cli] & pad.valid
     fees = np.where(is_open[f0:f1], 0.0, cinst.opening[f0:f1])
     if act.shape[1]:
-        vals = np.where(act, pad.g_cost, 0.0)
+        vals = np.where(act, pad.cost, 0.0)
         totals = np.cumsum(np.concatenate([fees[:, None], vals], axis=1), axis=1)[:, 1:]
         sizes = np.cumsum(act, axis=1)
         eff = totals / np.maximum(sizes, 1)
@@ -526,7 +558,7 @@ def _greedy_facility_phase(
     proposers = best > 0
     priorities[f0:f1] = -1.0
     for local in np.flatnonzero(proposers):
-        priorities[f0 + local] = rngs[local].random()
+        priorities[f0 + local] = rngs[f0 + local].random()
     if act.shape[1]:
         member2d = act & (np.cumsum(act, axis=1) <= best[:, None]) & proposers[:, None]
         member[cinst.fac_ptr[f0] : cinst.fac_ptr[f1]] = member2d[pad.valid]
@@ -536,8 +568,6 @@ def _greedy_client_offer_phase(
     cinst, c0, c1, *, member, priorities, best_fac, has_offer
 ) -> np.ndarray:
     """Offer resolution for ``[c0, c1)``; returns partial accept counts."""
-    if c1 <= c0:
-        return np.zeros(cinst.m, dtype=np.int64)
     lo, hi, starts, lengths = _client_segments(cinst, c0, c1)
     e_fac = cinst.cli_fac[lo:hi]
     e_member = member[cinst.cli_edge[lo:hi]]
@@ -557,8 +587,6 @@ def _greedy_facility_open_phase(
     cinst, accepted, open_fraction, f0, f1, *, is_open, best_size, success
 ) -> None:
     """Opening rule for ``[f0, f1)`` given full accept counts."""
-    if f1 <= f0:
-        return
     best = best_size[f0:f1]
     proposers = best > 0
     got = accepted[f0:f1]
@@ -572,8 +600,6 @@ def _greedy_client_serve_phase(
     c0, c1, *, success, best_fac, has_offer, assignment, active
 ) -> int:
     """Serve accepted clients of ``[c0, c1)``; returns the served count."""
-    if c1 <= c0:
-        return 0
     offered = has_offer[c0:c1]
     chosen = best_fac[c0:c1]
     served = offered & success[chosen]
@@ -587,8 +613,6 @@ def _greedy_force_compute_phase(
     cinst, c0, c1, *, is_open, active, assignment, forced_mask, forced_target
 ) -> None:
     """Join-or-force decisions for ``[c0, c1)`` against the pre-force open set."""
-    if c1 <= c0:
-        return
     lo, hi, starts, lengths = _client_segments(cinst, c0, c1)
     e_fac = cinst.cli_fac[lo:hi]
     e_cost = cinst.cli_cost[lo:hi]
@@ -609,16 +633,12 @@ def _greedy_force_compute_phase(
 
 def _greedy_force_apply_phase(c0, c1, *, is_open, forced_mask, forced_target) -> None:
     """Apply forced openings for ``[c0, c1)`` (idempotent True scatters)."""
-    if c1 <= c0:
-        return
     forcing = forced_mask[c0:c1]
     is_open[forced_target[c0:c1][forcing]] = True
 
 
 def _dual_client_alpha_phase(c0, c1, threshold, hook, level, *, alphas, frozen, gamma) -> None:
     """Alpha raises for the client slice ``[c0, c1)``."""
-    if c1 <= c0:
-        return
     raised = np.maximum(gamma[c0:c1], threshold)
     if hook is not None:
         fr = frozen[c0:c1]
@@ -630,13 +650,11 @@ def _dual_client_alpha_phase(c0, c1, threshold, hook, level, *, alphas, frozen, 
 
 def _dual_facility_phase(cinst, pad, slack, f0, f1, *, alphas, tight, witness) -> None:
     """Payments, tightness, and witness-edge flags for ``[f0, f1)``."""
-    if f1 <= f0:
-        return
     # Tightness is sticky, so only facilities not yet tight need their
     # payment; the +inf cost padding makes absent slots pay exactly 0.0.
     rows = np.flatnonzero(~tight[f0:f1])
     if pad.valid.shape[1]:
-        contrib = np.maximum(0.0, alphas[pad.byc_cli[rows]] - pad.byc_cost[rows])
+        contrib = np.maximum(0.0, alphas[pad.cli[rows]] - pad.cost[rows])
         payment = np.cumsum(contrib, axis=1)[:, -1]
     else:
         payment = np.zeros(rows.size)
@@ -651,8 +669,6 @@ def _dual_facility_phase(cinst, pad, slack, f0, f1, *, alphas, tight, witness) -
 
 def _dual_client_freeze_phase(cinst, c0, c1, *, witness, frozen) -> None:
     """Freeze clients of ``[c0, c1)`` that gained a witness."""
-    if c1 <= c0:
-        return
     lo, hi, starts, _ = _client_segments(cinst, c0, c1)
     flags = witness[cinst.cli_edge[lo:hi]].view(np.uint8)
     frozen[c0:c1] = np.maximum.reduceat(flags, starts).astype(bool)
@@ -660,8 +676,6 @@ def _dual_client_freeze_phase(cinst, c0, c1, *, witness, frozen) -> None:
 
 def _dual_client_select_phase(cinst, c0, c1, *, witness, target) -> None:
     """Cheapest-witness selection for ``[c0, c1)``."""
-    if c1 <= c0:
-        return
     lo, hi, starts, lengths = _client_segments(cinst, c0, c1)
     e_fac = cinst.cli_fac[lo:hi]
     flags = witness[cinst.cli_edge[lo:hi]]
@@ -674,17 +688,15 @@ def _dual_facility_round_phase(
     cinst, pad, params, policy, rngs, f0, f1, *, alphas, target, is_open
 ) -> None:
     """Rounding coin flips for ``[f0, f1)`` given full selections."""
-    if f1 <= f0:
-        return
     fac_ids = np.arange(f0, f1, dtype=np.int64)[:, None]
-    selected = pad.valid & (target[pad.byc_cli] == fac_ids)
+    selected = pad.valid & (target[pad.cli] == fac_ids)
     has_selectors = selected.any(axis=1)
     if policy.mode == "select_all":
         is_open[f0:f1] |= has_selectors
         return
     if selected.shape[1]:
         contrib = np.where(
-            selected, np.maximum(0.0, alphas[pad.byc_cli] - pad.byc_cost), 0.0
+            selected, np.maximum(0.0, alphas[pad.cli] - pad.cost), 0.0
         )
         mass = np.cumsum(contrib, axis=1)[:, -1]
     else:
@@ -695,7 +707,7 @@ def _dual_facility_round_phase(
             1.0,
             factor * float(mass[local]) / max(float(cinst.opening[f0 + local]), 1e-300),
         )
-        if rngs[local].random() < probability:
+        if rngs[f0 + local].random() < probability:
             is_open[f0 + local] = True
 
 
@@ -703,8 +715,6 @@ def _dual_join_compute_phase(
     cinst, c0, c1, *, witness, is_open, target, assignment, forced_mask
 ) -> None:
     """Join decisions for ``[c0, c1)`` against the coin-opened set only."""
-    if c1 <= c0:
-        return
     lo, hi, starts, lengths = _client_segments(cinst, c0, c1)
     e_fac = cinst.cli_fac[lo:hi]
     flags = witness[cinst.cli_edge[lo:hi]] & is_open[e_fac]
@@ -717,8 +727,6 @@ def _dual_join_compute_phase(
 
 def _dual_join_apply_phase(c0, c1, *, forced_mask, target, is_open) -> None:
     """Force leftover clients' cheapest witnesses open (True scatters)."""
-    if c1 <= c0:
-        return
     forcing = forced_mask[c0:c1]
     is_open[target[c0:c1][forcing]] = True
 
@@ -826,6 +834,18 @@ class _Observer:
 # ----------------------------------------------------------------------
 
 
+class _CoinStreams(dict):
+    """Facility id -> its coin stream, built on the facility's first draw."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, facility: int) -> np.random.Generator:
+        rng = self[facility] = node_rng(self.seed, facility)
+        return rng
+
+
 def _schedule(
     cinst, variant, params, seed, s, shard, f, c, sync, snapshot,
     *, open_fraction, policy, hook=None,
@@ -838,98 +858,115 @@ def _schedule(
     ``sync`` does nothing and ``snapshot`` is the :class:`_Observer`. A
     shard worker turns each snapshot into one more barrier, and the
     sharded parent runs this same schedule with empty slices, which makes
-    every kernel a no-op, so its barriers always match the workers'.
+    every phase a no-op, so its barriers always match the workers'.
+
+    Each phase runs its kernel once per block of its slice; the padded
+    facility blocks hold only the edge order the variant reads.
     """
-    (f0, f1), (c0, c1) = f, c
-    pad = cinst.padded(f0, f1)
-    rngs = spawn_node_rng_range(seed, f0, f1)
+    order = "g" if variant is Variant.GREEDY else "byc"
+    fblocks = [(b0, b1, cinst.padded(b0, b1, order)) for b0, b1 in _facility_blocks(cinst, *f)]
+    cblocks = _client_blocks(*c)
+    rngs = _CoinStreams(seed)
     if variant is Variant.GREEDY:
+        accepted_partial = s["accepted_partial"][shard]
         for iteration in range(1, params.num_iterations + 1):
             busy = bool(s["active"].any())
+            scale = params.scale_of_iteration(iteration)
             if busy:
-                _greedy_facility_phase(
-                    cinst, pad, params, params.scale_of_iteration(iteration), rngs, f0, f1,
-                    active=s["active"], is_open=s["is_open"], priorities=s["priorities"],
-                    best_size=s["best_size"], member=s["member"],
-                )
+                for b0, b1, pad in fblocks:
+                    _greedy_facility_phase(
+                        cinst, pad, params, scale, rngs, b0, b1,
+                        active=s["active"], is_open=s["is_open"],
+                        priorities=s["priorities"], best_size=s["best_size"],
+                        member=s["member"],
+                    )
             sync()
             if busy:
-                s["accepted_partial"][shard] = _greedy_client_offer_phase(
-                    cinst, c0, c1, member=s["member"], priorities=s["priorities"],
-                    best_fac=s["best_fac"], has_offer=s["has_offer"],
-                )
+                accepted_partial[...] = 0
+                for b0, b1 in cblocks:
+                    accepted_partial += _greedy_client_offer_phase(
+                        cinst, b0, b1, member=s["member"], priorities=s["priorities"],
+                        best_fac=s["best_fac"], has_offer=s["has_offer"],
+                    )
             sync()
             if busy:
-                _greedy_facility_open_phase(
-                    cinst, s["accepted_partial"].sum(axis=0), open_fraction, f0, f1,
-                    is_open=s["is_open"], best_size=s["best_size"], success=s["success"],
-                )
+                accepted = s["accepted_partial"].sum(axis=0)
+                for b0, b1, _ in fblocks:
+                    _greedy_facility_open_phase(
+                        cinst, accepted, open_fraction, b0, b1,
+                        is_open=s["is_open"], best_size=s["best_size"],
+                        success=s["success"],
+                    )
             sync()
             if busy:
-                _greedy_client_serve_phase(
-                    c0, c1, success=s["success"], best_fac=s["best_fac"],
-                    has_offer=s["has_offer"], assignment=s["assignment"],
-                    active=s["active"],
-                )
+                for b0, b1 in cblocks:
+                    _greedy_client_serve_phase(
+                        b0, b1, success=s["success"], best_fac=s["best_fac"],
+                        has_offer=s["has_offer"], assignment=s["assignment"],
+                        active=s["active"],
+                    )
             sync()
             snapshot(f"greedy:iter:{iteration}")
         # Force phase: decisions are made against the open set as of the
         # end of the iterations; forced openings land afterwards.
         forcing = bool(s["active"].any())
         if forcing:
-            _greedy_force_compute_phase(
-                cinst, c0, c1, is_open=s["is_open"], active=s["active"],
-                assignment=s["assignment"], forced_mask=s["forced_mask"],
-                forced_target=s["forced_target"],
-            )
+            for b0, b1 in cblocks:
+                _greedy_force_compute_phase(
+                    cinst, b0, b1, is_open=s["is_open"], active=s["active"],
+                    assignment=s["assignment"], forced_mask=s["forced_mask"],
+                    forced_target=s["forced_target"],
+                )
         sync()
         if forcing:
-            _greedy_force_apply_phase(
-                c0, c1, is_open=s["is_open"], forced_mask=s["forced_mask"],
-                forced_target=s["forced_target"],
-            )
+            for b0, b1 in cblocks:
+                _greedy_force_apply_phase(
+                    b0, b1, is_open=s["is_open"], forced_mask=s["forced_mask"],
+                    forced_target=s["forced_target"],
+                )
         sync()
         return
     slack = 1e-12 * np.maximum(cinst.opening, params.eff_max)
     for level in range(1, params.num_scales + 1):
-        _dual_client_alpha_phase(
-            c0, c1, params.threshold(level), hook, level,
-            alphas=s["alphas"], frozen=s["frozen"], gamma=s["gamma"],
-        )
+        threshold = params.threshold(level)
+        for b0, b1 in cblocks:
+            _dual_client_alpha_phase(
+                b0, b1, threshold, hook, level,
+                alphas=s["alphas"], frozen=s["frozen"], gamma=s["gamma"],
+            )
         sync()
-        _dual_facility_phase(
-            cinst, pad, slack, f0, f1,
-            alphas=s["alphas"], tight=s["tight"], witness=s["witness"],
-        )
+        for b0, b1, pad in fblocks:
+            _dual_facility_phase(
+                cinst, pad, slack, b0, b1,
+                alphas=s["alphas"], tight=s["tight"], witness=s["witness"],
+            )
         sync()
-        _dual_client_freeze_phase(cinst, c0, c1, witness=s["witness"], frozen=s["frozen"])
+        for b0, b1 in cblocks:
+            _dual_client_freeze_phase(cinst, b0, b1, witness=s["witness"], frozen=s["frozen"])
         sync()
         snapshot(f"dual:level:{level}")
     snapshot("dual:ladder")
-    _dual_client_select_phase(cinst, c0, c1, witness=s["witness"], target=s["target"])
+    for b0, b1 in cblocks:
+        _dual_client_select_phase(cinst, b0, b1, witness=s["witness"], target=s["target"])
     sync()
-    _dual_facility_round_phase(
-        cinst, pad, params, policy, rngs, f0, f1,
-        alphas=s["alphas"], target=s["target"], is_open=s["is_open"],
-    )
+    for b0, b1, pad in fblocks:
+        _dual_facility_round_phase(
+            cinst, pad, params, policy, rngs, b0, b1,
+            alphas=s["alphas"], target=s["target"], is_open=s["is_open"],
+        )
     sync()
     snapshot("dual:rounding")
-    _dual_join_compute_phase(
-        cinst, c0, c1, witness=s["witness"], is_open=s["is_open"],
-        target=s["target"], assignment=s["assignment"], forced_mask=s["forced_mask"],
-    )
+    for b0, b1 in cblocks:
+        _dual_join_compute_phase(
+            cinst, b0, b1, witness=s["witness"], is_open=s["is_open"],
+            target=s["target"], assignment=s["assignment"], forced_mask=s["forced_mask"],
+        )
     sync()
-    _dual_join_apply_phase(
-        c0, c1, forced_mask=s["forced_mask"], target=s["target"], is_open=s["is_open"]
-    )
+    for b0, b1 in cblocks:
+        _dual_join_apply_phase(
+            b0, b1, forced_mask=s["forced_mask"], target=s["target"], is_open=s["is_open"]
+        )
     sync()
-
-
-#: The instance columns every shard reads (shared read-only when sharded).
-_PLANE_COLUMNS = (
-    "opening", "fac_ptr", "g_fac", "g_cli", "g_cost", "byc_cli",
-    "byc_cost", "cli_ptr", "cli_fac", "cli_cost", "cli_edge",
-)
 
 
 def _state_specs(cinst: ColumnarInstance, variant: Variant, rows: int):
@@ -1025,8 +1062,8 @@ def _run(
 _ALIGN = 64
 
 
-def _plane_layout(specs):
-    """Byte offsets (aligned) and total size for one shared-memory block."""
+def _state_layout(specs):
+    """Byte offsets (aligned) and total size for the shared state segment."""
     offsets: dict[str, int] = {}
     cursor = 0
     for name, (shape, dtype) in specs.items():
@@ -1036,7 +1073,7 @@ def _plane_layout(specs):
     return offsets, max(cursor, 1)
 
 
-def _plane_views(shm, specs, offsets):
+def _state_views(shm, specs, offsets):
     return {
         name: np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offsets[name])
         for name, (shape, dtype) in specs.items()
@@ -1049,10 +1086,13 @@ def _split_ranges(total: int, shards: int) -> list[tuple[int, int]]:
 
 
 def _shard_worker(
-    shm_name, specs, offsets, dims, variant_value, params, seed, policy,
+    cinst, shm_name, specs, offsets, variant_value, params, seed, policy,
     open_fraction, shard, f, c, link,
 ) -> None:
-    """One shard: runs :func:`_schedule` against the shared plane.
+    """One shard: runs :func:`_schedule` against the shared state.
+
+    ``cinst`` is the parent's plane, inherited through ``fork`` (pickled
+    under ``spawn``); the worker only reads it.
 
     ``link`` is this shard's pipe to the parent: a barrier is an empty
     message up and an empty release message down; a failure is reported
@@ -1067,12 +1107,8 @@ def _shard_worker(
 
     shm = None
     try:
-        m, n = dims
         shm = shared_memory.SharedMemory(name=shm_name)
-        arrays = _plane_views(shm, specs, offsets)
-        cinst = ColumnarInstance(
-            m=m, n=n, name="shard", **{name: arrays[name] for name in _PLANE_COLUMNS}
-        )
+        arrays = _state_views(shm, specs, offsets)
         _schedule(
             cinst, Variant(variant_value), params, seed, arrays, shard, f, c,
             sync, lambda label: sync(), open_fraction=open_fraction, policy=policy,
@@ -1158,7 +1194,7 @@ def _run_sharded(
     recorder=None,
     ledger=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drive ``shards`` worker processes over one shared state plane.
+    """Drive ``shards`` worker processes over one shared state segment.
 
     The parent coordinates every barrier (see :class:`_ShardLinks`) by
     running :func:`_schedule` itself with empty slices. At each snapshot
@@ -1167,14 +1203,8 @@ def _run_sharded(
     taken at exactly the same protocol points as in process and never
     overlap the next phase's writes.
     """
-    m, n = cinst.m, cinst.n
-    state_specs = _state_specs(cinst, variant, shards + 1)
-    specs = {
-        **{name: (getattr(cinst, name).shape, getattr(cinst, name).dtype.str)
-           for name in _PLANE_COLUMNS},
-        **state_specs,
-    }
-    offsets, total = _plane_layout(specs)
+    specs = _state_specs(cinst, variant, shards + 1)
+    offsets, total = _state_layout(specs)
     shm = shared_memory.SharedMemory(create=True, size=total)
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -1182,17 +1212,15 @@ def _run_sharded(
     pipes = [ctx.Pipe() for _ in range(shards)]
     workers: list[Any] = []
     try:
-        arrays = _plane_views(shm, specs, offsets)
-        for name in _PLANE_COLUMNS:
-            arrays[name][...] = getattr(cinst, name)
+        arrays = _state_views(shm, specs, offsets)
         _init_state(cinst, variant, arrays)
-        ranges_f = _split_ranges(m, shards)
-        ranges_c = _split_ranges(n, shards)
+        ranges_f = _split_ranges(cinst.m, shards)
+        ranges_c = _split_ranges(cinst.n, shards)
         workers = [
             ctx.Process(
                 target=_shard_worker,
                 args=(
-                    shm.name, specs, offsets, (m, n), variant.value, params,
+                    cinst, shm.name, specs, offsets, variant.value, params,
                     seed, policy, open_fraction, shard, ranges_f[shard],
                     ranges_c[shard], pipes[shard][1],
                 ),
@@ -1366,8 +1394,12 @@ def solve_columnar(
 def _solution_cost(cinst: ColumnarInstance, is_open, assignment) -> float:
     """Opening plus connection cost, via an edge-plane gather.
 
-    Raises when a client is assigned to a facility it has no edge to —
-    the same validation the dense solution type performs element-wise.
+    Summed the way :attr:`FacilityLocationSolution.cost` sums: builtin
+    ``sum`` of opening costs over the ``frozenset`` of open ids, plus
+    builtin ``sum`` of connection costs in client order, so every engine
+    prints the same float on every Python version. Raises when a client
+    is assigned to a facility it has no edge to — the same validation the
+    dense solution type performs element-wise.
     """
     if (assignment < 0).any():
         j = int(np.flatnonzero(assignment < 0)[0])
@@ -1377,32 +1409,22 @@ def _solution_cost(cinst: ColumnarInstance, is_open, assignment) -> float:
         raise AlgorithmError(
             f"client {j} assigned to closed facility {int(assignment[j])}"
         )
-    # Find each client's edge to its assigned facility by binary search
-    # within its (facility-sorted) client segment.
-    lo = cinst.cli_ptr[:-1]
-    hi = cinst.cli_ptr[1:]
+    # Each client's edge to its assigned facility. Facility ids are unique
+    # within a client segment, so every client matched exactly once iff
+    # there are as many matches as clients.
     positions = np.empty(cinst.n, dtype=np.int64)
-    for j in range(0, cinst.n, 1 << 20):
-        stop = min(j + (1 << 20), cinst.n)
-        block = slice(j, stop)
-        # searchsorted per segment, batched over one block at a time to
-        # bound the temporary: offsets into the global edge array.
-        seg_lo = lo[block]
-        seg_hi = hi[block]
-        found = np.full(stop - j, -1, dtype=np.int64)
-        width = int((seg_hi - seg_lo).max()) if stop > j else 0
-        for slot in range(width):
-            pos = seg_lo + slot
-            in_range = pos < seg_hi
-            match = in_range & (cinst.cli_fac[np.minimum(pos, cinst.num_edges - 1)] == assignment[block])
-            found = np.where((found < 0) & match, pos, found)
-        if (found < 0).any():
-            bad = int(np.flatnonzero(found < 0)[0]) + j
+    for c0, c1 in _client_blocks(0, cinst.n):
+        lo, hi, starts, lengths = _client_segments(cinst, c0, c1)
+        hit = cinst.cli_fac[lo:hi] == np.repeat(assignment[c0:c1], lengths)
+        found = np.flatnonzero(hit)
+        if found.size < c1 - c0:
+            bad = int(np.flatnonzero(~np.logical_or.reduceat(hit, starts))[0]) + c0
             raise AlgorithmError(
                 f"client {bad} assigned to non-neighbor facility "
                 f"{int(assignment[bad])}"
             )
-        positions[block] = found
-    connection = float(np.sum(cinst.cli_cost[positions]))
-    opening = float(np.sum(cinst.opening[is_open]))
-    return opening + connection
+        positions[c0:c1] = lo + found
+    opening_costs = cinst.opening.tolist()
+    opening = sum(opening_costs[i] for i in frozenset(np.flatnonzero(is_open).tolist()))
+    # A memoryview yields plain floats, which builtin sum adds without a list.
+    return float(opening + sum(memoryview(cinst.cli_cost[positions])))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spawn_node_rngs", "spawn_node_rng_range", "derive_rng"]
+__all__ = ["spawn_node_rngs", "node_rng", "derive_rng"]
 
 
 def spawn_node_rngs(seed: int, num_nodes: int) -> list[np.random.Generator]:
@@ -29,23 +29,18 @@ def spawn_node_rngs(seed: int, num_nodes: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in root.spawn(num_nodes)]
 
 
-def spawn_node_rng_range(seed: int, start: int, stop: int) -> list[np.random.Generator]:
-    """Streams for the node-id range ``[start, stop)`` only.
+def node_rng(seed: int, node: int) -> np.random.Generator:
+    """The stream of one node, without spawning its siblings.
 
     ``SeedSequence.spawn`` keys each child purely by its index
     (``spawn_key=(i,)`` under the root entropy), so the stream of node
     ``i`` does not depend on how many siblings were spawned alongside it.
-    This builds ``stop - start`` generators bit-identical to
-    ``spawn_node_rngs(seed, N)[start:stop]`` for any ``N >= stop`` without
-    materializing the other ``N - (stop - start)`` streams — which is what
-    lets a million-node columnar run (where only facilities ever draw
-    coins) and a sharded worker (which owns one node slice) pay only for
-    the streams they actually use.
+    This is bit-identical to ``spawn_node_rngs(seed, N)[node]`` for any
+    ``N > node`` — which lets a million-node columnar run (where only
+    facilities ever draw coins) build a stream only when a node first
+    draws from it.
     """
-    return [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        for i in range(start, stop)
-    ]
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(node,)))
 
 
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:

@@ -70,8 +70,9 @@ def measure_peak_memory(fn: "Any") -> tuple[Any, float]:
     directly comparable. Numpy buffer allocations are included (numpy
     registers its allocator with tracemalloc), which is what makes this
     a meaningful budget gate for the columnar engine; child processes
-    (sharded workers) are *not* — a sharded run's gauge covers the parent,
-    i.e. the shared plane plus recorder/ledger overhead. Returns peak
+    (sharded workers) are *not*, nor is the shared state segment (an
+    mmap) — a sharded run's gauge covers the parent's own allocations,
+    i.e. its recorder/ledger overhead. Returns peak
     0.0 when tracemalloc is unavailable. Restores the prior tracing
     state *and* the enclosing profiler's high-water mark, so nesting
     under a profiling tracer is safe.

@@ -24,11 +24,12 @@ import pytest
 
 import repro.core.columnar as columnar
 from repro.core.columnar import ColumnarInstance, solve_columnar
+from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.sequential_sim import run_sequential
 from repro.exceptions import AlgorithmError, ReproError
 from repro.fl.generators import make_instance
 from repro.net.columnar import ColumnarBitLedger, InboxPool
-from repro.obs.recorder import diff_recordings, record_run
+from repro.obs.recorder import FlightRecorder, diff_recordings, record_run
 from repro.service.request import InstanceRecipe, SolveRequest
 from repro.service.server import ServiceProtocol
 from repro.service.service import SolveService
@@ -55,6 +56,10 @@ def _cell(request: SolveRequest) -> ServiceCell:
         engine=request.engine,
         shards=request.shards,
     )
+
+
+def _plane_bytes(cinst: ColumnarInstance) -> int:
+    return sum(v.nbytes for v in vars(cinst).values() if isinstance(v, np.ndarray))
 
 
 class TestColumnarInstance:
@@ -110,8 +115,7 @@ class TestColumnarInstance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        plane = sum(v.nbytes for v in vars(cinst).values() if isinstance(v, np.ndarray))
-        assert peak <= 1.75 * plane
+        assert peak <= 1.75 * _plane_bytes(cinst)
 
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(AlgorithmError, match="facility index 5"):
@@ -137,6 +141,26 @@ class TestColumnarInstance:
             j: int(f) for j, f in enumerate(native.assignment)
         } == dense.assignment
 
+
+    def test_solution_cost_rejects_infeasible_assignments(self):
+        cinst = ColumnarInstance.generate_sparse(12, 60, seed=5)
+        result = solve_columnar(cinst, k=6, seed=2)
+        cost = columnar._solution_cost
+        assert cost(cinst, result.open_mask, result.assignment) == result.cost
+        unassigned = result.assignment.copy()
+        unassigned[7] = -1
+        with pytest.raises(AlgorithmError, match="client 7 left unassigned"):
+            cost(cinst, result.open_mask, unassigned)
+        closed = result.open_mask.copy()
+        closed[result.assignment[4]] = False
+        first = int(np.flatnonzero(result.assignment == result.assignment[4])[0])
+        with pytest.raises(AlgorithmError, match=f"client {first} assigned to closed"):
+            cost(cinst, closed, result.assignment)
+        neighbors = cinst.cli_fac[cinst.cli_ptr[5] : cinst.cli_ptr[6]]
+        stranger = result.assignment.copy()
+        stranger[5] = min(set(range(cinst.m)) - set(neighbors.tolist()))
+        with pytest.raises(AlgorithmError, match="client 5 assigned to non-neighbor"):
+            cost(cinst, np.ones(cinst.m, dtype=bool), stranger)
 
 class TestByteIdentity:
     """Solutions and recorder digests, loop vs columnar, shards 1 and 4."""
@@ -179,6 +203,96 @@ class TestByteIdentity:
     def test_only_columnar_shards(self, instance):
         with pytest.raises(AlgorithmError, match="does not shard"):
             run_sequential(instance, k=4, engine="loop", shards=2)
+
+
+class TestBlockBoundaries:
+    """Blocks too small to divide the slices evenly change no output byte."""
+
+    @staticmethod
+    def _solve(cinst, variant, rounding, shards):
+        recorder = FlightRecorder(engine="columnar")
+        result = solve_columnar(
+            cinst, k=5, variant=variant, seed=3, rounding=rounding,
+            shards=shards, recorder=recorder,
+        )
+        return result, recorder.final_digest()
+
+    @pytest.mark.parametrize(
+        ("family", "m", "n", "seed"), [("sparse", 10, 33, 11), ("euclidean", 8, 21, 3)]
+    )
+    @pytest.mark.parametrize(
+        ("variant", "mode"),
+        [("greedy", "select_all"), ("dual_ascent", "select_all"), ("dual_ascent", "randomized")],
+    )
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize(("facility_edges", "clients"), [(1, 5), (64, 5)])
+    def test_tiny_blocks_change_nothing(
+        self, monkeypatch, family, m, n, seed, variant, mode, shards, facility_edges, clients
+    ):
+        instance = make_instance(family, m, n, seed=seed)
+        cinst = ColumnarInstance.from_instance(instance)
+        # A small c_round leaves randomized rounding to the coins.
+        rounding = RoundingPolicy(mode=mode, c_round=0.05)
+        whole, whole_digest = self._solve(cinst, variant, rounding, 1)
+        oracle = FlightRecorder(engine="loop")
+        loop = run_sequential(
+            instance, k=5, variant=variant, seed=3, rounding=rounding, engine="loop",
+            recorder=oracle,
+        )
+        efficiency = columnar.columnar_efficiency_range(cinst)
+
+        monkeypatch.setattr(columnar, "_FACILITY_BLOCK_EDGES", facility_edges)
+        monkeypatch.setattr(columnar, "_CLIENT_BLOCK", clients)
+        assert len(columnar._facility_blocks(cinst, 0, cinst.m)) > 1
+        blocked, digest = self._solve(cinst, variant, rounding, shards)
+
+        for name in ("open_mask", "assignment"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+        assert blocked.open_facilities == loop.open_facilities
+        assert {j: int(f) for j, f in enumerate(blocked.assignment)} == loop.assignment
+        assert blocked.cost == whole.cost == loop.cost
+        assert blocked.metrics == whole.metrics
+        assert digest == whole_digest == oracle.final_digest()
+        assert columnar.columnar_efficiency_range(cinst) == efficiency
+
+
+class TestWorkingSet:
+    """Solve memory stays within a fixed multiple of the edge plane."""
+
+    @pytest.fixture(scope="class")
+    def cinst(self):
+        return ColumnarInstance.generate_sparse(2000, 98000, seed=7)
+
+    @pytest.mark.parametrize("variant", ["greedy", "dual_ascent"])
+    def test_solve_peak_is_bounded_by_the_plane(self, cinst, variant):
+        # Measured: 1.02x (greedy) and 0.80x (dual) with blocked kernels,
+        # against 1.88x and 1.39x when every phase spanned the whole plane.
+        tracemalloc.start()
+        try:
+            solve_columnar(cinst, k=8, variant=variant, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * _plane_bytes(cinst)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory in /dev/shm"
+    )
+    def test_shared_segment_holds_only_the_state(self, monkeypatch):
+        cinst = ColumnarInstance.generate_sparse(200, 9800, seed=7)
+        created: list[int] = []
+        base = columnar.shared_memory.SharedMemory
+
+        class Recording(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if kwargs.get("create"):
+                    created.append(self.size)
+
+        monkeypatch.setattr(columnar.shared_memory, "SharedMemory", Recording)
+        solve_columnar(cinst, k=8, seed=1, shards=2)
+        assert len(created) == 1
+        assert created[0] < _plane_bytes(cinst)
 
 
 @pytest.mark.skipif(
@@ -470,6 +584,20 @@ class TestCliDigest:
         final = recording.checkpoints[-1]
         assert final.label == "final"
         assert payload["digest"] == final.digest
+
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_sparse_degree_cost_identical_across_engines(self, capsys, degree):
+        # The columnar cost gather sums in the dense solution's order, so
+        # the printed float is the same whichever engine solved.
+        base = (
+            "solve", "--sparse-degree", str(degree), "-m", "50", "-n", "400",
+            "--seed", "7", "-k", "8", "--no-lp", "--json",
+        )
+        costs = {
+            engine: self._solve(capsys, *base, "--engine", engine)["cost"]
+            for engine in ("columnar", "loop", "simulator")
+        }
+        assert costs["columnar"] == costs["loop"] == costs["simulator"]
 
     def test_sparse_degree_needs_no_lp_on_columnar(self, capsys):
         from repro.cli import main

@@ -8,7 +8,7 @@ from repro.exceptions import SimulationError
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.metrics import NetworkMetrics
-from repro.net.rng import derive_rng, spawn_node_rngs
+from repro.net.rng import derive_rng, node_rng, spawn_node_rngs
 from repro.net.trace import NullTrace, Trace
 
 
@@ -26,6 +26,12 @@ class TestRng:
         a = [rng.random() for rng in spawn_node_rngs(1, 3)]
         b = [rng.random() for rng in spawn_node_rngs(2, 3)]
         assert a != b
+
+    def test_node_rng_is_that_node_of_the_full_spawn(self):
+        spawned = [rng.random(3).tolist() for rng in spawn_node_rngs(7, 6)]
+        assert [node_rng(7, i).random(3).tolist() for i in (5, 0, 3)] == [
+            spawned[5], spawned[0], spawned[3]
+        ]
 
     def test_derive_rng_keyed(self):
         assert derive_rng(1, 2).random() == derive_rng(1, 2).random()
