@@ -14,14 +14,10 @@
 * :func:`~repro.baselines.lp_rounding.lp_rounding_solve` — deterministic
   LP filtering + rounding (Shmoys–Tardos–Aardal style);
 * :func:`~repro.baselines.exact.exact_solve` — exhaustive optimum for tiny
-  instances (cross-checks the LP bound and every approximation factor);
-* :func:`~repro.baselines.k_median.solve_k_median` — the classical
-  Lagrangian companion problem, solved by bisecting a uniform opening
-  cost through the JV primal-dual.
+  instances (cross-checks the LP bound and every approximation factor).
 """
 
 from repro.baselines.exact import exact_solve
-from repro.baselines.k_median import exact_k_median, solve_k_median
 from repro.baselines.greedy import greedy_solve
 from repro.baselines.jain_vazirani import jain_vazirani_solve
 from repro.baselines.local_search import local_search_solve
@@ -38,6 +34,4 @@ __all__ = [
     "LPResult",
     "lp_rounding_solve",
     "exact_solve",
-    "solve_k_median",
-    "exact_k_median",
 ]

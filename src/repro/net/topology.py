@@ -175,14 +175,5 @@ class Topology:
         """
         return max(self.eccentricity(u) for u in range(self.num_nodes))
 
-    def to_networkx(self):
-        """Export as a ``networkx.Graph`` (lazy import) for analysis."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_nodes))
-        graph.add_edges_from(self.iter_edges())
-        return graph
-
     def __repr__(self) -> str:
         return f"Topology(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -55,12 +55,6 @@ def test_fault_injection(capsys):
     assert "crash demo" in out
 
 
-def test_mesh_dominating_set(capsys):
-    out = _run_example("mesh_dominating_set", capsys)
-    assert "coordinator election" in out
-    assert "dominate all" in out
-
-
 def test_tradeoff_explorer(capsys, monkeypatch):
     import tradeoff_explorer
 
@@ -72,12 +66,6 @@ def test_tradeoff_explorer(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "family=uniform" in out
     assert "rounds needed for a target" in out
-
-
-def test_road_network_depots(capsys):
-    out = _run_example("road_network_depots", capsys)
-    assert "depot plans" in out
-    assert "chosen depots" in out
 
 
 def test_tracing(capsys):

@@ -2,42 +2,23 @@
 
 Complements ``test_property_based.py`` (core feasibility properties) with
 the deeper per-algorithm invariants: dual feasibility of JV, the
-Mettu–Plaxton radius identity, local-search optimality, the application
-reductions, protocol primitives, and the capacitated conversion.
+Mettu–Plaxton radius identity, local-search optimality, and the
+in-network aggregation of the schedule coefficients.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.apps.dominating_set import (
-    is_dominating_set,
-    solve_dominating_set_distributed,
-)
-from repro.apps.set_cover import (
-    SetCoverInstance,
-    solve_set_cover_distributed,
-    solve_set_cover_greedy,
-)
 from repro.baselines.jain_vazirani import jv_dual_ascent
 from repro.baselines.local_search import local_search_solve, open_set_cost
 from repro.baselines.lp import solve_lp
 from repro.baselines.mettu_plaxton import mp_radius
 from repro.core.aggregation import run_efficiency_aggregation
 from repro.core.parameters import efficiency_range
-from repro.fl.capacitated import (
-    SoftCapacitatedInstance,
-    SoftCapacitatedSolution,
-)
-from repro.baselines.greedy import greedy_solve
 from repro.fl.generators import uniform_instance
-from repro.net.protocols import convergecast, elect_leaders
-from repro.net.topology import Topology
 
 _SETTINGS = settings(
     max_examples=20,
@@ -52,20 +33,6 @@ def small_uniform_instances(draw):
     n = draw(st.integers(min_value=2, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     return uniform_instance(m, n, seed=seed)
-
-
-@st.composite
-def random_topologies(draw, max_nodes: int = 12):
-    """Random connected-ish graphs: a spanning path plus random chords."""
-    n = draw(st.integers(min_value=2, max_value=max_nodes))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    rng = np.random.default_rng(seed)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    for _ in range(n):
-        u, v = rng.integers(0, n, size=2)
-        if u != v:
-            edges.append((int(min(u, v)), int(max(u, v))))
-    return Topology(n, edges)
 
 
 class TestJVInvariants:
@@ -113,48 +80,6 @@ class TestLocalSearchInvariants:
             assert open_set_cost(instance, neighbor) >= best - 1e-9
 
 
-class TestAppInvariants:
-    @_SETTINGS
-    @given(
-        st.integers(min_value=2, max_value=8),
-        st.integers(min_value=2, max_value=15),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    def test_set_cover_solutions_cover(self, num_sets, num_elements, seed):
-        instance = SetCoverInstance.random(num_sets, num_elements, seed=seed)
-        greedy = solve_set_cover_greedy(instance)
-        distributed, _ = solve_set_cover_distributed(instance, k=4, seed=seed)
-        # Construction validates coverage; also check the weight sandwich.
-        assert greedy.weight > 0 or all(w == 0 for w in instance.weights)
-        assert distributed.weight >= 0
-
-    @_SETTINGS
-    @given(random_topologies())
-    def test_dominating_set_always_dominates(self, topology):
-        chosen, _ = solve_dominating_set_distributed(topology, k=4, seed=1)
-        assert is_dominating_set(topology, chosen)
-
-
-class TestProtocolInvariants:
-    @_SETTINGS
-    @given(random_topologies(), st.integers(min_value=0, max_value=1000))
-    def test_convergecast_sum_is_exact(self, topology, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.uniform(0.0, 10.0, size=topology.num_nodes).tolist()
-        total, _ = convergecast(topology, root=0, values=values)
-        # The topologies include a spanning path, so all nodes contribute.
-        assert total == pytest.approx(sum(values), rel=1e-9)
-
-    @_SETTINGS
-    @given(random_topologies())
-    def test_leader_is_component_minimum(self, topology):
-        leaders = elect_leaders(topology)
-        for component in topology.connected_components():
-            expected = min(component)
-            for node in component:
-                assert leaders[node] == expected
-
-
 class TestAggregationInvariants:
     @_SETTINGS
     @given(small_uniform_instances())
@@ -164,20 +89,3 @@ class TestAggregationInvariants:
         low, high = result.bounds_of(0)
         assert low == pytest.approx(eff_min, rel=1e-9)
         assert high == pytest.approx(eff_max, rel=1e-9)
-
-
-class TestCapacitatedInvariants:
-    @_SETTINGS
-    @given(
-        small_uniform_instances(),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_conversion_feasible_and_factor_two(self, instance, capacity):
-        capacitated = SoftCapacitatedInstance.build(
-            instance, [capacity] * instance.num_facilities
-        )
-        reduced_solution = greedy_solve(capacitated.to_uncapacitated())
-        converted = SoftCapacitatedSolution.from_uncapacitated(
-            capacitated, reduced_solution
-        )
-        assert converted.cost <= 2.0 * reduced_solution.cost + 1e-9

@@ -106,8 +106,3 @@ class TestMeasures:
         assert topology.has_edge(0, 1)
         assert topology.has_edge(1, 0)
         assert not topology.has_edge(0, 2)
-
-    def test_to_networkx(self):
-        graph = Topology.ring(6).to_networkx()
-        assert graph.number_of_nodes() == 6
-        assert graph.number_of_edges() == 6
