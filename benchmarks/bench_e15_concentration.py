@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import save_result
 from repro.analysis.experiments import run_e15_concentration
-from repro.core.sequential_sim import run_sequential
+from repro.core.algorithm import solve_distributed
 from repro.fl.generators import euclidean_instance
 
 
@@ -24,4 +24,4 @@ def test_e15_concentration(benchmark, artifact_dir, quick):
         assert spread <= 1.5, f"ratio distribution too dispersed: {row}"
 
     instance = euclidean_instance(20, 60, seed=3)
-    benchmark(lambda: run_sequential(instance, k=16, seed=7))
+    benchmark(lambda: solve_distributed(instance, k=16, seed=7, engine="columnar"))

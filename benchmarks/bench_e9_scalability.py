@@ -11,7 +11,6 @@ from __future__ import annotations
 from benchmarks.conftest import save_result
 from repro.analysis.experiments import run_e9_scalability
 from repro.core.algorithm import solve_distributed
-from repro.core.sequential_sim import run_sequential
 from repro.fl.generators import uniform_instance
 
 
@@ -28,4 +27,4 @@ def test_e9_scalability_table(benchmark, artifact_dir, quick):
 
 def test_e9_sequential_anchor(benchmark):
     instance = uniform_instance(20, 100, seed=3)
-    benchmark(lambda: run_sequential(instance, k=9, seed=0))
+    benchmark(lambda: solve_distributed(instance, k=9, seed=0, engine="columnar"))

@@ -27,7 +27,6 @@ from repro.core.bounds import (
 )
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
-from repro.core.sequential_sim import SequentialRunResult, run_sequential
 from repro.baselines import (
     exact_solve,
     greedy_solve,
@@ -86,8 +85,6 @@ __all__ = [
     "solve_distributed",
     "TradeoffParameters",
     "RoundingPolicy",
-    "run_sequential",
-    "SequentialRunResult",
     "SelfHealingPolicy",
     "approximation_envelope",
     "round_budget",

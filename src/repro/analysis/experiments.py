@@ -39,7 +39,6 @@ from repro.core.algorithm import (
 from repro.core.bounds import approximation_envelope, round_budget
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
-from repro.core.sequential_sim import run_sequential
 from repro.fl.generators import decoy_instance, high_spread_instance, make_instance
 from repro.net.faults import FaultPlan
 from repro.perf.cache import cached_instance, cached_lp_value
@@ -709,12 +708,12 @@ def run_e9_scalability(
         dist = solve_distributed(instance, k=k, seed=0)
         sim_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        seq = run_sequential(instance, k=k, seed=0)
+        seq = solve_distributed(instance, k=k, seed=0, engine="columnar")
         seq_seconds = time.perf_counter() - start
         # Identical solutions (cost floats may differ in the last ulp
         # because the two paths sum assignments in different orders).
         assert seq.open_facilities == dist.open_facilities
-        assert seq.assignment == dist.solution.assignment
+        assert seq.solution.assignment == dist.solution.assignment
         rows.append(
             (
                 m + n,

@@ -56,7 +56,7 @@ from repro.baselines import (
     mettu_plaxton_solve,
     solve_lp,
 )
-from repro.core.algorithm import Variant, solve_distributed
+from repro.core.algorithm import ENGINES, Variant, solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.exceptions import ReproError
 from repro.fl.generators import FAMILIES, make_instance
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("recording", help="recording JSON written by repro record")
     replay.add_argument(
         "--engine",
-        choices=["loop", "simulator", "columnar"],
+        choices=ENGINES,
         default=None,
         help="override the recorded engine (cross-engine digest check)",
     )
@@ -915,12 +915,11 @@ def _add_recipe_arguments(
         help="rounding policy (dual_ascent only)",
     )
     parser.add_argument("--c-round", type=float, default=1.0)
-    engines = ("simulator", "loop", "columnar")
     # Each verb lists its default engine first in --help.
     parser.add_argument(
         "--engine",
         choices=[default_engine]
-        + [engine for engine in engines if engine != default_engine],
+        + [engine for engine in ENGINES if engine != default_engine],
         default=default_engine,
         help=engine_help,
     )
@@ -976,8 +975,6 @@ def _solve_instances(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance, cinst = _solve_instances(args)
-    if args.shards != 1 and args.engine != "columnar":
-        raise ReproError("--shards applies to --engine columnar only")
     simulator = args.engine == "simulator"
     for name, value in (
         ("--trace", args.trace),

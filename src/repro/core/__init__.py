@@ -10,9 +10,12 @@ Public entry points:
   scales, settle iterations and the threshold base,
 * :mod:`~repro.core.bounds` — the analytic guarantee envelope
   ``O(sqrt(k) * (m rho)^(1/sqrt k) * log(m+n))`` used by experiments,
-* :func:`~repro.core.sequential_sim.run_sequential` — a fast sequential
-  emulation of the same protocol (coin-for-coin identical results), used by
-  equivalence tests and large parameter sweeps.
+* :func:`~repro.core.algorithm.solve_distributed` — the one solve entry
+  point: the simulator or either emulation engine
+  (:data:`~repro.core.algorithm.ENGINES`: the loop oracle of
+  :mod:`~repro.core.sequential_sim` and the columnar engine of
+  :mod:`~repro.core.columnar`), coin-for-coin identical results shaped
+  as one :class:`~repro.core.algorithm.DistributedRunResult`.
 """
 
 from repro.core.algorithm import (

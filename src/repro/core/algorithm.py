@@ -55,6 +55,7 @@ from repro.obs.timeline import RoundTimeline
 from repro.obs.watchdogs import Watchdog
 
 __all__ = [
+    "ENGINES",
     "Variant",
     "DistributedRunResult",
     "DistributedFacilityLocation",
@@ -62,11 +63,27 @@ __all__ = [
 ]
 
 
+#: Engines :func:`solve_distributed` runs: the message-passing
+#: simulator, the pure-Python loop oracle, and the columnar CSR engine
+#: (the only one that shards). All three are coin-for-coin identical.
+ENGINES = ("simulator", "loop", "columnar")
+
+
 class Variant(str, Enum):
     """Which protocol realizes the trade-off."""
 
     GREEDY = "greedy"
     DUAL_ASCENT = "dual_ascent"
+
+
+def _schedule(
+    instance: FacilityLocationInstance, k: int, variant: Variant
+) -> TradeoffParameters:
+    """The schedule ``k`` buys each variant: greedy splits it into
+    ``sqrt(k)`` scales, dual ascent spends it on ``k`` levels."""
+    if variant is Variant.GREEDY:
+        return TradeoffParameters.from_instance(instance, k)
+    return TradeoffParameters.linear(instance, k)
 
 
 @dataclass(frozen=True)
@@ -229,12 +246,9 @@ class DistributedFacilityLocation:
         self.watchdogs: tuple[Watchdog, ...] = tuple(watchdogs)
         self.registry = registry
         self.tracer = tracer
-        if params is not None:
-            self.params = params
-        elif self.variant is Variant.GREEDY:
-            self.params = TradeoffParameters.from_instance(instance, k)
-        else:
-            self.params = TradeoffParameters.linear(instance, k)
+        if params is None:
+            params = _schedule(instance, k, self.variant)
+        self.params = params
         self.recorder = recorder
         if recorder is not None:
             recorder.bind_simulator_phases(
@@ -472,29 +486,32 @@ def solve_distributed(
     shards: int = 1,
     **kwargs: Any,
 ) -> DistributedRunResult:
-    """Solve ``instance`` on one engine; the one solve entry point.
+    """Solve ``instance`` on one of :data:`ENGINES`; the one solve entry point.
 
     ``engine="simulator"`` (the default) runs
-    :class:`DistributedFacilityLocation`. ``"loop"`` and ``"columnar"``
-    run the emulation through
-    :func:`~repro.core.sequential_sim.run_sequential` and shape the
-    outcome as the same :class:`DistributedRunResult`: columnar carries
-    its modeled CONGEST traffic from a
-    :class:`~repro.net.columnar.ColumnarBitLedger`, and the loop engine
-    reports empty metrics (it exchanges no messages). ``shards`` splits
-    a columnar solve across worker processes and never changes the
-    answer. Every engine accepts ``rounding``, ``open_fraction`` and
+    :class:`DistributedFacilityLocation`. ``"loop"`` runs the oracle of
+    :mod:`repro.core.sequential_sim` and reports empty metrics (it
+    exchanges no messages); ``"columnar"`` runs
+    :func:`~repro.core.columnar.solve_columnar` and carries its modeled
+    CONGEST traffic from a :class:`~repro.net.columnar.ColumnarBitLedger`.
+    Both come back as the same :class:`DistributedRunResult`. ``shards``
+    splits a columnar solve across worker processes and never changes
+    the answer. Every engine accepts ``rounding``, ``open_fraction`` and
     ``recorder``; any other keyword (``trace``, ``tracer``, ``registry``,
     ``watchdogs``, ``fault_plan``, ...) is the simulator's alone and
     raises :class:`~repro.exceptions.AlgorithmError` on the emulation
     engines.
     """
+    if engine not in ENGINES:
+        raise AlgorithmError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+    if shards != 1 and engine != "columnar":
+        raise AlgorithmError(
+            f"engine {engine!r} does not shard; use engine='columnar' "
+            "for shards > 1"
+        )
     if engine == "simulator":
-        if shards != 1:
-            raise AlgorithmError(
-                "engine 'simulator' does not shard; use engine='columnar' "
-                "for shards > 1"
-            )
         return DistributedFacilityLocation(
             instance, k, variant=variant, seed=seed, **kwargs
         ).run()
@@ -504,13 +521,13 @@ def solve_distributed(
             f"{', '.join(refused)} need engine='simulator'; engine "
             f"{engine!r} runs no message-passing network"
         )
-    return _run_emulation(instance, k, variant, seed, engine, shards, **kwargs)
+    return _run_emulation(instance, k, Variant(variant), seed, engine, shards, **kwargs)
 
 
 def _run_emulation(
     instance: FacilityLocationInstance,
     k: int,
-    variant: Variant | str,
+    variant: Variant,
     seed: int,
     engine: str,
     shards: int,
@@ -519,49 +536,42 @@ def _run_emulation(
     recorder=None,
 ) -> DistributedRunResult:
     """Run an emulation engine, shaped as a :class:`DistributedRunResult`."""
-    import numpy as np
+    # Imported here: both engine modules import this one.
+    from repro.core.columnar import solve_columnar
+    from repro.core.sequential_sim import emulate_loop
 
-    # Imported here: sequential_sim imports this module.
-    from repro.core.sequential_sim import run_sequential
-
-    ledger = None
-    if engine == "columnar":
-        from repro.net.columnar import ColumnarBitLedger
-
-        ledger = ColumnarBitLedger(
-            instance.num_facilities,
-            instance.num_clients,
-            int(np.isfinite(instance.connection_costs).sum()),
-        )
     started = time.perf_counter()
-    run = run_sequential(
-        instance,
-        k=k,
-        variant=variant,
-        seed=seed,
-        rounding=rounding,
-        open_fraction=open_fraction,
-        engine=engine,
-        shards=shards,
-        recorder=recorder,
-        ledger=ledger,
-    )
-    wall_seconds = time.perf_counter() - started
-    if ledger is not None:
-        metrics = ledger.to_metrics()
-        timeline = ledger.to_timeline(instance.num_nodes)
+    if engine == "columnar":
+        run = solve_columnar(
+            instance, k, variant, seed, rounding=rounding,
+            open_fraction=open_fraction, shards=shards, recorder=recorder,
+        )
+        params, metrics, timeline = run.params, run.metrics, run.timeline
+        open_set = run.open_facilities
+        assignment = dict(enumerate(run.assignment.tolist()))
     else:
-        metrics = NetworkMetrics()
-        timeline = RoundTimeline()
+        params = _schedule(instance, k, variant)
+        open_set, assignment = emulate_loop(
+            instance, variant, params, seed, open_fraction=open_fraction,
+            policy=rounding, recorder=recorder,
+        )
+        if recorder is not None:
+            recorder.observe_final(
+                open_set, assignment, instance.num_facilities, instance.num_clients
+            )
+        metrics, timeline = NetworkMetrics(), RoundTimeline()
+    solution = FacilityLocationSolution(
+        instance, open_set, assignment, validate=True
+    )
     return DistributedRunResult(
         instance=instance,
-        params=run.params,
-        variant=run.variant,
-        solution=run.solution,
-        open_facilities=run.open_facilities,
+        params=params,
+        variant=variant,
+        solution=solution,
+        open_facilities=frozenset(open_set),
         unserved_clients=(),
         metrics=metrics,
         timeline=timeline,
-        wall_seconds=wall_seconds,
+        wall_seconds=time.perf_counter() - started,
         diagnostics={"engine": engine},
     )

@@ -92,7 +92,6 @@ __all__ = [
     "ColumnarSolveResult",
     "columnar_efficiency_range",
     "columnar_parameters",
-    "emulate_columnar",
     "solve_columnar",
 ]
 
@@ -1271,40 +1270,6 @@ def _run_sharded(
 # ----------------------------------------------------------------------
 
 
-def _as_columnar(instance) -> ColumnarInstance:
-    if isinstance(instance, ColumnarInstance):
-        return instance
-    return ColumnarInstance.from_instance(instance)
-
-
-def emulate_columnar(
-    instance,
-    variant: Variant,
-    params: TradeoffParameters,
-    seed: int,
-    *,
-    open_fraction: float = 0.5,
-    policy: RoundingPolicy | None = None,
-    recorder=None,
-    shards: int = 1,
-    ledger=None,
-) -> tuple[set[int], dict[int, int]]:
-    """Columnar emulation of one variant (drop-in for the loop engine's).
-
-    ``instance`` may be a dense :class:`FacilityLocationInstance` (it is
-    converted) or a :class:`ColumnarInstance`. ``shards > 1`` runs the
-    sharded shared-memory path; results are identical at every count.
-    """
-    cinst = _as_columnar(instance)
-    is_open, assignment = _run(
-        cinst, Variant(variant), params, seed, shards=shards,
-        open_fraction=open_fraction, policy=policy, recorder=recorder, ledger=ledger,
-    )
-    open_set = {int(i) for i in np.flatnonzero(is_open)}
-    connected = {int(j): int(assignment[j]) for j in range(cinst.n)}
-    return open_set, connected
-
-
 @dataclass(frozen=True)
 class ColumnarSolveResult:
     """Array-native outcome of one columnar solve (no per-client dicts).
@@ -1351,14 +1316,17 @@ def solve_columnar(
 ) -> ColumnarSolveResult:
     """End-to-end columnar solve on the edge plane (million-node entry).
 
-    Unlike :func:`~repro.core.sequential_sim.run_sequential` this never
+    ``instance`` may be a :class:`ColumnarInstance` or a dense
+    :class:`FacilityLocationInstance` (converted once). This never
     materializes dense matrices or per-client Python dicts: parameters
     come from :func:`columnar_parameters`, the solution stays in arrays,
     and the cost/feasibility checks are array gathers. The modeled
     CONGEST traffic (``metrics``/``timeline``) comes from a
     :class:`repro.net.columnar.ColumnarBitLedger` unless disabled.
     """
-    cinst = _as_columnar(instance)
+    cinst = instance
+    if not isinstance(cinst, ColumnarInstance):
+        cinst = ColumnarInstance.from_instance(instance)
     variant = Variant(variant)
     params = columnar_parameters(cinst, k, variant)
     ledger = None

@@ -1,17 +1,13 @@
-"""Fast sequential emulation of the distributed protocols.
+"""The loop oracle: a sequential emulation of the distributed protocols.
 
 This module re-implements both protocol variants *without* the message
-simulator, drawing randomness from the exact same per-node streams the
-simulator would hand out. Two purposes:
-
-* **Cross-validation.** The emulation is an independent implementation of
-  the protocol semantics; tests assert that, seed for seed, it produces the
-  *identical* open set and assignment as the message-passing run. Agreement
-  between two independently-written implementations is strong evidence that
-  neither mis-encodes the protocol.
-* **Scale.** Experiments that only need solution quality (not network
-  metrics) run orders of magnitude faster here, which is what makes the
-  scalability sweep E9 feasible in CI.
+simulator, in plain Python loops, drawing randomness from the exact same
+per-node streams the simulator would hand out. It runs through
+:func:`~repro.core.algorithm.solve_distributed` with ``engine="loop"``.
+Tests assert that, seed for seed, it produces the *identical* open set
+and assignment as the message-passing run and the columnar engine.
+Agreement between independently written implementations is strong
+evidence that none mis-encodes the protocol.
 
 The emulation is faithful to the synchronous timing of the protocols: a
 client served in iteration ``t`` stops being active from iteration ``t+1``
@@ -21,18 +17,15 @@ on, exactly as the one-round message delay dictates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.core.algorithm import Variant
-from repro.core.columnar import emulate_columnar
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError
 from repro.fl.instance import FacilityLocationInstance
-from repro.fl.solution import FacilityLocationSolution
 from repro.net.rng import spawn_node_rngs
 
-__all__ = ["ENGINES", "SequentialRunResult", "run_sequential"]
+__all__ = ["emulate_loop"]
 
 #: Test-only perturbation hook for divergence-bisection coverage: when
 #: set to a callable ``(level, client, value) -> value``, every dual
@@ -42,108 +35,32 @@ __all__ = ["ENGINES", "SequentialRunResult", "run_sequential"]
 _TEST_DUAL_ALPHA_RAISE_HOOK = None
 
 
-@dataclass(frozen=True)
-class SequentialRunResult:
-    """Outcome of a sequential emulation run."""
-
-    instance: FacilityLocationInstance
-    params: TradeoffParameters
-    variant: Variant
-    solution: FacilityLocationSolution
-    open_facilities: frozenset[int]
-    assignment: dict[int, int]
-
-    @property
-    def cost(self) -> float:
-        """Total cost of the produced solution."""
-        return self.solution.cost
-
-
-#: Available emulation engines: the pure-Python reference loops and the
-#: columnar CSR engine (the default; optionally sharded across processes)
-#: that is validated against them bit for bit.
-ENGINES = ("loop", "columnar")
-
-
-def run_sequential(
+def emulate_loop(
     instance: FacilityLocationInstance,
-    k: int,
-    variant: Variant | str = Variant.GREEDY,
-    seed: int = 0,
-    rounding: RoundingPolicy | None = None,
+    variant: Variant | str,
+    params: TradeoffParameters,
+    seed: int,
+    *,
     open_fraction: float = 0.5,
-    engine: str = "columnar",
+    policy: RoundingPolicy | None = None,
     recorder=None,
-    shards: int = 1,
-    ledger=None,
-) -> SequentialRunResult:
-    """Emulate one protocol run; see module docstring for semantics.
+) -> tuple[set[int], dict[int, int]]:
+    """Run one variant; returns the open set and the assignment.
 
-    ``engine`` selects the implementation: ``"columnar"`` (the default)
-    runs the numpy CSR edge-plane engine from :mod:`repro.core.columnar`
-    (the only engine that honors ``shards > 1``, splitting the node range
-    across worker processes over shared memory), and ``"loop"`` is the
-    original pure-Python reference. Both are bit-identical — same open
-    sets, same assignments, same coin flips — which the cross-validation
-    tests assert on every instance family and both variants; columnar is
-    an order of magnitude faster at scale.
-
-    ``recorder`` (a :class:`repro.obs.recorder.FlightRecorder`) captures
-    per-iteration/per-level state digests; in full-record mode the loop
-    engine additionally logs the causal provenance DAG. ``None`` (the
-    default) records nothing and changes no behavior. ``ledger`` (a
-    :class:`repro.net.columnar.ColumnarBitLedger`, columnar engine only)
-    accumulates modeled CONGEST traffic.
+    The assignment is in client order: solution costs sum it in dict
+    order, so every engine prints the same float. ``recorder`` (a
+    :class:`repro.obs.recorder.FlightRecorder`) gets per-iteration/level
+    digests and, in full-record mode, the causal provenance DAG.
     """
-    if engine not in ENGINES:
-        raise AlgorithmError(
-            f"unknown sequential engine {engine!r}; expected one of {ENGINES}"
-        )
-    if shards != 1 and engine != "columnar":
-        raise AlgorithmError(
-            f"engine {engine!r} does not shard; use engine='columnar' for shards > 1"
-        )
-    variant = Variant(variant)
-    if variant is Variant.GREEDY:
-        params = TradeoffParameters.from_instance(instance, k)
-    else:
-        params = TradeoffParameters.linear(instance, k)
-    policy = rounding or RoundingPolicy()
-    if engine == "columnar":
-        open_set, assignment = emulate_columnar(
-            instance, variant, params, seed, open_fraction=open_fraction,
-            policy=policy, recorder=recorder, shards=shards, ledger=ledger,
-        )
-    elif variant is Variant.GREEDY:
+    if Variant(variant) is Variant.GREEDY:
         open_set, assignment = _emulate_greedy(
             instance, params, seed, open_fraction, recorder=recorder
         )
     else:
         open_set, assignment = _emulate_dual(
-            instance, params, seed, policy, recorder=recorder
+            instance, params, seed, policy or RoundingPolicy(), recorder=recorder
         )
-    # Canonical (client-sorted) insertion order: solution costs sum the
-    # assignment in dict order, so without this the two engines could
-    # disagree in the last ulp despite producing the same mapping.
-    assignment = dict(sorted(assignment.items()))
-    if recorder is not None:
-        recorder.observe_final(
-            open_set,
-            assignment,
-            instance.num_facilities,
-            instance.num_clients,
-        )
-    solution = FacilityLocationSolution(
-        instance, open_set, assignment, validate=True
-    )
-    return SequentialRunResult(
-        instance=instance,
-        params=params,
-        variant=variant,
-        solution=solution,
-        open_facilities=frozenset(open_set),
-        assignment=assignment,
-    )
+    return open_set, dict(sorted(assignment.items()))
 
 
 # ----------------------------------------------------------------------

@@ -25,11 +25,11 @@ from repro.core.algorithm import (
     DistributedFacilityLocation,
     DistributedRunResult,
     Variant,
+    solve_distributed,
 )
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.healing import SelfHealingPolicy
 from repro.core.parameters import TradeoffParameters
-from repro.core.sequential_sim import run_sequential
 from repro.fl.instance import FacilityLocationInstance
 from repro.net.faults import FaultPlan
 from repro.net.reliability import ReliabilityPolicy
@@ -129,28 +129,16 @@ def run_sequential_cell(cell: SequentialCell) -> CellOutcome:
         kwargs["rounding"] = cell.rounding
     if cell.open_fraction is not None:
         kwargs["open_fraction"] = cell.open_fraction
-    result = run_sequential(
-        cell.instance,
-        k=cell.k,
-        variant=cell.variant,
-        seed=cell.seed,
-        engine=cell.engine,
-        shards=cell.shards,
-        **kwargs,
-    )
-    return CellOutcome(
-        cost=result.cost,
-        feasible=True,
-        open_facilities=tuple(sorted(result.open_facilities)),
-        assignment=tuple(sorted(result.assignment.items())),
-        unserved=(),
-        rounds=0,
-        total_messages=0,
-        total_bits=0,
-        max_message_bits=0,
-        mean_message_bits=0.0,
-        diagnostics={},
-        repaired_cost=result.cost,
+    return _outcome(
+        solve_distributed(
+            cell.instance,
+            k=cell.k,
+            variant=cell.variant,
+            seed=cell.seed,
+            engine=cell.engine,
+            shards=cell.shards,
+            **kwargs,
+        )
     )
 
 

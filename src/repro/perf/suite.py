@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.baselines import solve_lp
-from repro.core.algorithm import Variant
+from repro.core.algorithm import Variant, solve_distributed
 from repro.exceptions import ReproError
 from repro.fl.generators import make_instance
 from repro.obs.bench import write_bench
@@ -175,26 +175,26 @@ def _emulator_record(
     variant: Variant, m: int, n: int, k: int, repeats: int, workers: int
 ) -> dict[str, Any]:
     """Loop vs columnar engine on one instance; engines must agree."""
-    from repro.core.sequential_sim import run_sequential
-
     instance = cached_instance("euclidean", m, n, 3)
     loop_seconds = 0.0
     columnar_seconds = 0.0
     identical = True
     for seed in range(repeats):
         elapsed, loop = _timed(
-            lambda: run_sequential(instance, k=k, seed=seed, variant=variant, engine="loop")
+            lambda: solve_distributed(
+                instance, k=k, seed=seed, variant=variant, engine="loop"
+            )
         )
         loop_seconds += elapsed
         elapsed, fast = _timed(
-            lambda: run_sequential(
+            lambda: solve_distributed(
                 instance, k=k, seed=seed, variant=variant, engine="columnar"
             )
         )
         columnar_seconds += elapsed
         identical = identical and (
             loop.open_facilities == fast.open_facilities
-            and loop.assignment == fast.assignment
+            and loop.solution.assignment == fast.solution.assignment
         )
     # Deeper than the final-answer check above: one recorded run per
     # engine, compared checkpoint by checkpoint (per-iteration state

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.algorithm import Variant
+from repro.core.algorithm import ENGINES, Variant
 from repro.exceptions import ReproError
 from repro.fl.generators import FAMILIES
 from repro.fl.instance import FacilityLocationInstance
@@ -29,16 +29,10 @@ from repro.obs.spans import SpanContext
 __all__ = [
     "InstanceRecipe",
     "PRIORITY_CLASSES",
-    "SERVICE_ENGINES",
     "SolveRequest",
     "SolveResponse",
     "priority_level",
 ]
-
-#: Engines a request may select. ``"simulator"`` (the default) is the
-#: message-passing simulator every pre-engine client gets; the emulation
-#: engines skip network simulation (columnar additionally shards).
-SERVICE_ENGINES: tuple[str, ...] = ("simulator", "loop", "columnar")
 
 #: Admission priority classes, lowest first. Under overload the service
 #: sheds the lowest class first (see
@@ -144,15 +138,16 @@ class SolveRequest:
     work still dedup onto one solve, and both ride the wire only when
     set away from their defaults (existing wire bytes are unchanged).
 
-    ``engine`` (one of :data:`SERVICE_ENGINES`) selects the execution
-    engine; non-simulator engines change the response bytes (no
-    simulated network), so ``engine`` joins :meth:`work_key` — but only
-    when set away from ``"simulator"``, keeping every pre-engine work
-    key (and wire line) byte-identical. ``shards`` splits a columnar
-    solve across worker processes; by the sharding determinism contract
-    it can never change the answer bytes, so like ``priority`` it stays
-    *out* of the work key — requests differing only in ``shards`` dedup
-    onto one solve.
+    ``engine`` (one of :data:`~repro.core.algorithm.ENGINES`) selects
+    the execution engine: ``"simulator"`` (the default) is the
+    message-passing simulator every pre-engine client gets. The
+    emulation engines change the response bytes (no simulated network),
+    so ``engine`` joins :meth:`work_key` — but only when set away from
+    ``"simulator"``, keeping every pre-engine work key (and wire line)
+    byte-identical. ``shards`` splits a columnar solve across worker
+    processes; by the sharding determinism contract it can never change
+    the answer bytes, so like ``priority`` it stays *out* of the work
+    key — requests differing only in ``shards`` dedup onto one solve.
     """
 
     request_id: str
@@ -197,10 +192,10 @@ class SolveRequest:
             raise ReproError(
                 f"timeout_s must be positive, got {self.timeout_s}"
             )
-        if self.engine not in SERVICE_ENGINES:
+        if self.engine not in ENGINES:
             raise ReproError(
                 f"unknown engine {self.engine!r}; expected one of "
-                f"{list(SERVICE_ENGINES)}"
+                f"{list(ENGINES)}"
             )
         if self.shards < 1:
             raise ReproError(f"shards must be >= 1, got {self.shards}")

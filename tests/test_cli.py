@@ -88,6 +88,16 @@ class TestSolve:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_shards_off_columnar_errors(self, capsys):
+        code = main(
+            [
+                "solve", "--family", "uniform", "-m", "6", "-n", "15",
+                "--engine", "loop", "--shards", "2", "--no-lp",
+            ]
+        )
+        assert code == 1
+        assert "does not shard" in capsys.readouterr().err
+
     def test_no_lp_skips_ratio(self, capsys):
         code = main(
             [

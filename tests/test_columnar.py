@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 import repro.core.columnar as columnar
+from repro.core.algorithm import solve_distributed
 from repro.core.columnar import ColumnarInstance, solve_columnar
 from repro.core.dual_ascent_nodes import RoundingPolicy
-from repro.core.sequential_sim import run_sequential
 from repro.exceptions import AlgorithmError, ReproError
 from repro.fl.generators import make_instance
 from repro.net.columnar import ColumnarBitLedger, InboxPool
@@ -134,12 +134,12 @@ class TestColumnarInstance:
     def test_sparse_instance_matches_densified_solve(self):
         cinst = ColumnarInstance.generate_sparse(12, 60, seed=5)
         native = solve_columnar(cinst, k=6, seed=2)
-        dense = run_sequential(cinst.to_instance(), k=6, seed=2, engine="loop")
+        dense = solve_distributed(cinst.to_instance(), k=6, seed=2, engine="loop")
         assert native.feasible
         assert native.open_facilities == dense.open_facilities
         assert {
             j: int(f) for j, f in enumerate(native.assignment)
-        } == dense.assignment
+        } == dense.solution.assignment
 
 
     def test_solution_cost_rejects_infeasible_assignments(self):
@@ -168,15 +168,15 @@ class TestByteIdentity:
     @pytest.mark.parametrize("variant", ["greedy", "dual_ascent"])
     @pytest.mark.parametrize("shards", [1, 4])
     def test_solutions_identical(self, instance, variant, shards):
-        loop = run_sequential(
+        loop = solve_distributed(
             instance, k=5, variant=variant, seed=3, engine="loop"
         )
-        sharded = run_sequential(
+        sharded = solve_distributed(
             instance, k=5, variant=variant, seed=3, engine="columnar",
             shards=shards,
         )
         assert loop.open_facilities == sharded.open_facilities
-        assert loop.assignment == sharded.assignment
+        assert loop.solution.assignment == sharded.solution.assignment
         # Canonical (client-sorted) summation makes even the float total
         # identical, not merely close.
         assert loop.cost == sharded.cost
@@ -202,7 +202,7 @@ class TestByteIdentity:
 
     def test_only_columnar_shards(self, instance):
         with pytest.raises(AlgorithmError, match="does not shard"):
-            run_sequential(instance, k=4, engine="loop", shards=2)
+            solve_distributed(instance, k=4, engine="loop", shards=2)
 
 
 class TestBlockBoundaries:
@@ -235,7 +235,7 @@ class TestBlockBoundaries:
         rounding = RoundingPolicy(mode=mode, c_round=0.05)
         whole, whole_digest = self._solve(cinst, variant, rounding, 1)
         oracle = FlightRecorder(engine="loop")
-        loop = run_sequential(
+        loop = solve_distributed(
             instance, k=5, variant=variant, seed=3, rounding=rounding, engine="loop",
             recorder=oracle,
         )
@@ -249,7 +249,7 @@ class TestBlockBoundaries:
         for name in ("open_mask", "assignment"):
             assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
         assert blocked.open_facilities == loop.open_facilities
-        assert {j: int(f) for j, f in enumerate(blocked.assignment)} == loop.assignment
+        assert {j: int(f) for j, f in enumerate(blocked.assignment)} == loop.solution.assignment
         assert blocked.cost == whole.cost == loop.cost
         assert blocked.metrics == whole.metrics
         assert digest == whole_digest == oracle.final_digest()

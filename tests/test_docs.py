@@ -41,10 +41,11 @@ def python_blocks(path: Path) -> list[tuple[int, str]]:
     return blocks
 
 
+# Ids count blocks per file, so editing prose above a block keeps them.
 CASES = [
-    pytest.param(path, start, source, id=f"{path.name}:{start}")
+    pytest.param(path, start, source, id=f"{path.name}#{ordinal}")
     for path in DOC_FILES
-    for start, source in python_blocks(path)
+    for ordinal, (start, source) in enumerate(python_blocks(path), start=1)
 ]
 
 

@@ -16,7 +16,6 @@ from repro import (
     greedy_solve,
     jain_vazirani_solve,
     local_search_solve,
-    run_sequential,
     solve_distributed,
     solve_lp,
 )
@@ -57,9 +56,9 @@ def test_full_pipeline_per_family(family):
     assert report.ratio <= envelope
 
     # Cross-validation with the sequential emulation.
-    emulated = run_sequential(instance, k=16, seed=1)
+    emulated = solve_distributed(instance, k=16, seed=1, engine="columnar")
     assert emulated.open_facilities == result.open_facilities
-    assert emulated.assignment == result.solution.assignment
+    assert emulated.solution.assignment == result.solution.assignment
 
     # Serialization survives the round trip.
     restored_instance = instance_from_dict(instance_to_dict(instance))

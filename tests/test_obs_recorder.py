@@ -23,7 +23,6 @@ import pytest
 
 import repro.core.sequential_sim as seqsim
 from repro.core.algorithm import solve_distributed
-from repro.core.sequential_sim import run_sequential
 from repro.exceptions import ReproError
 from repro.fl.generators import make_instance
 from repro.obs.recorder import (
@@ -259,8 +258,8 @@ class TestProcessBoundaries:
 class TestZeroFootprint:
     def test_recorder_off_sequential_identical(self, instance):
         for engine in ("loop", "columnar"):
-            plain = run_sequential(instance, k=4, seed=7, engine=engine)
-            recorded = run_sequential(
+            plain = solve_distributed(instance, k=4, seed=7, engine=engine)
+            recorded = solve_distributed(
                 instance,
                 k=4,
                 seed=7,
@@ -268,7 +267,7 @@ class TestZeroFootprint:
                 recorder=FlightRecorder(engine=engine),
             )
             assert plain.open_facilities == recorded.open_facilities
-            assert plain.assignment == recorded.assignment
+            assert plain.solution.assignment == recorded.solution.assignment
 
     def test_recorder_off_simulator_identical(self, instance):
         plain = solve_distributed(instance, k=4, seed=7)

@@ -31,7 +31,6 @@ from repro.baselines.lp import solve_lp
 from repro.core.algorithm import Variant, solve_distributed
 from repro.core.columnar import ColumnarInstance
 from repro.core.parameters import TradeoffParameters, efficiency_range
-from repro.core.sequential_sim import run_sequential
 from repro.fl.instance import FacilityLocationInstance
 from repro.fl.io import instance_from_dict, instance_to_dict
 from repro.net.message import scalar_bits
@@ -189,9 +188,9 @@ class TestEquivalenceProperty:
     )
     def test_sequential_matches_distributed(self, instance, k, seed):
         distributed = solve_distributed(instance, k=k, seed=seed)
-        sequential = run_sequential(instance, k=k, seed=seed)
+        sequential = solve_distributed(instance, k=k, seed=seed, engine="columnar")
         assert sequential.open_facilities == distributed.open_facilities
-        assert sequential.assignment == distributed.solution.assignment
+        assert sequential.solution.assignment == distributed.solution.assignment
 
 
 @st.composite

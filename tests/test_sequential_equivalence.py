@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.algorithm import Variant, solve_distributed
+from repro.core.algorithm import ENGINES, Variant, solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
-from repro.core.sequential_sim import ENGINES, run_sequential
 from repro.fl.generators import make_instance
 
 
-@pytest.fixture(params=ENGINES)
+@pytest.fixture(params=[engine for engine in ENGINES if engine != "simulator"])
 def engine(request):
     return request.param
 
@@ -29,13 +28,12 @@ def _assert_equivalent(instance, k, variant, seed, engine, rounding=None):
     distributed = solve_distributed(
         instance, k=k, variant=variant, seed=seed, **kwargs
     )
-    sequential = run_sequential(
-        instance, k=k, variant=variant, seed=seed, rounding=rounding,
-        engine=engine,
+    sequential = solve_distributed(
+        instance, k=k, variant=variant, seed=seed, engine=engine, **kwargs
     )
     assert distributed.feasible
     assert sequential.open_facilities == distributed.open_facilities
-    assert sequential.assignment == distributed.solution.assignment
+    assert sequential.solution.assignment == distributed.solution.assignment
     assert sequential.cost == pytest.approx(distributed.cost)
 
 
@@ -86,12 +84,12 @@ def test_greedy_equivalence_with_opening_rule(open_fraction, engine):
     distributed = solve_distributed(
         instance, k=9, seed=3, open_fraction=open_fraction
     )
-    sequential = run_sequential(
+    sequential = solve_distributed(
         instance, k=9, seed=3, open_fraction=open_fraction, engine=engine
     )
     assert distributed.feasible
     assert sequential.open_facilities == distributed.open_facilities
-    assert sequential.assignment == distributed.solution.assignment
+    assert sequential.solution.assignment == distributed.solution.assignment
 
 
 @pytest.mark.parametrize("variant", [Variant.GREEDY, Variant.DUAL_ASCENT])
@@ -99,23 +97,28 @@ def test_greedy_equivalence_with_opening_rule(open_fraction, engine):
     "family", ["uniform", "euclidean", "clustered", "grid", "set_cover", "sparse"]
 )
 def test_engines_bit_identical(variant, family):
-    """The two engines must agree exactly — sets, maps, and summed cost."""
+    """The two engines must agree exactly — schedule, sets, maps, and
+    summed cost — though the loop derives its schedule on the dense
+    matrix and columnar on the edge plane."""
     instance = make_instance(family, 12, 40, seed=5)
     for seed in range(3):
-        loop = run_sequential(
+        loop = solve_distributed(
             instance, k=9, variant=variant, seed=seed, engine="loop"
         )
-        columnar = run_sequential(
+        columnar = solve_distributed(
             instance, k=9, variant=variant, seed=seed, engine="columnar"
         )
+        assert loop.params == columnar.params
         assert loop.open_facilities == columnar.open_facilities
-        assert loop.assignment == columnar.assignment
+        assert loop.solution.assignment == columnar.solution.assignment
         assert loop.cost == columnar.cost
+        # Columnar carries the ledger's modeled traffic; loop sends nothing.
+        assert columnar.metrics.rounds > 0
 
 
 def test_unknown_engine_rejected():
     from repro.exceptions import AlgorithmError
 
     instance = make_instance("uniform", 6, 15, seed=1)
-    with pytest.raises(AlgorithmError, match="unknown sequential engine"):
-        run_sequential(instance, k=4, engine="warp")
+    with pytest.raises(AlgorithmError, match="unknown engine 'warp'"):
+        solve_distributed(instance, k=4, engine="warp")
