@@ -10,8 +10,7 @@ Everything the library does is reachable from the shell::
     repro inspect run.jsonl
     repro compare old.manifest.json new.manifest.json --threshold cost=1.05
     repro bench benchmarks/_artifacts --name micro -o benchmarks/baselines
-    repro bench --suite micro --workers 2 -o benchmarks/baselines
-    repro bench --suite macro --workers 4 -o .
+    repro bench --suite micro -o benchmarks/baselines
     repro bench --suite scale --max-nodes 100000 -o .
     repro solve --sparse-degree 3 -m 2000 -n 98000 --seed 7 -k 8 \\
         --engine columnar --shards 2 --no-lp --digest
@@ -301,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--suite",
-        choices=["micro", "macro", "scale"],
-        help="run the named perf suite instead of folding artifacts "
+        choices=["micro", "scale"],
+        help="run the named perf suite instead of folding artifacts: micro "
+        "times the engines and the simulator, scale the columnar ladder; "
+        "exits 1 and writes nothing when the engines disagree "
         "(see docs/PERFORMANCE.md)",
     )
     bench.add_argument(
@@ -311,12 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="scale suite only: skip rungs whose m+n exceeds this "
         "(CI runs the reduced ladder; the committed baseline is full)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the suite's parallel sweeps (default 1)",
     )
     bench.add_argument(
         "--name",
@@ -1277,12 +1272,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
         target = run_perf_suite(
             args.suite,
-            workers=args.workers,
             out=args.output,
             name=args.name,
             max_nodes=args.max_nodes,
         )
-        print(f"wrote {target} (suite={args.suite}, workers={args.workers})")
+        print(f"wrote {target} (suite={args.suite})")
         return 0
     if not args.source:
         print("error: give an artifact source or --suite", file=sys.stderr)

@@ -658,9 +658,11 @@ def record_run(
     in the recording's ``config``, which is what makes
     :func:`replay_recording` hermetic: the artifact alone suffices to
     re-run and digest-check the execution on any machine. ``shards``
-    applies to the columnar engine only (and, by the sharding determinism
-    contract, never changes the resulting digests — which replaying a
-    ``shards=4`` recording at ``shards=1`` verifies for free).
+    applies to the columnar engine only — any other engine raises, as
+    :func:`~repro.core.algorithm.solve_distributed` does — and, by the
+    sharding determinism contract, never changes the resulting digests
+    (which replaying a ``shards=4`` recording at ``shards=1`` verifies for
+    free).
     """
     from repro.core.algorithm import solve_distributed
     from repro.core.dual_ascent_nodes import RoundingPolicy
@@ -700,7 +702,7 @@ def record_run(
         open_fraction=open_fraction,
         recorder=recorder,
         engine=engine,
-        shards=int(shards) if engine == "columnar" else 1,
+        shards=int(shards),
     )
     return recorder
 
@@ -711,7 +713,8 @@ def replay_recording(
     """Re-run a recording's embedded solve recipe; returns the new recording.
 
     ``engine`` overrides the recorded engine (the cross-engine check:
-    replay a loop recording on the columnar engine and diff). Raises
+    replay a loop recording on the columnar engine and diff); the
+    recorded shard count carries over only to a columnar replay. Raises
     :class:`~repro.exceptions.ReproError` when the recording embeds no
     instance (e.g. one produced through the service's ``record`` flag —
     re-request it instead).
@@ -724,9 +727,10 @@ def replay_recording(
     from repro.fl.io import instance_from_dict
 
     instance = instance_from_dict(config["instance"])
+    engine = engine or str(config.get("engine", recording.engine))
     return record_run(
         instance,
-        engine=engine or str(config.get("engine", recording.engine)),
+        engine=engine,
         k=int(config.get("k", 9)),
         variant=str(config.get("variant", "greedy")),
         seed=int(config.get("seed", 0)),
@@ -734,5 +738,5 @@ def replay_recording(
         c_round=float(config.get("c_round", 1.0)),
         open_fraction=float(config.get("open_fraction", 0.5)),
         full=bool(config.get("full", False)),
-        shards=int(config.get("shards", 1)),
+        shards=int(config.get("shards", 1)) if engine == "columnar" else 1,
     )

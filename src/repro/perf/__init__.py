@@ -11,9 +11,10 @@ cheap (see docs/PERFORMANCE.md):
 * :mod:`~repro.perf.cache` — instance and LP-lower-bound memo caches
   keyed by the run manifest's instance digest, so repeated sweep cells
   skip regeneration and LP re-solves;
-* :mod:`~repro.perf.suite` — the ``repro bench --suite micro|macro``
+* :mod:`~repro.perf.suite` — the ``repro bench --suite micro|scale``
   perf suites emitting ``BENCH_*.json`` trajectory files that the
-  ``repro compare`` regression gate consumes.
+  ``repro compare`` regression gate consumes; a suite raises instead of
+  writing a file when the engines it times disagree.
 """
 
 from repro.perf.cache import (

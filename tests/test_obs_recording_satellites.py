@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.algorithm import solve_distributed
+from repro.exceptions import AlgorithmError
 from repro.fl.generators import make_instance
 from repro.fl.io import save_instance_json
 from repro.obs.compare import extract_metrics
@@ -171,6 +172,28 @@ class TestCliVerbs:
         assert "replay identical" in capsys.readouterr().out
         assert main(["divergence", loop, col]) == 0
         assert "digest-identical" in capsys.readouterr().out
+
+    def test_shards_apply_to_columnar_only(self, inst_path, tmp_path, capsys):
+        # Recording refuses a shard count the engine cannot use, as
+        # `repro solve` does.
+        with pytest.raises(AlgorithmError, match="does not shard"):
+            record_run(
+                make_instance("euclidean", 6, 15, seed=2), engine="loop", k=4,
+                shards=2,
+            )
+        out = str(tmp_path / "loop.json")
+        argv = ["record", inst_path, "-k", "4", "-o", out, "--engine", "loop"]
+        assert main([*argv, "--shards", "2"]) == 1
+        assert "does not shard" in capsys.readouterr().err
+        # A sharded columnar recording still replays on the loop engine.
+        col = self.record(
+            inst_path, tmp_path, "col.json", "--engine", "columnar",
+            "--shards", "2",
+        )
+        assert json.loads(open(col).read())["config"]["shards"] == 2
+        capsys.readouterr()
+        assert main(["replay", col, "--engine", "loop"]) == 0
+        assert "replay identical" in capsys.readouterr().out
 
     def test_divergence_exit_one_and_json(self, tmp_path, capsys):
         a, b = divergent_pair(tmp_path)
