@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Sequence
 
 from repro.analysis.chaos_serve import direct_signature
@@ -507,7 +507,6 @@ def run_loadtest(
     router_config: RouterConfig | None = None,
     address: str | None = None,
     timeout_s: float = 60.0,
-    check_correctness: bool = True,
 ) -> LoadtestReport:
     """Drive one traffic shape against a TCP front end and measure it.
 
@@ -518,23 +517,17 @@ def run_loadtest(
     An explicit ``address`` instead points the generator at an external
     ``repro serve --tcp`` process (no shutdown is sent).
 
-    ``check_correctness`` compares every distinct work key's first
-    ``ok`` response against a direct solve (byte-identical, wall-clock
-    fields aside); divergences land in the report's ``divergent`` gate.
+    Every distinct work key's first ``ok`` response is compared against
+    a direct solve (byte-identical, wall-clock fields aside); divergences
+    land in the report's ``divergent`` gate.
     """
     plan = build_workload(shape)
     owned_thread: threading.Thread | None = None
     router: ServiceRouter | None = None
     if address is None:
-        config = router_config if router_config is not None else RouterConfig()
-        if config.num_workers != service_workers:
-            config = RouterConfig(
-                num_workers=service_workers,
-                replicas=config.replicas,
-                shared_cache_ttl_s=config.shared_cache_ttl_s,
-                shared_cache_entries=config.shared_cache_entries,
-                parallel_flush=config.parallel_flush,
-            )
+        config = replace(
+            router_config or RouterConfig(), num_workers=service_workers
+        )
         router = ServiceRouter(config=config, service_config=service_config)
         ready = threading.Event()
         bound: dict[str, int] = {}
@@ -576,7 +569,7 @@ def run_loadtest(
                 lost.append(request.request_id)
                 continue
             statuses[response.status] = statuses.get(response.status, 0) + 1
-            if check_correctness and response.status == "ok":
+            if response.status == "ok":
                 key = request.work_key()
                 if key not in oracle:
                     oracle[key] = direct_signature(request)

@@ -29,7 +29,7 @@ Everything the library does is reachable from the shell::
     repro record inst.json -k 16 --engine loop --full -o full.rec.json
     repro replay run.rec.json --engine columnar
     repro divergence left.rec.json right.rec.json
-    repro inspect run.rec.json --digests other.rec.json
+    repro inspect run.rec.json
     repro explain full.rec.json facility:3
 
 (Installed as the ``repro`` console script; also runnable as
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solution (cheap cross-engine identity check; same hash the "
         "flight recorder puts at its `final` checkpoint)",
     )
-    solve.add_argument("--json", action="store_true", help="machine-readable output")
+    _add_json(solve)
     solve.add_argument(
         "--trace",
         metavar="PATH",
@@ -181,26 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     inspect = sub.add_parser(
-        "inspect", help="summarize a JSONL trace written by solve --trace"
+        "inspect",
+        help="summarize a JSONL trace written by solve --trace, or the "
+        "state digests of a recording written by repro record",
     )
     inspect.add_argument(
         "trace",
-        help="JSONL trace path (or a flight-recording JSON with --digests)",
-    )
-    inspect.add_argument(
-        "other",
-        nargs="?",
-        help="with --digests: a second recording to diff against",
+        help="JSONL trace path, or a flight-recording JSON (detected from "
+        "its content)",
     )
     inspect.add_argument(
         "--slowest", type=int, default=5, help="how many slowest rounds to show"
-    )
-    inspect.add_argument(
-        "--digests",
-        action="store_true",
-        help="treat the artifact as a flight recording (repro record) and "
-        "show its per-checkpoint state digests; with a second artifact, "
-        "flag the first divergent checkpoint",
     )
 
     record = sub.add_parser(
@@ -247,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     divergence.add_argument("left", help="first recording JSON")
     divergence.add_argument("right", help="second recording JSON")
-    divergence.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_json(divergence)
 
     explain = sub.add_parser(
         "explain",
@@ -283,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="threshold applied to metrics without an explicit one "
         "(such metrics are otherwise reported but unchecked)",
     )
-    compare.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_json(compare)
 
     bench = sub.add_parser(
         "bench",
@@ -348,80 +335,57 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the batched solve service (JSONL on stdin/stdout, or a "
         "Unix socket with --socket); see docs/ARCHITECTURE.md",
+        argument_default=argparse.SUPPRESS,
     )
-    serve.add_argument(
+    address = serve.add_mutually_exclusive_group()
+    address.add_argument(
         "--socket",
+        default=None,
         metavar="PATH",
         help="bind a Unix domain socket at PATH instead of serving stdin",
     )
-    serve.add_argument(
+    address.add_argument(
         "--tcp",
+        default=None,
         metavar="HOST:PORT",
         help="bind a TCP socket instead of serving stdin (port 0 picks an "
         "ephemeral port, printed to stderr); connections are served "
         "concurrently",
     )
-    serve.add_argument(
-        "--service-workers",
-        type=int,
-        default=1,
-        metavar="K",
-        help="backend service workers behind a consistent-hash router; "
+    _add_service_workers(
+        serve,
+        "backend service workers behind a consistent-hash router; "
         "requests route on their work key so dedup and result reuse "
         "survive sharding (default 1 = no router)",
-    )
-    serve.add_argument(
-        "--hash-replicas",
-        type=int,
-        default=64,
-        help="vnodes per worker on the routing hash ring "
-        "(with --service-workers > 1; default 64)",
+        default=1,
     )
     serve.add_argument(
         "--shared-cache-ttl",
-        type=float,
-        default=300.0,
+        type=_ttl,
         help="seconds a cross-worker shared-cache entry stays servable "
         "(with --service-workers > 1; 0 disables the TTL; default 300)",
     )
     serve.add_argument(
-        "--shared-cache-size",
-        type=int,
-        default=512,
-        help="cross-worker shared-cache capacity "
-        "(with --service-workers > 1; default 512)",
-    )
-    serve.add_argument(
         "--max-depth",
         type=int,
-        default=256,
         help="admission-queue capacity; offers beyond it are rejected "
         "(default 256)",
     )
     serve.add_argument(
         "--batch-size",
         type=int,
-        default=32,
         help="most live requests per executed batch (default 32)",
     )
     serve.add_argument(
         "--workers",
         type=int,
-        default=1,
         help="worker processes per batch (default 1; responses are "
         "identical whatever the value)",
     )
     serve.add_argument(
         "--ttl",
-        type=float,
-        default=300.0,
+        type=_ttl,
         help="seconds a completed response stays fetchable (default 300)",
-    )
-    serve.add_argument(
-        "--max-results",
-        type=int,
-        default=1024,
-        help="result-store capacity (default 1024)",
     )
     serve.add_argument(
         "--drain-timeout",
@@ -434,14 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--high-water",
         type=int,
-        default=None,
         help="queue depth at which incoming low-priority work is shed "
         "(default: disabled)",
     )
     serve.add_argument(
         "--rate-limit",
         type=float,
-        default=None,
         metavar="RPS",
         help="per-client-id token-bucket refill rate in requests/second "
         "(default: disabled)",
@@ -449,31 +411,28 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--rate-burst",
         type=float,
-        default=8.0,
         help="token-bucket burst capacity with --rate-limit (default 8)",
     )
-    serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="per-cell execution budget when a worker crashes or wedges "
+    _add_max_attempts(
+        serve,
+        "per-cell execution budget when a worker crashes or wedges "
         "(default 3)",
     )
-    serve.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock watchdog per pool cell; a cell still running "
+    _add_cell_timeout(
+        serve,
+        "wall-clock watchdog per pool cell; a cell still running "
         "past it is treated like a crash and retried (default: disabled)",
+        metavar="SECONDS",
     )
     serve.add_argument(
         "--metrics",
         action="store_true",
+        default=False,
         help="append one metrics-summary line at EOF (stdin mode only)",
     )
     serve.add_argument(
         "--trace-spans",
+        default=None,
         metavar="PATH",
         help="trace every request through the pipeline and write the span "
         "log (JSONL) to PATH when the server exits",
@@ -481,11 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--profile-memory",
         action="store_true",
+        default=False,
         help="with --trace-spans: sample tracemalloc peaks on worker solve "
         "spans (reported as mem_peak_kb)",
     )
     serve.add_argument(
         "--slo",
+        default=None,
         metavar="SPEC",
         help="evaluate SLOs when the server exits and fail (exit 1) on "
         "violation; SPEC is a JSON file or the literal 'default' "
@@ -498,11 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
         "TCP front end, measure latency quantiles and goodput, verify "
         "served results against direct solves, and emit a "
         "BENCH_loadtest.json record for repro compare gating",
+        argument_default=argparse.SUPPRESS,
     )
     loadtest.add_argument(
         "--mode",
         choices=("closed", "open"),
-        default="closed",
         help="closed = synchronous users (next request after the previous "
         "completes); open = scheduled arrivals through one pipelined "
         "connection (default closed)",
@@ -510,95 +471,66 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--users",
         type=int,
-        default=4,
         help="concurrent users; closed mode gives each its own "
         "connection and thread (default 4)",
     )
     loadtest.add_argument(
         "--requests",
         type=int,
-        default=6,
         help="requests per user (default 6)",
     )
-    loadtest.add_argument(
-        "--service-workers",
-        type=int,
-        default=2,
-        metavar="K",
-        help="backend workers behind the router started for the test "
+    _add_service_workers(
+        loadtest,
+        "backend workers behind the router started for the test "
         "(ignored with --address; default 2)",
     )
     loadtest.add_argument(
         "--catalog",
         type=int,
-        default=12,
         help="distinct recipes in the traffic catalog — the number of "
         "distinct work keys the run can produce (default 12)",
     )
     loadtest.add_argument(
         "--zipf",
         type=float,
-        default=1.1,
         help="zipf skew of recipe popularity; larger = hotter duplicates "
         "= more dedup/shared-cache traffic (default 1.1)",
     )
     loadtest.add_argument(
         "--arrival-rate",
         type=float,
-        default=200.0,
         metavar="RPS",
         help="open mode: scheduled arrivals per second (default 200)",
     )
     loadtest.add_argument(
         "--burstiness",
         type=float,
-        default=0.0,
         help="open mode, in [0,1): 0 spaces arrivals evenly, higher "
         "collapses groups into bursts at the same average rate "
         "(default 0)",
     )
-    loadtest.add_argument(
-        "--deadline-fraction",
-        type=float,
-        default=0.0,
-        help="fraction of requests carrying a tight queue deadline, so "
-        "timeout paths fire under load (default 0)",
-    )
-    loadtest.add_argument(
-        "--low-priority-fraction",
-        type=float,
-        default=0.0,
-        help="fraction of requests tagged priority=low (default 0)",
-    )
-    loadtest.add_argument(
-        "--high-priority-fraction",
-        type=float,
-        default=0.0,
-        help="fraction of requests tagged priority=high (default 0)",
-    )
-    loadtest.add_argument("-m", "--facilities", type=int, default=12)
-    loadtest.add_argument("-n", "--clients", type=int, default=12)
-    loadtest.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="master seed; equal shapes generate byte-equal workloads "
+    _add_instance_source(
+        loadtest,
+        family_help=None,
+        seed_help="master seed; equal shapes generate byte-equal workloads "
         "(default 0)",
+        library_defaults=True,
     )
     loadtest.add_argument(
         "--name",
-        default="smoke",
         help="record id inside the BENCH_loadtest.json file "
         "(default smoke)",
     )
     loadtest.add_argument(
         "--address",
+        default=None,
         metavar="HOST:PORT",
         help="drive an external repro serve --tcp front end instead of "
         "starting one inside the test (no shutdown is sent)",
     )
     loadtest.add_argument(
         "--bench-out",
+        default=None,
         metavar="PATH",
         help="write the BENCH_loadtest.json trajectory file (PATH may be "
         "a directory; the canonical filename is used)",
@@ -622,15 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RPS",
         help="fail (exit 1) when goodput drops below this floor",
     )
-    loadtest.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the byte-identity check of served results against "
-        "direct solves (on by default; lost/divergent always gate)",
-    )
-    loadtest.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_json(loadtest)
 
     trace = sub.add_parser(
         "trace",
@@ -662,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="one-shot (or interval) view of a metrics snapshot file, "
+        help="one-shot view of a metrics snapshot file, "
         "optionally with the slowest spans of a span log",
     )
     top.add_argument(
@@ -675,18 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also show the slowest spans of this span log",
     )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=0.0,
-        help="re-read and re-render every INTERVAL seconds (0 = one-shot)",
-    )
-    top.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        help="with --interval: stop after COUNT renders (0 = forever)",
-    )
 
     chaos = sub.add_parser(
         "chaos",
@@ -694,17 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bounded cost inflation",
     )
     chaos.add_argument("instance", nargs="?", help="instance JSON path")
-    _add_instance_source(chaos, require_family=False)
-    chaos.add_argument("-k", type=int, default=9, help="round-budget parameter")
-    chaos.add_argument(
-        "--variant",
-        choices=[v.value for v in Variant],
-        default=Variant.GREEDY.value,
-    )
+    _add_instance_source(chaos)
+    _add_budget_arguments(chaos)
     chaos.add_argument(
         "--families",
         nargs="+",
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="FAMILY",
         help="fault families to sweep (default: all); see repro.analysis.chaos",
     )
@@ -712,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--intensities",
         nargs="+",
         type=float,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="X",
         help="intensity grid in (0, 1] (default: 0.05 0.15 0.3)",
     )
@@ -722,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=argparse.SUPPRESS,
         help="worker processes for the fault grid (default 1; the report "
         "is identical whatever the value)",
     )
@@ -739,13 +646,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--min-feasible-frac",
         type=float,
-        default=0.8,
+        default=argparse.SUPPRESS,
         help="feasibility gate per grid cell (default 0.8)",
     )
     chaos.add_argument(
         "--max-inflation",
         type=float,
-        default=3.0,
+        default=argparse.SUPPRESS,
         help="mean cost-inflation gate per grid cell (default 3.0)",
     )
     chaos.add_argument(
@@ -755,9 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the bench_record JSON artifact (repro bench / compare "
         "compatible) to PATH",
     )
-    chaos.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_json(chaos)
 
     chaos_serve = sub.add_parser(
         "chaos-serve",
@@ -765,19 +670,17 @@ def build_parser() -> argparse.ArgumentParser:
         "cells, connection drops, malformed frames) against a live "
         "service and gate on exactly-one-terminal-response and "
         "byte-identical results",
+        argument_default=argparse.SUPPRESS,
     )
-    chaos_serve.add_argument(
-        "--family",
-        choices=sorted(FAMILIES),
-        default="uniform",
-        help="generator family for the workload (default uniform)",
+    _add_instance_source(
+        chaos_serve,
+        family_help="generator family for the workload (default uniform)",
+        seed_help=None,
+        library_defaults=True,
     )
-    chaos_serve.add_argument("-m", "--facilities", type=int, default=6)
-    chaos_serve.add_argument("-n", "--clients", type=int, default=15)
     chaos_serve.add_argument(
         "--requests",
         type=int,
-        default=12,
         help="workload size; every third request duplicates an earlier "
         "one so dedup is exercised under faults (default 12)",
     )
@@ -786,87 +689,75 @@ def build_parser() -> argparse.ArgumentParser:
         "--ks",
         nargs="+",
         type=int,
-        default=[4, 9],
         metavar="K",
         help="round-budget values cycled across the workload (default 4 9)",
     )
     chaos_serve.add_argument(
         "--workers",
         type=int,
-        default=2,
         help="worker processes per batch; 2+ exercises pool respawn "
         "(default 2)",
     )
     chaos_serve.add_argument(
         "--crash-rate",
         type=float,
-        default=0.25,
         help="fraction of cells whose first execution kills its worker "
         "(default 0.25)",
     )
     chaos_serve.add_argument(
         "--slow-rate",
         type=float,
-        default=0.0,
         help="fraction of cells that stall once before answering "
         "(default 0)",
     )
     chaos_serve.add_argument(
         "--slow-sleep",
         type=float,
-        default=0.4,
         help="stall duration for slow cells, seconds (default 0.4)",
     )
-    chaos_serve.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=30.0,
-        help="per-cell watchdog, seconds; set below --slow-sleep to turn "
+    _add_cell_timeout(
+        chaos_serve,
+        "per-cell watchdog, seconds; set below --slow-sleep to turn "
         "stalls into watchdog retries (default 30)",
     )
     chaos_serve.add_argument(
         "--drop-every",
         type=int,
-        default=0,
         help="with --socket: sever the client connection before every "
         "Nth request (default 0 = never)",
     )
     chaos_serve.add_argument(
         "--malformed-every",
         type=int,
-        default=0,
         help="with --socket: inject a malformed frame before every Nth "
         "request (default 0 = never)",
     )
     chaos_serve.add_argument(
         "--socket",
         action="store_true",
+        default=False,
         help="drive a real Unix-socket server in a thread instead of the "
         "in-process client (required for drop/malformed injection)",
     )
-    chaos_serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=4,
-        help="per-cell execution budget under crash injection (default 4)",
+    _add_max_attempts(
+        chaos_serve,
+        "per-cell execution budget under crash injection (default 4)",
     )
     chaos_serve.add_argument(
         "--seed",
         type=int,
-        default=0,
         help="fault-assignment seed (which cells crash/stall is a "
         "deterministic function of it)",
     )
     chaos_serve.add_argument(
         "-o",
         "--output",
+        default=None,
         metavar="PATH",
         help="write the bench_record JSON artifact (repro compare "
         "compatible) to PATH",
     )
-    chaos_serve.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
+    _add_json(chaos_serve)
     return parser
 
 
@@ -875,17 +766,43 @@ def _experiment_key(experiment_id: str) -> int:
 
 
 def _add_instance_source(
-    parser: argparse.ArgumentParser, require_family: bool
+    parser: argparse.ArgumentParser,
+    require_family: bool = False,
+    *,
+    family_help: str | None = "generator family",
+    seed_help: str | None = "instance seed",
+    library_defaults: bool = False,
 ) -> None:
+    """The instance shape ``--family/-m/-n/--seed``.
+
+    A verb without ``--family`` or ``--seed`` passes ``None`` as its
+    help. A verb with ``library_defaults`` (its parser's
+    ``argument_default`` is ``argparse.SUPPRESS``) leaves the defaults to
+    the library call it makes.
+    """
+    if family_help is not None:
+        parser.add_argument(
+            "--family",
+            choices=sorted(FAMILIES),
+            required=require_family,
+            help=family_help,
+        )
+    parser.add_argument("-m", "--facilities", type=int)
+    parser.add_argument("-n", "--clients", type=int)
+    if seed_help is not None:
+        parser.add_argument("--seed", type=int, help=seed_help)
+    if not library_defaults:
+        parser.set_defaults(facilities=10, clients=30, seed=0)
+
+
+def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
+    """``-k`` and ``--variant``: what every solving verb runs."""
+    parser.add_argument("-k", type=int, default=9, help="round-budget parameter")
     parser.add_argument(
-        "--family",
-        choices=sorted(FAMILIES),
-        required=require_family,
-        help="generator family",
+        "--variant",
+        choices=[v.value for v in Variant],
+        default=Variant.GREEDY.value,
     )
-    parser.add_argument("-m", "--facilities", type=int, default=10)
-    parser.add_argument("-n", "--clients", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0, help="instance seed")
 
 
 def _add_recipe_arguments(
@@ -896,20 +813,16 @@ def _add_recipe_arguments(
     shards_help: str,
 ) -> None:
     """The solve recipe flags shared by ``solve`` and ``record``."""
-    parser.add_argument("-k", type=int, default=9, help="round-budget parameter")
-    parser.add_argument(
-        "--variant",
-        choices=[v.value for v in Variant],
-        default=Variant.GREEDY.value,
-    )
+    _add_budget_arguments(parser)
     parser.add_argument("--algo-seed", type=int, default=0, help="algorithm seed")
+    # RoundingPolicy owns the rounding defaults.
     parser.add_argument(
         "--rounding",
         choices=["select_all", "randomized"],
-        default="select_all",
+        default=argparse.SUPPRESS,
         help="rounding policy (dual_ascent only)",
     )
-    parser.add_argument("--c-round", type=float, default=1.0)
+    parser.add_argument("--c-round", type=float, default=argparse.SUPPRESS)
     # Each verb lists its default engine first in --help.
     parser.add_argument(
         "--engine",
@@ -919,6 +832,55 @@ def _add_recipe_arguments(
         help=engine_help,
     )
     parser.add_argument("--shards", type=int, default=1, help=shards_help)
+
+
+def _add_json(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json", action="store_true", default=False, help="machine-readable output"
+    )
+
+
+def _print_output(args: argparse.Namespace, data: Any, text: str) -> None:
+    """Print ``data`` as JSON under ``--json``, else the human ``text``."""
+    print(json.dumps(data, indent=2) if args.json else text)
+
+
+# A flag that feeds a config dataclass or a library call leaves its
+# default to it. It defaults to argparse.SUPPRESS, for the whole verb
+# (serve, loadtest, chaos-serve set argument_default) or per flag, so an
+# omitted flag is absent from the namespace and `_given` passes on only
+# the flags that were set. The helpers below serve those verbs.
+
+
+def _add_service_workers(
+    parser: argparse.ArgumentParser, help: str, **kwargs: Any
+) -> None:
+    parser.add_argument(
+        "--service-workers", type=int, metavar="K", help=help, **kwargs
+    )
+
+
+def _add_max_attempts(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--max-attempts", type=int, help=help)
+
+
+def _add_cell_timeout(parser: argparse.ArgumentParser, help: str, **kwargs: Any) -> None:
+    parser.add_argument("--cell-timeout", type=float, help=help, **kwargs)
+
+
+def _ttl(text: str) -> float | None:
+    """A TTL in seconds; 0 (or less) means entries never expire."""
+    seconds = float(text)
+    return seconds if seconds > 0 else None
+
+
+def _given(args: argparse.Namespace, **fields: str) -> dict[str, Any]:
+    """``{field: args.<flag>}`` for each ``field=flag`` the user set."""
+    return {
+        field: getattr(args, flag)
+        for field, flag in fields.items()
+        if hasattr(args, flag)
+    }
 
 
 def _load_instance(args: argparse.Namespace) -> FacilityLocationInstance:
@@ -1009,7 +971,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-    policy = RoundingPolicy(mode=args.rounding, c_round=args.c_round)
+    policy = RoundingPolicy(**_given(args, mode="rounding", c_round="c_round"))
     # Observers only the message-passing simulator feeds. The quality
     # probe (with the LP bound computed above) turns the per-round trace
     # and timeline into an anytime ratio estimate.
@@ -1108,8 +1070,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             parameters={
                 "k": args.k,
                 "variant": args.variant,
-                "rounding": args.rounding,
-                "c_round": args.c_round,
+                "rounding": policy.mode,
+                "c_round": policy.c_round,
             },
             wall_seconds=result.wall_seconds,
             extras=extras,
@@ -1143,33 +1105,34 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             },
         )
         payload["metrics_out"] = args.metrics_out
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        rows = [(key, value) for key, value in payload.items()]
-        print(
-            render_table(
-                ("field", "value"),
-                rows,
-                title=f"distributed solve ({args.engine})",
-            )
-        )
+    _print_output(
+        args,
+        payload,
+        render_table(
+            ("field", "value"),
+            list(payload.items()),
+            title=f"distributed solve ({args.engine})",
+        ),
+    )
     if args.timeline:
         print(result.timeline.render())
     return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    if args.digests:
-        from repro.obs.inspect import inspect_digests
+    from repro.obs.inspect import inspect_digests
+    from repro.obs.recorder import RECORDING_SCHEMA
 
-        print(inspect_digests(args.trace, other=args.other))
-        return 0
-    if args.other:
-        raise ReproError(
-            "a second artifact is only meaningful with --digests"
-        )
-    print(inspect_trace(args.trace, slowest=args.slowest))
+    # A recording is one JSON object; a trace is JSON lines, which fail
+    # to parse as one document.
+    try:
+        document = json.loads(Path(args.trace).read_text())
+    except (OSError, ValueError):
+        document = None
+    if isinstance(document, dict) and document.get("schema") == RECORDING_SCHEMA:
+        print(inspect_digests(args.trace))
+    else:
+        print(inspect_trace(args.trace, slowest=args.slowest))
     return 0
 
 
@@ -1183,10 +1146,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
         k=args.k,
         variant=args.variant,
         seed=args.algo_seed,
-        rounding=args.rounding,
-        c_round=args.c_round,
         full=args.full,
         shards=args.shards,
+        **_given(args, rounding="rounding", c_round="c_round"),
     )
     target = recording.write_json(args.output)
     print(
@@ -1224,10 +1186,7 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
     report = diff_recordings(
         load_recording(args.left), load_recording(args.right)
     )
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
+    _print_output(args, report.to_dict(), report.render())
     return 0 if report.identical else 1
 
 
@@ -1252,10 +1211,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         thresholds=thresholds,
         default_threshold=args.default_threshold,
     )
-    if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2))
-    else:
-        print("\n\n".join(r.render() for r in reports))
+    _print_output(
+        args,
+        [r.to_dict() for r in reports],
+        "\n\n".join(r.render() for r in reports),
+    )
     regressions = sum(len(r.regressions) for r in reports)
     if regressions:
         print(
@@ -1341,12 +1301,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.analysis.chaos import (
-        DEFAULT_INTENSITIES,
-        FAULT_FAMILIES,
-        ChaosGates,
-        run_chaos,
-    )
+    from repro.analysis.chaos import ChaosGates, run_chaos
     from repro.core.healing import SelfHealingPolicy
     from repro.net.reliability import ReliabilityPolicy
     from repro.perf.executor import SweepExecutor
@@ -1356,112 +1311,135 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         instance,
         k=args.k,
         variant=args.variant,
-        families=tuple(args.families) if args.families else FAULT_FAMILIES,
-        intensities=(
-            tuple(args.intensities) if args.intensities else DEFAULT_INTENSITIES
-        ),
         seeds=tuple(range(args.num_seeds)),
         reliability=None if args.no_reliability else ReliabilityPolicy(),
         healing=None if args.no_healing else SelfHealingPolicy(),
         gates=ChaosGates(
-            min_feasible_frac=args.min_feasible_frac,
-            max_cost_inflation=args.max_inflation,
+            **_given(
+                args,
+                min_feasible_frac="min_feasible_frac",
+                max_cost_inflation="max_inflation",
+            )
         ),
-        executor=SweepExecutor(workers=args.workers),
+        executor=SweepExecutor(**_given(args, workers="workers")),
+        **_given(args, families="families", intensities="intensities"),
     )
     result = report.to_experiment_result()
-    if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(json.dumps(result.to_record(), indent=2))
-    if args.json:
-        payload = {
-            "passed": report.passed,
-            "failures": report.failures(),
-            "baseline_cost": report.baseline_cost,
-            "record": result.to_record(),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.table)
-        if args.output:
-            print(f"wrote {args.output}")
-    if not report.passed:
-        for failure in report.failures():
-            print(
-                f"error: gate {failure['gate']} failed for "
-                f"family={failure['family']} intensity={failure['intensity']}: "
-                f"observed {failure['observed']:.3f} vs threshold "
-                f"{failure['threshold']:.3f}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    failures = report.failures()
+    return _finish_gated(
+        args,
+        table=result.table,
+        record=result.to_record(),
+        failures=failures,
+        errors=[
+            f"gate {f['gate']} failed for family={f['family']} "
+            f"intensity={f['intensity']}: observed {f['observed']:.3f} "
+            f"vs threshold {f['threshold']:.3f}"
+            for f in failures
+        ],
+        extra={"baseline_cost": report.baseline_cost},
+    )
+
+
+def _chaos_serve_plan(args: argparse.Namespace) -> Any:
+    from repro.analysis.chaos_serve import ChaosServePlan
+
+    return ChaosServePlan(
+        **_given(
+            args,
+            crash_rate="crash_rate",
+            slow_rate="slow_rate",
+            slow_sleep_s="slow_sleep",
+            drop_every="drop_every",
+            malformed_every="malformed_every",
+            seed="seed",
+        )
+    )
 
 
 def _cmd_chaos_serve(args: argparse.Namespace) -> int:
-    from repro.analysis.chaos_serve import (
-        ChaosServePlan,
-        build_chaos_workload,
-        run_chaos_serve,
-    )
+    from repro.analysis.chaos_serve import build_chaos_workload, run_chaos_serve
 
-    if (args.drop_every or args.malformed_every) and not args.socket:
+    plan = _chaos_serve_plan(args)
+    if (plan.drop_every or plan.malformed_every) and not args.socket:
         print(
             "error: --drop-every/--malformed-every inject transport faults "
             "and need --socket",
             file=sys.stderr,
         )
         return 2
-    plan = ChaosServePlan(
-        crash_rate=args.crash_rate,
-        slow_rate=args.slow_rate,
-        slow_sleep_s=args.slow_sleep,
-        drop_every=args.drop_every,
-        malformed_every=args.malformed_every,
-        seed=args.seed,
-    )
     requests = build_chaos_workload(
-        family=args.family,
-        num_facilities=args.facilities,
-        num_clients=args.clients,
-        ks=tuple(args.ks),
-        num_requests=args.requests,
+        **_given(
+            args,
+            family="family",
+            num_facilities="facilities",
+            num_clients="clients",
+            ks="ks",
+            num_requests="requests",
+        )
     )
     report = run_chaos_serve(
         requests=requests,
         plan=plan,
-        workers=args.workers,
-        max_attempts=args.max_attempts,
-        cell_timeout_s=args.cell_timeout,
         use_socket=args.socket,
+        **_given(
+            args,
+            workers="workers",
+            max_attempts="max_attempts",
+            cell_timeout_s="cell_timeout",
+        ),
     )
     result = report.to_experiment_result()
-    if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.output).write_text(json.dumps(result.to_record(), indent=2))
-    if args.json:
-        payload = {
-            "passed": report.passed,
-            "failures": report.failures(),
+    failures = report.failures()
+    return _finish_gated(
+        args,
+        table=result.table,
+        record=result.to_record(),
+        failures=failures,
+        errors=[
+            f"gate {f['gate']} failed: "
+            f"{json.dumps({k: v for k, v in f.items() if k != 'gate'})}"
+            for f in failures
+        ],
+        extra={
             "statuses": dict(report.statuses),
             "injected": dict(report.injected),
             "client_stats": dict(report.client_stats),
-            "record": result.to_record(),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.table)
-        if args.output:
-            print(f"wrote {args.output}")
-    if not report.passed:
-        for failure in report.failures():
-            print(
-                f"error: gate {failure['gate']} failed: "
-                f"{json.dumps({k: v for k, v in failure.items() if k != 'gate'})}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+        },
+    )
+
+
+def _finish_gated(
+    args: argparse.Namespace,
+    *,
+    table: str,
+    record: dict[str, Any],
+    failures: list[Any],
+    errors: list[str],
+    extra: dict[str, Any] | None = None,
+    artifact: Path | None = None,
+) -> int:
+    """Report a gated verb (chaos, chaos-serve, loadtest) and exit.
+
+    Writes ``record`` to ``-o`` (unless the verb already wrote its own
+    ``artifact``), prints ``--json`` ``{passed, failures, <extra>,
+    record}`` or else the table and a ``wrote`` line, then one
+    ``error:`` line per failed gate on stderr; exit 1 if any failed.
+    """
+    if getattr(args, "output", None):
+        artifact = Path(args.output)
+        artifact.parent.mkdir(parents=True, exist_ok=True)
+        artifact.write_text(json.dumps(record, indent=2))
+    if artifact is not None:
+        table += f"\nwrote {artifact}"
+    _print_output(
+        args,
+        {"passed": not failures, "failures": failures, **(extra or {}), "record": record},
+        table,
+    )
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _install_drain_handler() -> Any | None:
@@ -1486,12 +1464,35 @@ def _install_drain_handler() -> Any | None:
     return drain_signal
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ServiceConfig, SolveService, serve_jsonl, serve_socket
+def _service_configs(args: argparse.Namespace) -> tuple[Any, Any]:
+    """``(ServiceConfig, RouterConfig)`` for ``repro serve``."""
+    from repro.service import RouterConfig, ServiceConfig
 
-    if args.socket and args.tcp:
-        print("error: --socket and --tcp are mutually exclusive", file=sys.stderr)
-        return 2
+    service_config = ServiceConfig(
+        profile_memory=args.profile_memory,
+        **_given(
+            args,
+            max_queue_depth="max_depth",
+            max_batch_size="batch_size",
+            workers="workers",
+            result_ttl_s="ttl",
+            high_water="high_water",
+            max_solve_attempts="max_attempts",
+            cell_timeout_s="cell_timeout",
+            rate_limit_per_client="rate_limit",
+            rate_limit_burst="rate_burst",
+        ),
+    )
+    router_config = RouterConfig(
+        num_workers=args.service_workers,
+        **_given(args, shared_cache_ttl_s="shared_cache_ttl"),
+    )
+    return service_config, router_config
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service import SolveService, serve_jsonl, serve_socket
+
     if args.service_workers > 1 and (args.trace_spans or args.slo):
         # Router workers keep private registries; span/SLO aggregation
         # across them is not wired up yet.
@@ -1501,42 +1502,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.profile_memory and not args.trace_spans:
+        # Workers sample memory only on the spans of a traced request.
+        print("error: --profile-memory requires --trace-spans", file=sys.stderr)
+        return 2
     tracer = None
     if args.trace_spans:
         from repro.obs.spans import Tracer
 
         tracer = Tracer(profile_memory=args.profile_memory)
-    service_config = ServiceConfig(
-        max_queue_depth=args.max_depth,
-        max_batch_size=args.batch_size,
-        workers=args.workers,
-        result_ttl_s=args.ttl if args.ttl > 0 else None,
-        max_results=args.max_results,
-        profile_memory=args.profile_memory,
-        high_water=args.high_water,
-        max_solve_attempts=args.max_attempts,
-        cell_timeout_s=args.cell_timeout,
-        rate_limit_per_client=args.rate_limit,
-        rate_limit_burst=args.rate_burst,
-    )
+    service_config, router_config = _service_configs(args)
     service: Any
     if args.service_workers > 1:
-        from repro.service import RouterConfig, ServiceRouter
+        from repro.service import ServiceRouter
 
         service = ServiceRouter(
-            config=RouterConfig(
-                num_workers=args.service_workers,
-                replicas=args.hash_replicas,
-                shared_cache_ttl_s=(
-                    args.shared_cache_ttl if args.shared_cache_ttl > 0 else None
-                ),
-                shared_cache_entries=args.shared_cache_size,
-            ),
-            service_config=service_config,
+            config=router_config, service_config=service_config
         )
         print(
             f"routing across {args.service_workers} service workers "
-            f"({args.hash_replicas} ring replicas each)",
+            f"({service.ring.replicas} ring replicas each)",
             file=sys.stderr,
         )
     else:
@@ -1593,57 +1578,54 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.analysis.loadgen import LoadShape, run_loadtest
-    from repro.obs.bench import write_bench
+def _load_shape(args: argparse.Namespace) -> Any:
+    from repro.analysis.loadgen import LoadShape
 
-    shape = LoadShape(
-        name=args.name,
-        mode=args.mode,
-        num_users=args.users,
-        requests_per_user=args.requests,
-        arrival_rate_rps=args.arrival_rate,
-        burstiness=args.burstiness,
-        zipf_s=args.zipf,
-        catalog_size=args.catalog,
-        num_facilities=args.facilities,
-        num_clients=args.clients,
-        deadline_fraction=args.deadline_fraction,
-        low_priority_fraction=args.low_priority_fraction,
-        high_priority_fraction=args.high_priority_fraction,
-        seed=args.seed,
+    return LoadShape(
+        **_given(
+            args,
+            name="name",
+            mode="mode",
+            num_users="users",
+            requests_per_user="requests",
+            arrival_rate_rps="arrival_rate",
+            burstiness="burstiness",
+            zipf_s="zipf",
+            catalog_size="catalog",
+            num_facilities="facilities",
+            num_clients="clients",
+            seed="seed",
+        )
     )
+
+
+def _cmd_loadtest(args: argparse.Namespace) -> int:
+    from repro.analysis.loadgen import run_loadtest
+
+    shape = _load_shape(args)
     report = run_loadtest(
         shape,
-        service_workers=args.service_workers,
         address=args.address,
-        check_correctness=not args.no_verify,
+        **_given(args, service_workers="service_workers"),
     )
     failures = report.gate_failures(
         max_p95_ms=args.max_p95_ms,
         max_p99_ms=args.max_p99_ms,
         min_goodput_rps=args.min_goodput,
     )
-    if args.bench_out:
-        target = write_bench(
-            "loadtest", {shape.name: report.bench_record()}, args.bench_out
-        )
-    if args.json:
-        payload = {
-            "passed": not failures,
-            "failures": failures,
-            "record": report.bench_record(),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.render())
-        if args.bench_out:
-            print(f"wrote {target}")
-    if failures:
-        for failure in failures:
-            print(f"error: loadtest gate failed: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    record = report.bench_record()
+    return _finish_gated(
+        args,
+        table=report.render(),
+        record=record,
+        failures=failures,
+        errors=[f"loadtest gate failed: {failure}" for failure in failures],
+        artifact=(
+            write_bench("loadtest", {shape.name: record}, args.bench_out)
+            if args.bench_out
+            else None
+        ),
+    )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -1673,7 +1655,7 @@ def _labels_suffix(entry: dict[str, Any]) -> str:
     return f"{{{inner}}}="
 
 
-def _render_top(args: argparse.Namespace) -> str:
+def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.metrics_io import load_snapshot
 
     payload = load_snapshot(args.snapshot)
@@ -1696,10 +1678,12 @@ def _render_top(args: argparse.Namespace) -> str:
             rows.append((name, kind, f"n={count} mean={mean:.4g}"))
         else:
             rows.append((name, kind, ""))
-    out = render_table(
-        ("instrument", "kind", "value"),
-        rows,
-        title=f"metrics snapshot {args.snapshot}",
+    print(
+        render_table(
+            ("instrument", "kind", "value"),
+            rows,
+            title=f"metrics snapshot {args.snapshot}",
+        )
     )
     if args.spans:
         from repro.obs.spans import load_spans_jsonl
@@ -1710,26 +1694,14 @@ def _render_top(args: argparse.Namespace) -> str:
             (span.name, f"{span.duration_s * 1e3:.2f} ms", span.status)
             for span in slowest
         ]
-        out += "\n" + render_table(
-            ("span", "wall", "status"),
-            span_rows,
-            title=f"slowest spans of {args.spans}",
+        print(
+            render_table(
+                ("span", "wall", "status"),
+                span_rows,
+                title=f"slowest spans of {args.spans}",
+            )
         )
-    return out
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    import time as _time
-
-    renders = 0
-    while True:
-        print(_render_top(args))
-        renders += 1
-        if args.interval <= 0:
-            return 0
-        if args.count and renders >= args.count:
-            return 0
-        _time.sleep(args.interval)
+    return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -170,7 +170,6 @@ def _emulator_record(variant: Variant) -> dict[str, Any]:
         },
         "metrics": {
             "loop_seconds": loop_seconds,
-            "columnar_seconds": columnar_seconds,
             "inverse_speedup": columnar_seconds / max(loop_seconds, 1e-9),
         },
     }
@@ -196,7 +195,7 @@ def _simulator_record() -> dict[str, Any]:
             "repeats": _REPEATS,
             "cpu_count": os.cpu_count(),
         },
-        "metrics": {"solve_seconds": seconds, "mem_peak_kb": mem_peak_kb},
+        "metrics": {"mem_peak_kb": mem_peak_kb},
     }
 
 
@@ -276,7 +275,6 @@ def _scale_solve_record(name: str, m: int, n: int, shards: int) -> dict[str, Any
             "variant": "greedy",
         },
         "metrics": {
-            "solve_seconds": elapsed,
             "sharded_solve_seconds": sharded_elapsed,
             "mem_peak_kb": mem_peak_kb,
             "cost": float(result.cost),

@@ -286,9 +286,6 @@ class RouterConfig:
     ----------
     num_workers:
         Backend service workers (``repro serve --service-workers``).
-    replicas:
-        Vnodes per worker on the :class:`HashRing`; more replicas →
-        smoother key balance, slightly larger ring.
     shared_cache_ttl_s:
         Seconds a shared-cache entry stays servable (``None`` = keep
         until capacity eviction).
@@ -301,7 +298,6 @@ class RouterConfig:
     """
 
     num_workers: int = 2
-    replicas: int = 64
     shared_cache_ttl_s: float | None = 300.0
     shared_cache_entries: int = 512
     parallel_flush: bool = True
@@ -366,10 +362,7 @@ class ServiceRouter:
             factory(self.service_config)
             for _ in range(self.config.num_workers)
         ]
-        self.ring = HashRing(
-            num_workers=self.config.num_workers,
-            replicas=self.config.replicas,
-        )
+        self.ring = HashRing(num_workers=self.config.num_workers)
         self.shared_cache = SharedResultCache(
             ttl_s=self.config.shared_cache_ttl_s,
             max_entries=self.config.shared_cache_entries,
@@ -381,7 +374,6 @@ class ServiceRouter:
         # store shares the workers' TTL/capacity settings.
         self._cache_store = ResultStore(
             ttl_s=self.service_config.result_ttl_s,
-            max_entries=self.service_config.max_results,
             clock=clock,
         )
         self._routes = self.registry.counter(
@@ -436,7 +428,7 @@ class ServiceRouter:
         # The placement map is bookkeeping, not retention: bound it by
         # the workers' combined store budget so a long-lived router
         # cannot grow without limit.
-        limit = self.service_config.max_results * (self.num_workers + 1)
+        limit = self._cache_store.max_entries * (self.num_workers + 1)
         while len(self._placements) > limit:
             self._placements.popitem(last=False)
         return self._seq

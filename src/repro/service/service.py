@@ -92,8 +92,6 @@ class ServiceConfig:
     result_ttl_s:
         Seconds a completed response stays fetchable (``None`` = keep
         until capacity eviction).
-    max_results:
-        Result-store capacity.
     profile_memory:
         When the service is traced, opt worker solve spans into
         ``tracemalloc`` peak sampling (reported as ``mem_peak_kb``).
@@ -124,7 +122,6 @@ class ServiceConfig:
     max_batch_size: int = 32
     workers: int = 1
     result_ttl_s: float | None = 300.0
-    max_results: int = 1024
     profile_memory: bool = False
     high_water: int | None = None
     max_solve_attempts: int = 3
@@ -209,7 +206,6 @@ class SolveService:
         self._buckets: dict[str, TokenBucket] = {}
         self.store = ResultStore(
             ttl_s=self.config.result_ttl_s,
-            max_entries=self.config.max_results,
             clock=clock,
         )
         reg = self.registry

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.fl.io import load_instance_json
 
@@ -290,6 +293,18 @@ class TestServe:
         assert replies[3]["dedup"] is True
         assert replies[-1]["metrics"]["dedup_hits"] == 1
 
+    def test_profile_memory_needs_trace_spans(self, capsys):
+        # Workers sample memory only on traced requests' spans, so the
+        # flag alone would do nothing.
+        assert main(["serve", "--profile-memory"]) == 2
+        assert "--profile-memory requires --trace-spans" in capsys.readouterr().err
+
+    def test_socket_and_tcp_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--socket", "x.sock", "--tcp", "127.0.0.1:0"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_serve_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit):
             main(["serve", "--help"])
@@ -422,23 +437,118 @@ class TestTopVerb:
         assert "slowest spans" in out
         assert "algo.run" in out
 
-    def test_interval_mode_stops_at_count(self, tmp_path, capsys):
-        snap = tmp_path / "metrics.json"
-        main(
-            [
-                "solve", "--family", "uniform", "-m", "5", "-n", "10",
-                "-k", "3", "--metrics-out", str(snap),
-            ]
-        )
-        capsys.readouterr()
-        code = main(
-            ["top", str(snap), "--interval", "0.01", "--count", "2"]
-        )
-        assert code == 0
-        assert capsys.readouterr().out.count("metrics snapshot") == 2
-
     def test_wrong_schema_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "nope"}))
         assert main(["top", str(bad)]) == 1
         assert "snapshot" in capsys.readouterr().err
+
+
+def _verb_parser(verb: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices[verb]
+
+
+def _serve_defaults():
+    from repro.service import RouterConfig, ServiceConfig
+
+    return ServiceConfig(), RouterConfig(num_workers=1)
+
+
+def _loadtest_defaults():
+    from repro.analysis.loadgen import LoadShape
+
+    return LoadShape()
+
+
+def _chaos_serve_defaults():
+    from repro.analysis.chaos_serve import ChaosServePlan
+
+    return ChaosServePlan()
+
+
+@pytest.mark.parametrize(
+    ("verb", "build", "expected"),
+    [
+        ("serve", cli._service_configs, _serve_defaults),
+        ("loadtest", cli._load_shape, _loadtest_defaults),
+        ("chaos-serve", cli._chaos_serve_plan, _chaos_serve_defaults),
+    ],
+)
+def test_config_flags_take_the_dataclass_defaults(verb, build, expected):
+    parser = build_parser()
+    bare = build(parser.parse_args([verb]))
+    # `serve` runs without a router unless --service-workers says so.
+    assert bare == expected()
+    # Every "(default N)" a help string states is the dataclass's value:
+    # passing it explicitly builds the same config as leaving it out.
+    checked = 0
+    for action in _verb_parser(verb)._actions:
+        stated = re.search(r"default:? (\d[\d.]*(?: \d[\d.]*)*)", action.help or "")
+        if stated and action.option_strings:
+            argv = [verb, action.option_strings[-1], *stated.group(1).split()]
+            assert build(parser.parse_args(argv)) == bare, argv
+            checked += 1
+    assert checked >= 5
+
+
+_SMALL_LOADTEST = [
+    "loadtest", "--users", "1", "--requests", "2", "--catalog", "2",
+    "--service-workers", "1", "-m", "4", "-n", "8",
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "artifact_flag", "keys"),
+    [
+        (
+            [
+                "chaos", "--family", "uniform", "-m", "6", "-n", "15",
+                "-k", "4", "--families", "duplicate", "--intensities", "0.2",
+                "--num-seeds", "1",
+            ],
+            "-o",
+            ["passed", "failures", "baseline_cost", "record"],
+        ),
+        (
+            [
+                "chaos-serve", "--requests", "3", "--workers", "1",
+                "--crash-rate", "0", "-m", "4", "-n", "8", "-k", "2",
+            ],
+            "-o",
+            ["passed", "failures", "statuses", "injected", "client_stats", "record"],
+        ),
+        (_SMALL_LOADTEST, "--bench-out", ["passed", "failures", "record"]),
+    ],
+    ids=["chaos", "chaos-serve", "loadtest"],
+)
+def test_gated_verbs_share_one_report(argv, artifact_flag, keys, tmp_path, capsys):
+    artifact = tmp_path / "out" / "artifact.json"
+    assert main([*argv, artifact_flag, str(artifact), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == keys
+    assert payload["passed"] is True and payload["failures"] == []
+    written = json.loads(artifact.read_text())
+    if artifact_flag == "--bench-out":
+        written = written["records"]["smoke"]
+    assert written == payload["record"]
+    # Without --json: the table, then where the artifact went.
+    assert main([*argv, artifact_flag, str(artifact)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(f"wrote {artifact}")
+
+
+def test_loadtest_always_verifies_served_bytes(monkeypatch, capsys):
+    from repro.analysis import loadgen
+
+    with pytest.raises(SystemExit):
+        main([*_SMALL_LOADTEST, "--no-verify"])
+    capsys.readouterr()
+    # An oracle that disagrees with every served answer must fail the run.
+    monkeypatch.setattr(loadgen, "direct_signature", lambda request: "tampered")
+    assert main([*_SMALL_LOADTEST, "--json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["passed"] is False
+    assert payload["record"]["metrics"]["divergent"] == 2
+    assert "error: loadtest gate failed: 2 ok response(s) diverge" in captured.err

@@ -2,7 +2,7 @@
 
 Covers: histogram snapshots carrying re-derivable bucket counts and the
 offline quantile helper; engine tagging of timeline records and
-``sim.round`` spans; the ``--digests`` inspection view; the snapshot
+``sim.round`` spans; the recording digest view of ``repro inspect``; the snapshot
 branch of ``repro compare``; and the four new CLI verbs.
 """
 
@@ -220,13 +220,16 @@ class TestCliVerbs:
         assert main(["explain", solo, opened]) == 1
         assert "no provenance" in capsys.readouterr().err
 
-    def test_inspect_digests_flag(self, inst_path, tmp_path, capsys):
+    def test_inspect_detects_recording(self, inst_path, tmp_path, capsys):
         a = self.record(inst_path, tmp_path, "a.json")
-        b = self.record(inst_path, tmp_path, "b.json", "--engine", "columnar")
         capsys.readouterr()
-        assert main(["inspect", a, b, "--digests"]) == 0
+        # The file's content, not a flag, selects the digest table.
+        assert main(["inspect", a]) == 0
         out = capsys.readouterr().out
         assert "state digests" in out
-        assert "digest-identical" in out
-        # A second artifact without --digests is a usage error.
-        assert main(["inspect", a, b]) == 1
+        assert "greedy:iter:1" in out
+        # Two recordings are diffed by `repro divergence` only.
+        with pytest.raises(SystemExit):
+            main(["inspect", a, a])
+        with pytest.raises(SystemExit):
+            main(["inspect", a, "--digests"])
