@@ -864,7 +864,9 @@ def _add_max_attempts(parser: argparse.ArgumentParser, help: str) -> None:
     parser.add_argument("--max-attempts", type=int, help=help)
 
 
-def _add_cell_timeout(parser: argparse.ArgumentParser, help: str, **kwargs: Any) -> None:
+def _add_cell_timeout(
+    parser: argparse.ArgumentParser, help: str, **kwargs: Any
+) -> None:
     parser.add_argument("--cell-timeout", type=float, help=help, **kwargs)
 
 
@@ -1419,7 +1421,7 @@ def _finish_gated(
     extra: dict[str, Any] | None = None,
     artifact: Path | None = None,
 ) -> int:
-    """Report a gated verb (chaos, chaos-serve, loadtest) and exit.
+    """Report a gated verb (chaos, chaos-serve, loadtest); the exit code.
 
     Writes ``record`` to ``-o`` (unless the verb already wrote its own
     ``artifact``), prints ``--json`` ``{passed, failures, <extra>,
@@ -1432,11 +1434,8 @@ def _finish_gated(
         artifact.write_text(json.dumps(record, indent=2))
     if artifact is not None:
         table += f"\nwrote {artifact}"
-    _print_output(
-        args,
-        {"passed": not failures, "failures": failures, **(extra or {}), "record": record},
-        table,
-    )
+    summary = {"passed": not failures, "failures": failures, **(extra or {})}
+    _print_output(args, {**summary, "record": record}, table)
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     return 1 if failures else 0

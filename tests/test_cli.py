@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 
 import pytest
 
 from repro import cli
+from repro.analysis.chaos_serve import ChaosServePlan
+from repro.analysis.loadgen import LoadShape
 from repro.cli import build_parser, main
 from repro.fl.io import load_instance_json
+from repro.service import RouterConfig, ServiceConfig
+from tests.test_cli_golden import parsers
 
 
 class TestGenerate:
@@ -444,47 +447,23 @@ class TestTopVerb:
         assert "snapshot" in capsys.readouterr().err
 
 
-def _verb_parser(verb: str) -> argparse.ArgumentParser:
-    parser = build_parser()
-    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return actions[0].choices[verb]
-
-
-def _serve_defaults():
-    from repro.service import RouterConfig, ServiceConfig
-
-    return ServiceConfig(), RouterConfig(num_workers=1)
-
-
-def _loadtest_defaults():
-    from repro.analysis.loadgen import LoadShape
-
-    return LoadShape()
-
-
-def _chaos_serve_defaults():
-    from repro.analysis.chaos_serve import ChaosServePlan
-
-    return ChaosServePlan()
-
-
 @pytest.mark.parametrize(
     ("verb", "build", "expected"),
     [
-        ("serve", cli._service_configs, _serve_defaults),
-        ("loadtest", cli._load_shape, _loadtest_defaults),
-        ("chaos-serve", cli._chaos_serve_plan, _chaos_serve_defaults),
+        # `serve` runs without a router unless --service-workers says so.
+        ("serve", cli._service_configs, (ServiceConfig(), RouterConfig(num_workers=1))),
+        ("loadtest", cli._load_shape, LoadShape()),
+        ("chaos-serve", cli._chaos_serve_plan, ChaosServePlan()),
     ],
 )
 def test_config_flags_take_the_dataclass_defaults(verb, build, expected):
     parser = build_parser()
     bare = build(parser.parse_args([verb]))
-    # `serve` runs without a router unless --service-workers says so.
-    assert bare == expected()
+    assert bare == expected
     # Every "(default N)" a help string states is the dataclass's value:
     # passing it explicitly builds the same config as leaving it out.
     checked = 0
-    for action in _verb_parser(verb)._actions:
+    for action in dict(parsers(parser))[f"repro {verb}"]._actions:
         stated = re.search(r"default:? (\d[\d.]*(?: \d[\d.]*)*)", action.help or "")
         if stated and action.option_strings:
             argv = [verb, action.option_strings[-1], *stated.group(1).split()]
