@@ -514,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         family_help=None,
         seed_help="master seed; equal shapes generate byte-equal workloads "
         "(default 0)",
-        library_defaults=True,
     )
     loadtest.add_argument(
         "--name",
@@ -676,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         chaos_serve,
         family_help="generator family for the workload (default uniform)",
         seed_help=None,
-        library_defaults=True,
     )
     chaos_serve.add_argument(
         "--requests",
@@ -771,14 +769,12 @@ def _add_instance_source(
     *,
     family_help: str | None = "generator family",
     seed_help: str | None = "instance seed",
-    library_defaults: bool = False,
 ) -> None:
     """The instance shape ``--family/-m/-n/--seed``.
 
     A verb without ``--family`` or ``--seed`` passes ``None`` as its
-    help. A verb with ``library_defaults`` (its parser's
-    ``argument_default`` is ``argparse.SUPPRESS``) leaves the defaults to
-    the library call it makes.
+    help. A verb whose parser defaults to ``argparse.SUPPRESS`` leaves
+    the defaults to the library call it makes.
     """
     if family_help is not None:
         parser.add_argument(
@@ -791,7 +787,7 @@ def _add_instance_source(
     parser.add_argument("-n", "--clients", type=int)
     if seed_help is not None:
         parser.add_argument("--seed", type=int, help=seed_help)
-    if not library_defaults:
+    if parser.argument_default is not argparse.SUPPRESS:
         parser.set_defaults(facilities=10, clients=30, seed=0)
 
 
