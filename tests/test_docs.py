@@ -79,10 +79,11 @@ SHELL_DOCS = (
 )
 CI_WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
 SHELL_FENCES = ("```bash", "```sh", "```shell", "```console")
-# A command starts its line, or follows a pipe or `watch -n SECONDS`.
+# A command starts its line (or a workflow's `run:`) or follows a pipe,
+# maybe behind `watch -n SECONDS`, `timeout SECONDS` or PYTHONPATH=.
 COMMAND = re.compile(
-    r"(?:^|\|\s*|watch\s+-n\s+\S+\s+)(?:PYTHONPATH=\S+\s+)?"
-    r"(?:python -m repro\.cli|repro)\s+(.*)"
+    r"(?:^(?:run:\s+)?|\|\s*)(?:(?:watch\s+-n|timeout)\s+\S+\s+)?"
+    r"(?:PYTHONPATH=\S+\s+)?(?:python -m repro\.cli|repro)\s+(.*)"
 )
 SHELL_OPERATORS = {"|", "||", "&", "&&", ";"}
 
