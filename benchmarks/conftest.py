@@ -4,15 +4,14 @@ Each ``bench_e*.py`` file regenerates one experiment of the index in
 DESIGN.md: it runs the experiment (quick configuration by default — set
 ``REPRO_BENCH_FULL=1`` for the full EXPERIMENTS.md configuration), asserts
 the reproduced claim, writes the rendered table to
-``benchmarks/_artifacts/<ID>.txt`` plus a structured JSON record to
-``<ID>.json`` (params, per-column metric summary, wall-clock, package
-version — the inputs of ``repro bench``), and times a representative core
-operation through pytest-benchmark so performance regressions are caught.
+``benchmarks/_artifacts/<ID>.txt`` plus a BENCH file ``<ID>.json`` (one
+record keyed by the experiment id: params, per-column metric summary,
+wall-clock; ``repro compare old_dir/ new_dir/`` pairs them by filename),
+and times a representative core operation through pytest-benchmark.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -47,15 +46,16 @@ def save_table(artifact_dir: Path, experiment_id: str, table: str) -> None:
 
 
 def save_result(artifact_dir: Path, result: "ExperimentResult") -> None:
-    """Persist both faces of an experiment: the table and the JSON record.
+    """Persist both faces of an experiment: the table and the BENCH file.
 
     The ``.txt`` is for humans and EXPERIMENTS.md diffs; the ``.json`` is
-    the machine-readable record ``repro bench`` folds into a versioned
-    ``BENCH_<name>.json`` trajectory and ``repro compare`` diffs across
-    versions.
+    the BENCH file ``repro compare`` diffs across versions.
     """
+    from repro.obs.bench import write_bench
+
     save_table(artifact_dir, result.experiment_id, result.table)
-    record = result.to_record()
-    (artifact_dir / f"{result.experiment_id}.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
+    write_bench(
+        result.experiment_id,
+        {result.experiment_id: result.to_record()},
+        artifact_dir / f"{result.experiment_id}.json",
     )

@@ -26,10 +26,9 @@ duplicate  per-message duplication probability
 link       fraction of clients whose cheapest-facility edge is cut
 ========== ===========================================================
 
-The report renders as an ASCII table and serializes through the same
-``bench_record`` JSON schema the ``repro bench`` / ``repro compare``
-pipeline consumes (experiment id ``CHAOS``), so chaos runs participate in
-cross-version regression comparison like any experiment.
+The report renders as an ASCII table and serializes as a BENCH record
+(experiment id ``CHAOS``; ``repro chaos -o`` writes ``BENCH_chaos.json``),
+so chaos runs take part in ``repro compare`` like any experiment.
 """
 
 from __future__ import annotations
@@ -172,8 +171,7 @@ class ChaosReport:
         """Summarize as an :class:`ExperimentResult` (id ``CHAOS``).
 
         One row per (family, intensity) cell; the ``to_record()`` of the
-        returned object is the ``bench_record`` JSON that ``repro bench``
-        and ``repro compare`` consume.
+        returned object is the BENCH record ``repro compare`` reads.
         """
         rows: list[tuple[Any, ...]] = []
         for (family, intensity), cells in self.groups().items():

@@ -349,9 +349,10 @@ class ChaosServeReport:
     def to_experiment_result(self) -> ExperimentResult:
         """Summarize as an :class:`ExperimentResult` (id ``CHAOS_SERVE``).
 
-        Its ``to_record()`` is the bench-record JSON ``repro compare``
-        consumes, so resilience regressions (lost responses, divergence,
-        runaway retries) show up next to perf regressions.
+        Its ``to_record()`` is the BENCH record ``repro compare`` reads
+        (``repro chaos-serve -o`` writes ``BENCH_chaos_serve.json``), so
+        resilience regressions (lost responses, divergence, runaway
+        retries) show up next to perf regressions.
         """
         row = (
             self.total_requests,

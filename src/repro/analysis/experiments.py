@@ -108,17 +108,15 @@ class ExperimentResult:
         return float(self.notes.get("wall_seconds", 0.0))
 
     def to_record(self) -> dict[str, Any]:
-        """Structured JSON record for benchmark trajectories.
+        """This experiment's record in a BENCH file (:mod:`repro.obs.bench`).
 
-        This is what ``benchmarks/`` writes next to each rendered table
-        and what ``repro bench`` folds into ``BENCH_<name>.json`` files.
-        ``params`` carries the experiment configuration (the notes);
-        ``metrics`` carries per-column mean/max of every numeric table
-        column, which is what cross-version regression comparison keys
-        on. NaN/inf cells are dropped (they encode "not applicable").
+        ``benchmarks/`` writes it next to each rendered table, keyed by
+        the experiment id. ``params`` carries the experiment
+        configuration (the notes); ``metrics`` carries per-column
+        mean/max of every numeric table column, which is what
+        cross-version regression comparison keys on. NaN/inf cells are
+        dropped (they encode "not applicable").
         """
-        from repro import __version__
-
         params = {
             key: _json_safe(value)
             for key, value in sorted(self.notes.items())
@@ -137,13 +135,7 @@ class ExperimentResult:
                 metrics[f"{header}_mean"] = sum(values) / len(values)
                 metrics[f"{header}_max"] = max(values)
         return {
-            "type": "bench_record",
-            "schema": 1,
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "version": __version__,
             "wall_seconds": self.wall_seconds,
-            "num_rows": len(self.rows),
             "params": params,
             "metrics": metrics,
         }

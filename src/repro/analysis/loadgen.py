@@ -362,8 +362,8 @@ class LoadtestReport:
             )
         return failures
 
-    def bench_record(self) -> dict[str, Any]:
-        """One ``BENCH_loadtest.json`` record for this run.
+    def to_record(self) -> dict[str, Any]:
+        """This run's record in ``BENCH_loadtest.json``.
 
         Gated metrics are all lower-is-better (``repro compare`` flags
         increases): latency quantiles, ``seconds_per_ok`` (inverse

@@ -31,11 +31,10 @@ the **LP relaxation lower bound**, so every reported ratio *upper-bounds*
 the true approximation factor.
 
 Running the benchmark suite (`pytest benchmarks/`) writes, next to each
-`benchmarks/_artifacts/E*.txt` table, a structured `E*.json` record
-(parameters, per-column metric summaries, wall-clock, package version).
-`repro bench benchmarks/_artifacts --name experiments` folds those into a
-versioned `BENCH_experiments.json` trajectory file, and `repro compare`
-diffs two such files to flag regressions.
+`benchmarks/_artifacts/E*.txt` table, a versioned BENCH file `E*.json`
+(parameters, per-column metric summaries, wall-clock). `repro compare
+old_dir/ benchmarks/_artifacts/` pairs two such directories by filename
+and diffs each pair to flag regressions.
 
 | ID | Claim (paper) | Verdict |
 |----|---------------|---------|

@@ -9,7 +9,6 @@ Everything the library does is reachable from the shell::
     repro solve inst.json -k 16 --watchdogs --trace run.jsonl
     repro inspect run.jsonl
     repro compare old.manifest.json new.manifest.json --threshold cost=1.05
-    repro bench benchmarks/_artifacts --name micro -o benchmarks/baselines
     repro bench --suite micro -o benchmarks/baselines
     repro bench --suite scale --max-nodes 100000 -o .
     repro solve --sparse-degree 3 -m 2000 -n 98000 --seed 7 -k 8 \\
@@ -61,7 +60,7 @@ from repro.exceptions import ReproError
 from repro.fl.generators import FAMILIES, make_instance
 from repro.fl.instance import FacilityLocationInstance
 from repro.fl.io import load_instance_json, save_instance_json
-from repro.obs.bench import collect_records, write_bench
+from repro.obs.bench import write_bench
 from repro.obs.compare import compare_paths, parse_threshold
 from repro.obs.inspect import inspect_trace
 from repro.obs.manifest import RunRecord, manifest_path_for
@@ -276,22 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="fold benchmark artifacts into a versioned BENCH_<name>.json, "
-        "or run a perf suite (--suite) and emit its trajectory point",
-    )
-    bench.add_argument(
-        "source",
-        nargs="?",
-        help="artifact directory (benchmarks/_artifacts), a pytest-benchmark "
-        "JSON export, or a single record/manifest file (omit with --suite)",
+        help="run a perf suite and write its versioned BENCH_<name>.json",
     )
     bench.add_argument(
         "--suite",
         choices=["micro", "scale"],
-        help="run the named perf suite instead of folding artifacts: micro "
-        "times the engines and the simulator, scale the columnar ladder; "
-        "exits 1 and writes nothing when the engines disagree "
-        "(see docs/PERFORMANCE.md)",
+        required=True,
+        help="the perf suite to run: micro times the engines and the "
+        "simulator, scale the columnar ladder; exits 1 and writes nothing "
+        "when the engines disagree (see docs/PERFORMANCE.md)",
     )
     bench.add_argument(
         "--max-nodes",
@@ -299,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="scale suite only: skip rungs whose m+n exceeds this "
         "(CI runs the reduced ladder; the committed baseline is full)",
-    )
-    bench.add_argument(
-        "--name",
-        help="trajectory name (required without --suite; defaults to the "
-        "suite's canonical name with it)",
     )
     bench.add_argument(
         "-o",
@@ -527,13 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive an external repro serve --tcp front end instead of "
         "starting one inside the test (no shutdown is sent)",
     )
-    loadtest.add_argument(
-        "--bench-out",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_loadtest.json trajectory file (PATH may be "
-        "a directory; the canonical filename is used)",
-    )
+    _add_output(loadtest, "loadtest")
     loadtest.add_argument(
         "--max-p95-ms",
         type=float,
@@ -654,13 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="mean cost-inflation gate per grid cell (default 3.0)",
     )
-    chaos.add_argument(
-        "-o",
-        "--output",
-        metavar="PATH",
-        help="write the bench_record JSON artifact (repro bench / compare "
-        "compatible) to PATH",
-    )
+    _add_output(chaos, "chaos")
     _add_json(chaos)
 
     chaos_serve = sub.add_parser(
@@ -747,14 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-assignment seed (which cells crash/stall is a "
         "deterministic function of it)",
     )
-    chaos_serve.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the bench_record JSON artifact (repro compare "
-        "compatible) to PATH",
-    )
+    _add_output(chaos_serve, "chaos_serve")
     _add_json(chaos_serve)
     return parser
 
@@ -864,6 +832,19 @@ def _add_cell_timeout(
     parser: argparse.ArgumentParser, help: str, **kwargs: Any
 ) -> None:
     parser.add_argument("--cell-timeout", type=float, help=help, **kwargs)
+
+
+def _add_output(parser: argparse.ArgumentParser, name: str) -> None:
+    """A gated verb's ``-o``: where ``_finish_gated`` writes its BENCH file."""
+    parser.set_defaults(bench_name=name)
+    parser.add_argument(
+        "-o",
+        "--output",
+        default=None,
+        metavar="PATH",
+        help=f"write the BENCH_{name}.json record that repro compare "
+        "reads (PATH may be a directory; the canonical filename is used)",
+    )
 
 
 def _ttl(text: str) -> float | None:
@@ -1225,26 +1206,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite:
-        from repro.perf.suite import run_perf_suite
+    from repro.perf.suite import run_perf_suite
 
-        target = run_perf_suite(
-            args.suite,
-            out=args.output,
-            name=args.name,
-            max_nodes=args.max_nodes,
-        )
-        print(f"wrote {target} (suite={args.suite})")
-        return 0
-    if not args.source:
-        print("error: give an artifact source or --suite", file=sys.stderr)
-        return 2
-    if not args.name:
-        print("error: --name is required without --suite", file=sys.stderr)
-        return 2
-    records = collect_records(args.source)
-    target = write_bench(args.name, records, args.output)
-    print(f"wrote {target}: {len(records)} record(s)")
+    target = run_perf_suite(args.suite, out=args.output, max_nodes=args.max_nodes)
+    print(f"wrote {target} (suite={args.suite})")
     return 0
 
 
@@ -1326,6 +1291,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     failures = report.failures()
     return _finish_gated(
         args,
+        key=result.experiment_id,
         table=result.table,
         record=result.to_record(),
         failures=failures,
@@ -1391,6 +1357,7 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     failures = report.failures()
     return _finish_gated(
         args,
+        key=result.experiment_id,
         table=result.table,
         record=result.to_record(),
         failures=failures,
@@ -1410,26 +1377,23 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
 def _finish_gated(
     args: argparse.Namespace,
     *,
+    key: str,
     table: str,
     record: dict[str, Any],
     failures: list[Any],
     errors: list[str],
     extra: dict[str, Any] | None = None,
-    artifact: Path | None = None,
 ) -> int:
     """Report a gated verb (chaos, chaos-serve, loadtest); the exit code.
 
-    Writes ``record`` to ``-o`` (unless the verb already wrote its own
-    ``artifact``), prints ``--json`` ``{passed, failures, <extra>,
-    record}`` or else the table and a ``wrote`` line, then one
-    ``error:`` line per failed gate on stderr; exit 1 if any failed.
+    Writes ``record`` under ``key`` to the verb's ``-o`` BENCH file,
+    prints ``--json`` ``{passed, failures, <extra>, record}`` or else
+    the table and a ``wrote`` line, then one ``error:`` line per failed
+    gate on stderr; exit 1 if any failed.
     """
-    if getattr(args, "output", None):
-        artifact = Path(args.output)
-        artifact.parent.mkdir(parents=True, exist_ok=True)
-        artifact.write_text(json.dumps(record, indent=2))
-    if artifact is not None:
-        table += f"\nwrote {artifact}"
+    if args.output:
+        target = write_bench(args.bench_name, {key: record}, args.output)
+        table += f"\nwrote {target}"
     summary = {"passed": not failures, "failures": failures, **(extra or {})}
     _print_output(args, {**summary, "record": record}, table)
     for error in errors:
@@ -1608,18 +1572,13 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         max_p99_ms=args.max_p99_ms,
         min_goodput_rps=args.min_goodput,
     )
-    record = report.bench_record()
     return _finish_gated(
         args,
+        key=shape.name,
         table=report.render(),
-        record=record,
+        record=report.to_record(),
         failures=failures,
         errors=[f"loadtest gate failed: {failure}" for failure in failures],
-        artifact=(
-            write_bench("loadtest", {shape.name: record}, args.bench_out)
-            if args.bench_out
-            else None
-        ),
     )
 
 

@@ -31,8 +31,8 @@ artifacts on both axes:
 * :mod:`repro.obs.compare` — loads two run artifacts (manifests, traces,
   BENCH files) and diffs their metrics under configurable regression
   thresholds (surfaced as ``repro compare``).
-* :mod:`repro.obs.bench` — converts benchmark artifacts into versioned
-  ``BENCH_<name>.json`` trajectory files (surfaced as ``repro bench``).
+* :mod:`repro.obs.bench` — writes the versioned ``BENCH_<name>.json``
+  trajectory files that every measuring verb emits.
 * :mod:`repro.obs.spans` — span-based distributed tracing: causal
   context propagation across process boundaries, wall/CPU/memory
   profiling per span, JSONL and Chrome ``trace_event`` exporters, and
@@ -54,12 +54,7 @@ artifacts on both axes:
   as ``repro explain``).
 """
 
-from repro.obs.bench import (
-    bench_path_for,
-    collect_records,
-    load_bench,
-    write_bench,
-)
+from repro.obs.bench import bench_path_for, write_bench
 from repro.obs.compare import (
     ComparisonReport,
     MetricDiff,
@@ -159,8 +154,6 @@ __all__ = [
     "parse_threshold",
     # bench trajectories
     "bench_path_for",
-    "collect_records",
-    "load_bench",
     "write_bench",
     # spans
     "Span",

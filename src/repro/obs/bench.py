@@ -1,21 +1,17 @@
-"""Versioned benchmark trajectory files (the ``repro bench`` engine).
+"""Versioned benchmark trajectory files: the one benchmark record format.
 
 A ``BENCH_<name>.json`` file is a *trajectory point*: one snapshot of a
-named benchmark suite's measurable outputs at one package version. The
-file is deliberately deterministic for a given set of inputs — no
-timestamps, sorted keys — so committing one per release (or per PR, in
-CI) yields a diffable history, and :mod:`repro.obs.compare` can diff any
-two of them under regression thresholds.
+named measurement's outputs at one package version. The file is
+deliberately deterministic for a given set of inputs — no timestamps,
+sorted keys — so committing one per release (or per PR, in CI) yields a
+diffable history, and :mod:`repro.obs.compare` can diff any two of them
+under regression thresholds.
 
-Sources a BENCH file can be built from:
-
-* a directory of benchmark artifacts — the ``*.json`` records that
-  ``benchmarks/conftest.save_result`` writes next to each rendered table
-  (``{"type": "bench_record"}``), plus any ``*.manifest.json`` run
-  manifests found alongside;
-* a pytest-benchmark ``--benchmark-json`` export (each timing entry
-  becomes one record);
-* a single bench record or manifest file.
+Every verb that measures writes one through :func:`write_bench`:
+``repro bench --suite micro|scale``, ``repro loadtest -o``, ``repro
+chaos -o`` and ``repro chaos-serve -o``, and the experiment artifacts
+(``benchmarks/_artifacts/E*.json``) that ``benchmarks/conftest.py``
+writes next to each rendered table.
 
 Document shape::
 
@@ -30,9 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.exceptions import ReproError
-
-__all__ = ["collect_records", "write_bench", "load_bench", "bench_path_for"]
+__all__ = ["write_bench", "bench_path_for"]
 
 BENCH_SCHEMA = 1
 
@@ -41,94 +35,6 @@ def bench_path_for(name: str, directory: str | Path) -> Path:
     """Canonical path of the ``BENCH_<name>.json`` file in a directory."""
     safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
     return Path(directory) / f"BENCH_{safe}.json"
-
-
-def _record_from_manifest(doc: Mapping[str, Any]) -> dict[str, Any]:
-    """Condense a run manifest into a trajectory record."""
-    from repro.obs.compare import _manifest_metrics
-
-    metrics = _manifest_metrics(doc)
-    wall = metrics.pop("wall_seconds", 0.0)
-    return {
-        "source": "manifest",
-        "version": str(doc.get("version", "")),
-        "wall_seconds": wall,
-        "params": dict(doc.get("parameters", {})),
-        "metrics": metrics,
-    }
-
-
-def _record_from_bench_record(doc: Mapping[str, Any]) -> dict[str, Any]:
-    """Pass a ``benchmarks/`` JSON record through (drop presentation keys)."""
-    return {
-        "source": "experiment",
-        "version": str(doc.get("version", "")),
-        "wall_seconds": float(doc.get("wall_seconds", 0.0)),
-        "params": dict(doc.get("params", {})),
-        "metrics": dict(doc.get("metrics", {})),
-    }
-
-
-def _records_from_pytest_benchmark(doc: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
-    """One record per timing entry of a ``--benchmark-json`` export."""
-    records: dict[str, dict[str, Any]] = {}
-    for bench in doc.get("benchmarks") or []:
-        name = str(bench.get("name", "?"))
-        stats = bench.get("stats") or {}
-        metrics = {
-            stat_key: float(stats[stat_key])
-            for stat_key in ("min", "mean", "stddev", "rounds")
-            if isinstance(stats.get(stat_key), (int, float))
-        }
-        records[name] = {
-            "source": "pytest-benchmark",
-            "version": str((doc.get("commit_info") or {}).get("id", ""))[:12],
-            "wall_seconds": metrics.get("mean", 0.0),
-            "params": dict(bench.get("params") or {}),
-            "metrics": metrics,
-        }
-    return records
-
-
-def _absorb_file(path: Path, records: dict[str, dict[str, Any]]) -> None:
-    try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError):
-        return
-    if not isinstance(doc, Mapping):
-        return
-    kind = doc.get("type")
-    if kind == "bench_record":
-        key = str(doc.get("experiment_id") or path.stem)
-        records[key] = _record_from_bench_record(doc)
-    elif kind == "manifest":
-        key = path.name.removesuffix(".manifest.json") or path.stem
-        records[key] = _record_from_manifest(doc)
-    elif "benchmarks" in doc:
-        records.update(_records_from_pytest_benchmark(doc))
-    # BENCH files themselves and unknown JSON are skipped: a directory
-    # already holding a previous trajectory point must not fold it in.
-
-
-def collect_records(source: str | Path) -> dict[str, dict[str, Any]]:
-    """Gather trajectory records from a file or a directory of artifacts."""
-    root = Path(source)
-    if not root.exists():
-        raise ReproError(f"benchmark source not found: {root}")
-    records: dict[str, dict[str, Any]] = {}
-    if root.is_dir():
-        for candidate in sorted(root.glob("*.json")):
-            if candidate.name.startswith("BENCH_"):
-                continue
-            _absorb_file(candidate, records)
-    else:
-        _absorb_file(root, records)
-    if not records:
-        raise ReproError(
-            f"no benchmark records found in {root} (expected bench_record "
-            "JSONs, run manifests, or a pytest-benchmark export)"
-        )
-    return records
 
 
 def write_bench(
@@ -157,14 +63,3 @@ def write_bench(
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return target
-
-
-def load_bench(path: str | Path) -> dict[str, Any]:
-    """Read a BENCH file back, validating the envelope."""
-    target = Path(path)
-    if not target.exists():
-        raise ReproError(f"BENCH file not found: {target}")
-    doc = json.loads(target.read_text())
-    if not isinstance(doc, Mapping) or doc.get("type") != "bench":
-        raise ReproError(f"{target} is not a BENCH trajectory file")
-    return dict(doc)

@@ -285,10 +285,9 @@ def extract_metrics(path: str | Path) -> dict[str, float]:
 
     Recognized formats: JSONL traces (``*.jsonl``), manifest JSON files
     (``{"type": "manifest"}``), BENCH trajectory files (``{"type":
-    "bench"}`` or a top-level ``records`` mapping), metrics snapshots
+    "bench"}`` or a top-level ``records`` mapping) and metrics snapshots
     (``repro.metrics.snapshot/v1`` — histograms contribute offline-derived
-    p50/p95), and pytest-benchmark exports (top-level ``benchmarks`` list
-    — each entry contributes its mean/stddev seconds).
+    p50/p95).
     """
     target = Path(path)
     if not target.exists():
@@ -307,19 +306,9 @@ def extract_metrics(path: str | Path) -> dict[str, float]:
         return _snapshot_metrics(doc)
     if doc.get("type") == "bench" or "records" in doc:
         return _bench_metrics(doc)
-    if "benchmarks" in doc:  # pytest-benchmark --benchmark-json export
-        flat: dict[str, float] = {}
-        for bench in doc.get("benchmarks") or []:
-            name = str(bench.get("name", "?"))
-            stats = bench.get("stats") or {}
-            for stat_key in ("mean", "stddev"):
-                value = stats.get(stat_key)
-                if isinstance(value, (int, float)):
-                    flat[f"{name}.{stat_key}"] = float(value)
-        return flat
     raise ReproError(
         f"{target}: unrecognized artifact (expected a trace .jsonl, a "
-        "manifest, a BENCH_*.json, or a pytest-benchmark export)"
+        "manifest, a BENCH file, or a metrics snapshot)"
     )
 
 

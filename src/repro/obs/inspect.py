@@ -161,41 +161,22 @@ def inspect_trace(path: str | Path, slowest: int = 5) -> str:
     return load_trace_file(path).render(slowest=slowest)
 
 
-def inspect_digests(path: str | Path, other: str | Path | None = None) -> str:
+def inspect_digests(path: str | Path) -> str:
     """Summarize a flight recording's per-round state digests.
 
     Renders one row per checkpoint (label, digest, field count) plus the
-    recording's final Merkle root. With a second recording, the two are
-    diffed and the first divergent checkpoint is flagged in the table and
-    detailed below it (``repro inspect A --digests B``). Used by
-    ``repro inspect --digests``; ``repro divergence`` gives the full
-    bisection report.
+    recording's final Merkle root. Used by ``repro inspect`` on a
+    recording; ``repro divergence`` diffs two recordings.
     """
-    from repro.obs.recorder import diff_recordings, load_recording
+    from repro.obs.recorder import load_recording
 
     recording = load_recording(path)
-    report = None
-    if other is not None:
-        report = diff_recordings(recording, load_recording(other))
-    rows = []
-    for checkpoint in recording.checkpoints:
-        marker = ""
-        if report is not None and not report.identical:
-            marker = (
-                "<- first divergence"
-                if checkpoint.label == report.label
-                else ""
-            )
-        rows.append(
-            (checkpoint.label, checkpoint.digest, len(checkpoint.fields), marker)
-        )
+    rows = [
+        (checkpoint.label, checkpoint.digest, len(checkpoint.fields))
+        for checkpoint in recording.checkpoints
+    ]
     title = (
         f"state digests: {path} (engine={recording.engine}, "
         f"final={recording.final_digest()})"
     )
-    sections = [
-        render_table(("checkpoint", "digest", "fields", ""), rows, title=title)
-    ]
-    if report is not None:
-        sections.append(report.render())
-    return "\n\n".join(sections)
+    return render_table(("checkpoint", "digest", "fields"), rows, title=title)

@@ -63,15 +63,13 @@ _SCALE_SEED = 7
 def run_perf_suite(
     suite: str,
     out: str | Path = ".",
-    name: str | None = None,
     max_nodes: int | None = None,
 ) -> Path:
-    """Run one perf suite and write its ``BENCH_<name>.json``.
+    """Run one perf suite and write its BENCH file.
 
-    ``name`` defaults to ``scale`` for the scale suite (committed as
-    ``benchmarks/baselines/BENCH_scale.json``) and to ``perf_micro`` for
-    ``micro`` (matching the committed CI baseline under
-    ``benchmarks/baselines/``). Raises :class:`ReproError` if any
+    The scale suite writes ``BENCH_scale.json`` and the micro suite
+    ``BENCH_perf_micro.json``, the names of the committed baselines
+    under ``benchmarks/baselines/``. Raises :class:`ReproError` if any
     cross-engine or cross-shard check fails — a suite that measured a
     *wrong* fast path must not emit a trajectory point.
 
@@ -82,8 +80,6 @@ def run_perf_suite(
     """
     if suite not in SUITES:
         raise ReproError(f"unknown perf suite {suite!r}; expected one of {SUITES}")
-    if name is None:
-        name = "scale" if suite == "scale" else "perf_micro"
     records: dict[str, dict[str, Any]] = {}
     if suite == "scale":
         _check_scale_equivalence()
@@ -95,7 +91,7 @@ def run_perf_suite(
         records["emulator_greedy"] = _emulator_record(Variant.GREEDY)
         records["emulator_dual"] = _emulator_record(Variant.DUAL_ASCENT)
         records["simulator_churn"] = _simulator_record()
-    return write_bench(name, records, out)
+    return write_bench("scale" if suite == "scale" else "perf_micro", records, out)
 
 
 def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:

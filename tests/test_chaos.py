@@ -156,7 +156,7 @@ class TestRunChaos:
             assert math.isfinite(cell.cost_inflation)
             assert cell.retries > 0  # the loss actually bit
 
-    def test_report_serializes_as_bench_record(self, instance):
+    def test_report_serializes_as_a_record(self, instance):
         report = run_chaos(
             instance,
             k=4,
@@ -169,8 +169,7 @@ class TestRunChaos:
         result = report.to_experiment_result()
         assert result.experiment_id == "CHAOS"
         record = result.to_record()
-        assert record["type"] == "bench_record"
-        assert record["experiment_id"] == "CHAOS"
+        assert set(record) == {"wall_seconds", "params", "metrics"}
         assert record["params"]["families"] == ["duplicate"]
         assert "feasible_frac_mean" in record["metrics"]
         assert "family" in report.table
@@ -220,9 +219,9 @@ class TestChaosCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "chaos sweep" in out
-        record = json.loads(artifact.read_text())
-        assert record["type"] == "bench_record"
-        assert record["experiment_id"] == "CHAOS"
+        document = json.loads(artifact.read_text())
+        assert document["type"] == "bench" and document["name"] == "chaos"
+        assert list(document["records"]) == ["CHAOS"]
 
     def test_chaos_command_json_payload(self, capsys):
         code = main(
@@ -251,7 +250,7 @@ class TestChaosCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["failures"] == []
-        assert payload["record"]["experiment_id"] == "CHAOS"
+        assert payload["record"]["params"]["families"] == ["duplicate"]
 
     def test_chaos_command_fails_on_impossible_gate(self, capsys):
         # An inflation ceiling of exactly 1.0 cannot absorb any fault-made

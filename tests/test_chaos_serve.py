@@ -102,7 +102,7 @@ class TestInProcessGates:
         result = report.to_experiment_result()
         assert result.experiment_id == "CHAOS_SERVE"
         record = result.to_record()
-        assert record["type"] == "bench_record"
+        assert set(record) == {"wall_seconds", "params", "metrics"}
         (row,) = result.rows
         assert row[0] == 4  # requests
         assert row[-1] == 1  # gate_ok

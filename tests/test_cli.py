@@ -479,7 +479,7 @@ _SMALL_LOADTEST = [
 
 
 @pytest.mark.parametrize(
-    ("argv", "artifact_flag", "keys"),
+    ("argv", "key", "keys"),
     [
         (
             [
@@ -487,7 +487,7 @@ _SMALL_LOADTEST = [
                 "-k", "4", "--families", "duplicate", "--intensities", "0.2",
                 "--num-seeds", "1",
             ],
-            "-o",
+            "CHAOS",
             ["passed", "failures", "baseline_cost", "record"],
         ),
         (
@@ -495,26 +495,31 @@ _SMALL_LOADTEST = [
                 "chaos-serve", "--requests", "3", "--workers", "1",
                 "--crash-rate", "0", "-m", "4", "-n", "8", "-k", "2",
             ],
-            "-o",
+            "CHAOS_SERVE",
             ["passed", "failures", "statuses", "injected", "client_stats", "record"],
         ),
-        (_SMALL_LOADTEST, "--bench-out", ["passed", "failures", "record"]),
+        (_SMALL_LOADTEST, "smoke", ["passed", "failures", "record"]),
     ],
     ids=["chaos", "chaos-serve", "loadtest"],
 )
-def test_gated_verbs_share_one_report(argv, artifact_flag, keys, tmp_path, capsys):
+def test_gated_verbs_share_one_report(argv, key, keys, tmp_path, capsys):
     artifact = tmp_path / "out" / "artifact.json"
-    assert main([*argv, artifact_flag, str(artifact), "--json"]) == 0
+    assert main([*argv, "-o", str(artifact), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == keys
     assert payload["passed"] is True and payload["failures"] == []
     written = json.loads(artifact.read_text())
-    if artifact_flag == "--bench-out":
-        written = written["records"]["smoke"]
-    assert written == payload["record"]
+    assert written["type"] == "bench"
+    assert written["records"] == {key: payload["record"]}
     # Without --json: the table, then where the artifact went.
-    assert main([*argv, artifact_flag, str(artifact)]) == 0
+    assert main([*argv, "-o", str(artifact)]) == 0
     assert capsys.readouterr().out.rstrip().endswith(f"wrote {artifact}")
+    # The artifact is a BENCH file that repro compare reads.
+    compare = ["compare", str(artifact), str(artifact), "--json"]
+    assert main([*compare, "--default-threshold", "1"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["metrics"]
+    assert all(metric["status"] == "ok" for metric in report["metrics"])
 
 
 def test_loadtest_always_verifies_served_bytes(monkeypatch, capsys):

@@ -121,7 +121,7 @@ class TestRunLoadtest:
         assert report.gate_failures() == []
         assert report.ok == report.total_requests == 6
         assert report.goodput_rps > 0
-        record = report.bench_record()
+        record = report.to_record()
         assert set(record["metrics"]) == {
             "latency_p50_ms",
             "latency_p95_ms",

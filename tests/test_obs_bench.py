@@ -1,40 +1,38 @@
-"""Tests for repro.obs.bench: BENCH trajectory collection and writing."""
+"""Tests for repro.obs.bench: BENCH trajectory files and their writers."""
 
 from __future__ import annotations
 
 import json
-
-import pytest
+from pathlib import Path
 
 from repro.analysis.experiments import ExperimentResult
 from repro.cli import main
-from repro.exceptions import ReproError
-from repro.obs.bench import (
-    bench_path_for,
-    collect_records,
-    load_bench,
-    write_bench,
-)
+from repro.obs.bench import bench_path_for, write_bench
+
+from benchmarks.conftest import save_result
 
 
-def _experiment_record(tmp_path, experiment_id="E1"):
-    result = ExperimentResult(
+def _experiment_result(experiment_id="E1"):
+    return ExperimentResult(
         experiment_id=experiment_id,
         title="demo",
         headers=("k", "ratio", "label"),
         rows=((1, 2.0, "a"), (4, 1.5, "b"), (9, float("nan"), "c")),
         notes={"m": 20, "wall_seconds": 0.25},
     )
-    record = result.to_record()
-    (tmp_path / f"{experiment_id}.json").write_text(json.dumps(record))
-    return record
+
+
+def _self_compare(path, capsys, *extra):
+    """``repro compare path path``: exit code and the one report."""
+    capsys.readouterr()
+    code = main(["compare", str(path), str(path), "--json", *extra])
+    return code, json.loads(capsys.readouterr().out)
 
 
 class TestExperimentRecord:
-    def test_to_record_shape(self, tmp_path):
-        record = _experiment_record(tmp_path)
-        assert record["type"] == "bench_record"
-        assert record["experiment_id"] == "E1"
+    def test_to_record_shape(self):
+        record = _experiment_result().to_record()
+        assert set(record) == {"wall_seconds", "params", "metrics"}
         assert record["wall_seconds"] == 0.25
         assert record["params"] == {"m": 20}
         # Column stats over finite numeric cells only; text columns skipped.
@@ -44,67 +42,34 @@ class TestExperimentRecord:
         assert "label_max" not in record["metrics"]
         json.dumps(record, allow_nan=False)  # strict JSON, no NaN leakage
 
-
-class TestCollectRecords:
-    def test_from_artifact_directory(self, tmp_path):
-        _experiment_record(tmp_path, "E1")
-        _experiment_record(tmp_path, "E2")
-        # A stale BENCH file in the directory must not be folded in.
-        (tmp_path / "BENCH_old.json").write_text(
-            json.dumps({"type": "bench", "records": {}})
+    def test_save_result_writes_a_comparable_bench_file(self, tmp_path, capsys):
+        result = _experiment_result()
+        save_result(tmp_path, result)
+        assert (tmp_path / "E1.txt").read_text() == result.table + "\n"
+        doc = json.loads((tmp_path / "E1.json").read_text())
+        assert doc["type"] == "bench" and doc["name"] == "E1"
+        assert doc["records"] == {"E1": result.to_record()}
+        code, (report,) = _self_compare(
+            tmp_path / "E1.json", capsys, "--default-threshold", "1"
         )
-        (tmp_path / "notes.txt").write_text("ignored")
-        records = collect_records(tmp_path)
-        assert sorted(records) == ["E1", "E2"]
-        assert records["E1"]["source"] == "experiment"
-        assert records["E1"]["metrics"]["ratio_max"] == 2.0
-
-    def test_from_pytest_benchmark_export(self, tmp_path):
-        export = tmp_path / "export.json"
-        export.write_text(
-            json.dumps(
-                {
-                    "benchmarks": [
-                        {
-                            "name": "test_lp",
-                            "stats": {"mean": 0.5, "min": 0.4, "stddev": 0.1},
-                        }
-                    ]
-                }
-            )
-        )
-        records = collect_records(export)
-        assert records["test_lp"]["wall_seconds"] == 0.5
-        assert records["test_lp"]["metrics"]["min"] == 0.4
-
-    def test_from_manifest_sidecar(self, tmp_path, capsys):
-        code = main(
-            [
-                "solve",
-                "--family",
-                "uniform",
-                "-m",
-                "5",
-                "-n",
-                "12",
-                "-k",
-                "4",
-                "--trace",
-                str(tmp_path / "run.jsonl"),
-            ]
-        )
-        capsys.readouterr()
         assert code == 0
-        records = collect_records(tmp_path / "run.manifest.json")
-        (record,) = records.values()
-        assert record["source"] == "manifest"
-        assert record["metrics"]["rounds"] > 0
+        names = {metric["name"] for metric in report["metrics"]}
+        assert {"E1.wall_seconds", "E1.ratio_max"} <= names
+        assert all(metric["status"] == "ok" for metric in report["metrics"])
 
-    def test_empty_source_rejected(self, tmp_path):
-        with pytest.raises(ReproError, match="no benchmark records"):
-            collect_records(tmp_path)
-        with pytest.raises(ReproError, match="not found"):
-            collect_records(tmp_path / "absent")
+    def test_artifact_directories_compare_by_name(self, tmp_path, capsys):
+        """Two artifact directories pair up file by file, no fold step."""
+        for side in ("old", "new"):
+            (tmp_path / side).mkdir()
+            for experiment_id in ("E1", "E2"):
+                save_result(tmp_path / side, _experiment_result(experiment_id))
+        capsys.readouterr()
+        code = main(
+            ["compare", str(tmp_path / "old"), str(tmp_path / "new"), "--json"]
+        )
+        assert code == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [Path(r["old"]).name for r in reports] == ["E1.json", "E2.json"]
 
 
 class TestWriteBench:
@@ -115,33 +80,23 @@ class TestWriteBench:
         content_a = first.read_text()
         write_bench("micro", records, tmp_path)
         assert first.read_text() == content_a  # no timestamps, stable bytes
-        doc = load_bench(first)
-        assert doc["name"] == "micro"
+        doc = json.loads(content_a)
+        assert doc["type"] == "bench" and doc["name"] == "micro"
         assert doc["records"]["E1"]["metrics"]["x"] == 2.0
 
     def test_name_is_sanitized(self, tmp_path):
         target = write_bench("e2e/smoke test", {"r": {}}, tmp_path)
         assert target.name == "BENCH_e2e_smoke_test.json"
 
-    def test_load_rejects_non_bench(self, tmp_path):
-        other = tmp_path / "x.json"
-        other.write_text("{}")
-        with pytest.raises(ReproError, match="not a BENCH"):
-            load_bench(other)
-        with pytest.raises(ReproError, match="not found"):
-            load_bench(tmp_path / "absent.json")
-
 
 class TestBenchCli:
     def test_bench_then_compare(self, tmp_path, capsys):
-        _experiment_record(tmp_path, "E1")
-        out_dir = tmp_path / "baselines"
-        out_dir.mkdir()
-        assert main(["bench", str(tmp_path), "--name", "t", "-o", str(out_dir)]) == 0
-        bench_file = out_dir / "BENCH_t.json"
-        assert bench_file.exists()
-        capsys.readouterr()
-        code = main(
-            ["compare", str(bench_file), str(bench_file), "--default-threshold", "2"]
-        )
+        """``repro bench --suite`` writes a BENCH file ``compare`` gates."""
+        assert main(
+            ["bench", "--suite", "scale", "--max-nodes", "10000", "-o", str(tmp_path)]
+        ) == 0
+        bench_file = tmp_path / "BENCH_scale.json"
+        assert capsys.readouterr().out.startswith(f"wrote {bench_file}")
+        code, (report,) = _self_compare(bench_file, capsys, "--default-threshold", "2")
         assert code == 0
+        assert any(m["name"] == "scale_10k.mem_peak_kb" for m in report["metrics"])

@@ -118,7 +118,7 @@ class TestExtractMetrics:
             assert flat["cost"] > 0
             assert "ratio_vs_lp" in flat
 
-    def test_from_bench_record_document(self, tmp_path):
+    def test_from_bench_document(self, tmp_path):
         bench = tmp_path / "BENCH_x.json"
         bench.write_text(
             json.dumps(
@@ -136,20 +136,6 @@ class TestExtractMetrics:
         )
         flat = extract_metrics(bench)
         assert flat == {"E1.wall_seconds": 2.0, "E1.ratio_max": 1.4}
-
-    def test_from_pytest_benchmark_export(self, tmp_path):
-        export = tmp_path / "export.json"
-        export.write_text(
-            json.dumps(
-                {
-                    "benchmarks": [
-                        {"name": "test_lp", "stats": {"mean": 0.1, "stddev": 0.01}}
-                    ]
-                }
-            )
-        )
-        flat = extract_metrics(export)
-        assert flat["test_lp.mean"] == 0.1
 
     def test_unknown_artifact_rejected(self, tmp_path):
         bad = tmp_path / "x.json"

@@ -140,13 +140,6 @@ class TestInspectDigests:
         assert "final=" in solo
         assert "greedy:iter:1" in solo
 
-    def test_flags_first_divergent_checkpoint(self, tmp_path):
-        left_path, right_path = divergent_pair(tmp_path)
-        both = inspect_digests(left_path, other=right_path)
-        assert "<- first divergence" in both
-        assert "DIVERGE" in both
-        assert "greedy:iter:2" in both
-
 
 class TestCliVerbs:
     @pytest.fixture()

@@ -81,11 +81,6 @@ def test_micro_suite_raises_on_engine_disagreement(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def test_suite_name_override(tmp_path):
-    path = run_perf_suite("micro", out=tmp_path, name="nightly")
-    assert path.name == "BENCH_nightly.json"
-
-
 def test_scale_suite_reduced_ladder(tmp_path):
     """``max_nodes`` trims the ladder (the CI shape); gates still hold."""
     path = run_perf_suite("scale", out=tmp_path, max_nodes=10_000)
