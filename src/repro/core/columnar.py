@@ -51,11 +51,12 @@ count:
   to edges attaining it — the minimum id among ties, which is exactly
   what a first-extremum scan returns.
 * Coin flips come from the same per-node ``SeedSequence`` streams
-  (:func:`~repro.net.rng.node_rng`). Only facilities ever draw, and a
-  facility's generator is built on its first draw, so a run builds only
-  the streams it uses — identical to the full spawn by the spawn-key
-  prefix property, and independent of blocks and shards because each
-  stream depends only on its own draws.
+  (:func:`~repro.net.rng.node_rng`), held for a whole facility slice by
+  one :class:`~repro.net.rng.CoinPlane` per shard: numpy ``uint64``
+  limbs that reproduce each stream's ``random()`` bit for bit, built on
+  the slice's first draw (``select_all`` rounding never draws). Only
+  facilities ever draw. Each row advances only on its own draws, so the
+  values are independent of blocks and shards.
 * Blocks never reorder arithmetic either: row-wise ``cumsum``,
   per-segment ``reduceat``, min/max reductions and integer ``bincount``
   sums give the same result whichever block a row or segment lands in.
@@ -85,7 +86,7 @@ from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError
 from repro.fl.instance import FacilityLocationInstance
-from repro.net.rng import node_rng
+from repro.net.rng import CoinPlane
 
 __all__ = [
     "ColumnarInstance",
@@ -539,7 +540,7 @@ def _segment_min_with_id(values, fac_ids, starts, lengths, sentinel):
 
 
 def _greedy_facility_phase(
-    cinst, pad, params, scale, rngs, f0, f1, *, active, is_open, priorities, best_size, member
+    cinst, pad, params, scale, coins, f0, f1, *, active, is_open, priorities, best_size, member
 ) -> None:
     """Star search + proposal coins for the facility slice ``[f0, f1)``."""
     act = active[pad.cli] & pad.valid
@@ -556,8 +557,8 @@ def _greedy_facility_phase(
     best_size[f0:f1] = best
     proposers = best > 0
     priorities[f0:f1] = -1.0
-    for local in np.flatnonzero(proposers):
-        priorities[f0 + local] = rngs[f0 + local].random()
+    ids = f0 + np.flatnonzero(proposers)
+    priorities[ids] = coins.random(ids)
     if act.shape[1]:
         member2d = act & (np.cumsum(act, axis=1) <= best[:, None]) & proposers[:, None]
         member[cinst.fac_ptr[f0] : cinst.fac_ptr[f1]] = member2d[pad.valid]
@@ -684,7 +685,7 @@ def _dual_client_select_phase(cinst, c0, c1, *, witness, target) -> None:
 
 
 def _dual_facility_round_phase(
-    cinst, pad, params, policy, rngs, f0, f1, *, alphas, target, is_open
+    cinst, pad, params, policy, coins, f0, f1, *, alphas, target, is_open
 ) -> None:
     """Rounding coin flips for ``[f0, f1)`` given full selections."""
     fac_ids = np.arange(f0, f1, dtype=np.int64)[:, None]
@@ -701,13 +702,12 @@ def _dual_facility_round_phase(
     else:
         mass = np.zeros(f1 - f0)
     factor = policy.c_round * math.log(max(params.num_nodes, 2))
-    for local in np.flatnonzero(has_selectors):
-        probability = min(
-            1.0,
-            factor * float(mass[local]) / max(float(cinst.opening[f0 + local]), 1e-300),
-        )
-        if rngs[f0 + local].random() < probability:
-            is_open[f0 + local] = True
+    local = np.flatnonzero(has_selectors)
+    ids = f0 + local
+    probability = np.minimum(
+        1.0, factor * mass[local] / np.maximum(cinst.opening[ids], 1e-300)
+    )
+    is_open[ids[coins.random(ids) < probability]] = True
 
 
 def _dual_join_compute_phase(
@@ -833,18 +833,6 @@ class _Observer:
 # ----------------------------------------------------------------------
 
 
-class _CoinStreams(dict):
-    """Facility id -> its coin stream, built on the facility's first draw."""
-
-    def __init__(self, seed: int) -> None:
-        super().__init__()
-        self.seed = seed
-
-    def __missing__(self, facility: int) -> np.random.Generator:
-        rng = self[facility] = node_rng(self.seed, facility)
-        return rng
-
-
 def _schedule(
     cinst, variant, params, seed, s, shard, f, c, sync, snapshot,
     *, open_fraction, policy, hook=None,
@@ -865,7 +853,7 @@ def _schedule(
     order = "g" if variant is Variant.GREEDY else "byc"
     fblocks = [(b0, b1, cinst.padded(b0, b1, order)) for b0, b1 in _facility_blocks(cinst, *f)]
     cblocks = _client_blocks(*c)
-    rngs = _CoinStreams(seed)
+    coins = CoinPlane(seed, *f)
     if variant is Variant.GREEDY:
         accepted_partial = s["accepted_partial"][shard]
         for iteration in range(1, params.num_iterations + 1):
@@ -874,7 +862,7 @@ def _schedule(
             if busy:
                 for b0, b1, pad in fblocks:
                     _greedy_facility_phase(
-                        cinst, pad, params, scale, rngs, b0, b1,
+                        cinst, pad, params, scale, coins, b0, b1,
                         active=s["active"], is_open=s["is_open"],
                         priorities=s["priorities"], best_size=s["best_size"],
                         member=s["member"],
@@ -950,7 +938,7 @@ def _schedule(
     sync()
     for b0, b1, pad in fblocks:
         _dual_facility_round_phase(
-            cinst, pad, params, policy, rngs, b0, b1,
+            cinst, pad, params, policy, coins, b0, b1,
             alphas=s["alphas"], target=s["target"], is_open=s["is_open"],
         )
     sync()

@@ -92,7 +92,7 @@ def _emulate_greedy(
     n = instance.num_clients
     prov = recorder.provenance if recorder is not None else None
     opened_event: dict[int, int] = {}  # facility -> its open event id
-    rngs = spawn_node_rngs(seed, m + n)  # facility i uses stream i
+    rngs = spawn_node_rngs(seed, m)  # facility i uses stream i; clients never draw
     opening = instance.opening_costs
     # Per-facility adjacency as (client, cost) sorted by (cost, node id),
     # matching GreedyFacilityNode._best_star ordering (node id = m + j).
@@ -301,7 +301,7 @@ def _emulate_dual(
     alpha_event: dict[int, int] = {}  # client -> latest alpha_raise event
     tight_event: dict[int, int] = {}  # facility -> its tight event
     settle_event: dict[int, int] = {}  # client -> its settle event
-    rngs = spawn_node_rngs(seed, m + n)
+    rngs = spawn_node_rngs(seed, m)
     gamma = [
         min(instance.connection_cost(i, j) for i in instance.facilities_of_client(j))
         for j in range(n)

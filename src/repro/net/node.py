@@ -76,9 +76,21 @@ class Node:
     def __init__(self, node_id: int) -> None:
         self.node_id = int(node_id)
         self.neighbors: frozenset[int] = frozenset()
-        self.rng: np.random.Generator = np.random.default_rng(0)
+        self._rng: np.random.Generator | None = None
         self.finished = False
         self.crashed = False
+
+    @property
+    def rng(self) -> np.random.Generator:
+        # The simulator assigns every node its stream; a node driven
+        # without one gets ``default_rng(0)`` when it first draws.
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
+        return self._rng
+
+    @rng.setter
+    def rng(self, value: np.random.Generator) -> None:
+        self._rng = value
 
     def on_setup(self, ctx: "RoundContext") -> None:
         """One-time initialization hook (round 0). Override as needed."""

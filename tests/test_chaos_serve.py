@@ -81,7 +81,12 @@ class TestInProcessGates:
         assert report.passed, report.failures()
         assert not report.lost and not report.divergent
         assert report.injected["crash_cells"] >= 1  # faults actually fired
-        assert report.service_metrics["exec_retries"] >= 1
+        # Each crash fault fires once and kills the pool it runs in, so at
+        # least one pool is respawned. A retry is counted only when a
+        # faulty cell first runs in the one-cell isolation pool; when every
+        # crash fires in the shared first pool, the isolated re-runs are
+        # all clean and exec_retries stays 0.
+        assert report.service_metrics["exec_respawns"] >= 1
 
     def test_serial_crash_injection_passes_gates(self):
         report = run_chaos_serve(

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.columnar import solve_columnar
+from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.exceptions import SimulationError
+from repro.fl.generators import make_instance
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.metrics import NetworkMetrics
-from repro.net.rng import derive_rng, node_rng, spawn_node_rngs
+from repro.net.rng import CoinPlane, derive_rng, node_rng, spawn_node_rngs
 from repro.net.trace import NullTrace, Trace
 
 
@@ -36,6 +40,55 @@ class TestRng:
     def test_derive_rng_keyed(self):
         assert derive_rng(1, 2).random() == derive_rng(1, 2).random()
         assert derive_rng(1, 2).random() != derive_rng(1, 3).random()
+
+
+class TestCoinPlane:
+    """The vectorized streams against numpy's own generators, bit for bit."""
+
+    # One-, two-, three- and five-word seeds: the run entropy is padded
+    # to the pool size below four words and mixed in after it above.
+    SEEDS = (0, 1, 3, 2**32 + 5, 2**63 + 17, 12345678901234567890, 2**64 + 9, 2**130 + 7)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_node_rng_draw_for_draw(self, seed):
+        start, stop, rounds = 1000, 1400, 5
+        expected = np.array([node_rng(seed, i).random(rounds) for i in range(start, stop)])
+        plane = CoinPlane(seed, start, stop)
+        drawn = np.zeros(stop - start, dtype=np.int64)
+        pick = np.random.default_rng(seed % 2**32)
+        for _ in range(rounds):
+            # A random subset in random order, so rows advance unevenly.
+            rows = pick.permutation(stop - start)[: pick.integers(1, stop - start + 1)]
+            values = plane.random(start + rows)
+            want = expected[rows, drawn[rows]]
+            assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+            drawn[rows] += 1
+        assert drawn.min() < drawn.max()
+
+    def test_empty_draw(self):
+        values = CoinPlane(7, 0, 8).random(np.array([], dtype=np.int64))
+        assert values.shape == (0,) and values.dtype == np.float64
+
+    def test_refuses_two_word_spawn_keys(self):
+        CoinPlane(0, 2**32 - 4, 2**32)
+        with pytest.raises(ValueError, match="two-word spawn key"):
+            CoinPlane(0, 2**32 - 4, 2**32 + 1)
+
+    def test_select_all_rounding_never_builds_the_plane(self, monkeypatch):
+        builds = []
+        build = CoinPlane._build
+
+        def counted(plane):
+            builds.append(plane.start)
+            return build(plane)
+
+        monkeypatch.setattr(CoinPlane, "_build", counted)
+        instance = make_instance("uniform", 8, 24, seed=2)
+        for mode in ("select_all", "randomized"):
+            solve_columnar(
+                instance, 4, "dual_ascent", seed=1, rounding=RoundingPolicy(mode=mode)
+            )
+            assert len(builds) == (mode == "randomized")
 
 
 class TestNetworkMetrics:
