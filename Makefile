@@ -12,11 +12,14 @@ develop:
 test:
 	pytest tests/
 
+# The quick experiment artifacts that tier-1 (tests/test_experiments.py)
+# compares exactly; bench-full writes the full configurations to a
+# scratch directory.
 bench:
-	pytest benchmarks/ --benchmark-only
+	python -m repro.cli experiment all --quick -o benchmarks/_artifacts
 
 bench-full:
-	REPRO_BENCH_FULL=1 pytest benchmarks/ --benchmark-only
+	python -m repro.cli experiment all -o experiments-full
 
 report:
 	python -m repro.analysis.report
@@ -36,5 +39,5 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
 
 clean:
-	rm -rf benchmarks/_artifacts .pytest_cache src/repro.egg-info docs/api
+	rm -rf experiments-full .pytest_cache src/repro.egg-info docs/api
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -3,13 +3,18 @@
 The original paper proves analytical bounds and has no measurement
 section; this module instantiates every stated claim as a measurable
 table/figure (see the experiment index in DESIGN.md). Each ``run_*``
-function is deterministic given its arguments, returns an
-:class:`ExperimentResult` (structured rows + a rendered ASCII table), and
-is called both by the ``benchmarks/`` suite (small configurations) and by
-``examples/`` / EXPERIMENTS.md generation (full configurations).
+function is deterministic given its arguments and returns an
+:class:`ExperimentResult` (structured rows + a rendered ASCII table).
+
+:data:`EXPERIMENTS` maps each id to its runner; it is the one list that
+``repro experiment ID|all``, the EXPERIMENTS.md report and the tier-1
+artifact gate read. :func:`save_result` writes a result's table and
+BENCH record; ``repro experiment all --quick -o benchmarks/_artifacts``
+writes the committed artifacts that ``tests/test_experiments.py``
+compares exactly.
 
 Every function takes a ``quick`` flag that shrinks the workload to
-benchmark-friendly size without changing its structure.
+test-friendly size without changing its structure.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.aggregate import aggregate, linear_fit
@@ -52,7 +58,9 @@ from repro.perf.cells import (
 from repro.perf.executor import SweepExecutor
 
 __all__ = [
+    "EXPERIMENTS",
     "ExperimentResult",
+    "save_result",
     "run_e1_tradeoff_table",
     "run_e2_ratio_vs_k",
     "run_e3_rounds_vs_k",
@@ -89,6 +97,9 @@ class ExperimentResult:
     headers: tuple[str, ...]
     rows: tuple[tuple[Any, ...], ...]
     notes: Mapping[str, Any] = field(default_factory=dict)
+    #: Columns read off the clock; they differ run to run, so the
+    #: artifact gate skips their metrics (as it skips ``wall_seconds``).
+    timing_columns: tuple[str, ...] = ()
 
     @property
     def table(self) -> str:
@@ -110,8 +121,8 @@ class ExperimentResult:
     def to_record(self) -> dict[str, Any]:
         """This experiment's record in a BENCH file (:mod:`repro.obs.bench`).
 
-        ``benchmarks/`` writes it next to each rendered table, keyed by
-        the experiment id. ``params`` carries the experiment
+        :func:`save_result` writes it next to the rendered table, keyed
+        by the experiment id. ``params`` carries the experiment
         configuration (the notes); ``metrics`` carries per-column
         mean/max of every numeric table column, which is what
         cross-version regression comparison keys on. NaN/inf cells are
@@ -721,6 +732,7 @@ def run_e9_scalability(
         headers=("N", "simulator_s", "sequential_s", "speedup", "messages"),
         rows=tuple(rows),
         notes={"k": k, "family": family},
+        timing_columns=("simulator_s", "sequential_s", "speedup"),
     )
 
 
@@ -1265,3 +1277,41 @@ def run_e17_fault_families(
         rows=tuple(rows),
         notes={"m": m, "n": n, "k": k, "intensity": intensity},
     )
+
+
+#: Every experiment by id, in index order.
+EXPERIMENTS: Mapping[str, Callable[..., ExperimentResult]] = {
+    "E1": run_e1_tradeoff_table,
+    "E2": run_e2_ratio_vs_k,
+    "E3": run_e3_rounds_vs_k,
+    "E4": run_e4_message_bits,
+    "E5": run_e5_baselines_table,
+    "E6": run_e6_rounding_ablation,
+    "E7": run_e7_rho_sensitivity,
+    "E8": run_e8_families_table,
+    "E9": run_e9_scalability,
+    "E10": run_e10_variants_table,
+    "E11": run_e11_faults,
+    "E12": run_e12_ladder_necessity,
+    "E13": run_e13_settle_ablation,
+    "E14": run_e14_anytime,
+    "E15": run_e15_concentration,
+    "E16": run_e16_opening_rule,
+    "E17": run_e17_fault_families,
+}
+
+
+def save_result(directory: str | Path, result: ExperimentResult) -> Path:
+    """Write both faces of an experiment into ``directory``.
+
+    ``<ID>.txt`` is the rendered table, for humans and EXPERIMENTS.md
+    diffs; ``<ID>.json`` is the BENCH file ``repro compare`` diffs
+    across versions. Returns the BENCH file's path.
+    """
+    from repro.obs.bench import write_bench
+
+    eid = result.experiment_id
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{eid}.txt").write_text(result.table + "\n")
+    return write_bench(eid, {eid: result.to_record()}, directory / f"{eid}.json")

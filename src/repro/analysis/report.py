@@ -1,9 +1,9 @@
 """EXPERIMENTS.md generation.
 
-Runs the full E1–E13 suite (full configurations) and writes EXPERIMENTS.md
-with the measured tables plus a paper-vs-measured verdict per experiment.
-Because the report is generated by code, the published numbers are always
-regenerable:
+Runs every experiment of :data:`repro.analysis.experiments.EXPERIMENTS`
+(E1–E17, full configurations) and writes EXPERIMENTS.md with the measured
+tables plus a paper-vs-measured verdict per experiment. Because the report
+is generated by code, the published numbers are always regenerable:
 
     python -m repro.analysis.report [output_path]
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from repro.analysis import experiments as exp
 
@@ -30,11 +31,11 @@ experiment instantiates one stated claim; "paper" below is the claim,
 the **LP relaxation lower bound**, so every reported ratio *upper-bounds*
 the true approximation factor.
 
-Running the benchmark suite (`pytest benchmarks/`) writes, next to each
-`benchmarks/_artifacts/E*.txt` table, a versioned BENCH file `E*.json`
-(parameters, per-column metric summaries, wall-clock). `repro compare
-old_dir/ benchmarks/_artifacts/` pairs two such directories by filename
-and diffs each pair to flag regressions.
+`repro experiment all --quick -o benchmarks/_artifacts` writes, next to
+each `E*.txt` table, a versioned BENCH file `E*.json` (parameters,
+per-column metric summaries, wall-clock). Tier-1 compares each committed
+record with a fresh run, and `repro compare old_dir/ new_dir/` pairs two
+such directories by filename and diffs each pair.
 
 | ID | Claim (paper) | Verdict |
 |----|---------------|---------|
@@ -61,231 +62,231 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def generate_report(output_path: Path, quick: bool = False) -> str:
-    """Run every experiment and write the report; returns the text."""
-    start = time.perf_counter()
-    sections: list[str] = []
-    summary: list[tuple[str, str, str]] = []
+#: Per experiment id: (paper claim, summary-row claim, verdict builder).
+#: A builder reads the measured result and returns the section's verdict
+#: and the summary row's short verdict.
+_Verdict = Callable[[exp.ExperimentResult], tuple[str, str]]
+_CLAIMS: dict[str, tuple[str, str, _Verdict]] = {}
 
-    e1 = exp.run_e1_tradeoff_table(quick=quick)
-    c = e1.notes["max_implied_C"]
-    verdict = (
+
+def _claim(eid: str, claim: str, short: str) -> Callable[[_Verdict], _Verdict]:
+    def register(verdict: _Verdict) -> _Verdict:
+        _CLAIMS[eid] = (claim, short, verdict)
+        return verdict
+
+    return register
+
+
+@_claim(
+    "E1",
+    "for every k, the algorithm is an "
+    "O(sqrt(k) (m rho)^(1/sqrt k) log(m+n))-approximation.",
+    "main trade-off bound",
+)
+def _e1(result: exp.ExperimentResult) -> tuple[str, str]:
+    c = result.notes["max_implied_C"]
+    return (
         f"every measured ratio sits below the envelope; the implied constant "
-        f"never exceeds {c:.3g} (<= 1) across all k and families."
-    )
-    sections.append(
-        _section(
-            e1,
-            "for every k, the algorithm is an "
-            "O(sqrt(k) (m rho)^(1/sqrt k) log(m+n))-approximation.",
-            verdict,
-        )
-    )
-    summary.append(("E1", "main trade-off bound", "holds (C <= %.3g)" % c))
-
-    e2 = exp.run_e2_ratio_vs_k(quick=quick)
-    ratios = e2.column("ratio_mean")
-    greedy_ref = e2.column("greedy_ref")[0]
-    verdict = (
-        f"the measured curve falls from {ratios[0]:.2f} (k={e2.rows[0][0]}) to "
-        f"{ratios[-1]:.2f} (k={e2.rows[-1][0]}), approaching the greedy "
-        f"reference {greedy_ref:.2f}."
-    )
-    sections.append(
-        _section(
-            e2,
-            "more rounds buy a better approximation, converging toward the "
-            "sequential (log-factor) quality as k grows.",
-            verdict,
-        )
-    )
-    summary.append(
-        ("E2", "ratio decreases in k", f"{ratios[0]:.2f} -> {ratios[-1]:.2f}")
+        f"never exceeds {c:.3g} (<= 1) across all k and families.",
+        "holds (C <= %.3g)" % c,
     )
 
-    e3 = exp.run_e3_rounds_vs_k(quick=quick)
-    slope = e3.notes["fit_slope"]
-    verdict = (
+
+@_claim(
+    "E2",
+    "more rounds buy a better approximation, converging toward the "
+    "sequential (log-factor) quality as k grows.",
+    "ratio decreases in k",
+)
+def _e2(result: exp.ExperimentResult) -> tuple[str, str]:
+    ratios = result.column("ratio_mean")
+    greedy_ref = result.column("greedy_ref")[0]
+    return (
+        f"the measured curve falls from {ratios[0]:.2f} (k={result.rows[0][0]}) "
+        f"to {ratios[-1]:.2f} (k={result.rows[-1][0]}), approaching the greedy "
+        f"reference {greedy_ref:.2f}.",
+        f"{ratios[0]:.2f} -> {ratios[-1]:.2f}",
+    )
+
+
+@_claim("E3", "the algorithm runs in O(k) rounds.", "rounds are Theta(k)")
+def _e3(result: exp.ExperimentResult) -> tuple[str, str]:
+    slope = result.notes["fit_slope"]
+    return (
         f"measured rounds fit rounds ~= {slope:.2f} k + "
-        f"{e3.notes['fit_intercept']:.1f}; every point is under the "
-        f"4k + 8 budget."
+        f"{result.notes['fit_intercept']:.1f}; every point is under the "
+        f"4k + 8 budget.",
+        f"slope {slope:.2f}",
     )
-    sections.append(_section(e3, "the algorithm runs in O(k) rounds.", verdict))
-    summary.append(("E3", "rounds are Theta(k)", f"slope {slope:.2f}"))
 
-    e4 = exp.run_e4_message_bits(quick=quick)
-    max_bits = max(e4.column("max_bits"))
-    verdict = (
+
+@_claim(
+    "E4", "messages are bounded by O(log N) bits (CONGEST).", "O(log N)-bit messages"
+)
+def _e4(result: exp.ExperimentResult) -> tuple[str, str]:
+    max_bits = max(result.column("max_bits"))
+    return (
         f"the largest message over all network sizes is {max_bits} bits "
         f"(one 64-bit cost word + constant tag) — constant in practice, "
-        f"comfortably under the 16 log2 N envelope."
+        f"comfortably under the 16 log2 N envelope.",
+        f"max {max_bits} bits",
     )
-    sections.append(
-        _section(e4, "messages are bounded by O(log N) bits (CONGEST).", verdict)
-    )
-    summary.append(("E4", "O(log N)-bit messages", f"max {max_bits} bits"))
 
-    e5 = exp.run_e5_baselines_table(quick=quick)
-    verdict = (
+
+@_claim(
+    "E5",
+    "the distributed algorithm trades a bounded factor against the "
+    "best sequential algorithms.",
+    "vs sequential baselines",
+)
+def _e5(result: exp.ExperimentResult) -> tuple[str, str]:
+    return (
         "the distributed algorithm at a generous round budget lands within a "
         "small factor of the centralized baselines on every family; the "
         "exact optimum (where computable) is never beaten, and metric-only "
-        "baselines (JV/MP/LP-rounding) behave per their classical factors."
+        "baselines (JV/MP/LP-rounding) behave per their classical factors.",
+        "bounded gap",
     )
-    sections.append(
-        _section(
-            e5,
-            "the distributed algorithm trades a bounded factor against the "
-            "best sequential algorithms.",
-            verdict,
-        )
-    )
-    summary.append(("E5", "vs sequential baselines", "bounded gap"))
 
-    e6 = exp.run_e6_rounding_ablation(quick=quick)
-    verdict = (
+
+@_claim(
+    "E6",
+    "randomized rounding costs an extra O(log(m+n)) factor w.h.p.; "
+    "a deterministic fallback guarantees feasibility.",
+    "rounding ablation",
+)
+def _e6(result: exp.ExperimentResult) -> tuple[str, str]:
+    return (
         "select_all never needs the fallback; aggressive randomized rounding "
         "(small constants) trades opening cost for connection cost and "
         "triggers the deterministic fallback, yet every run stays feasible — "
-        "the paper's 'with high probability' machinery made visible."
+        "the paper's 'with high probability' machinery made visible.",
+        "fallback works",
     )
-    sections.append(
-        _section(
-            e6,
-            "randomized rounding costs an extra O(log(m+n)) factor w.h.p.; "
-            "a deterministic fallback guarantees feasibility.",
-            verdict,
-        )
-    )
-    summary.append(("E6", "rounding ablation", "fallback works"))
 
-    e7 = exp.run_e7_rho_sensitivity(quick=quick)
-    verdict = (
+
+@_claim(
+    "E7",
+    "the approximation degrades with the cost spread rho as "
+    "(m rho)^(1/sqrt k).",
+    "rho sensitivity",
+)
+def _e7(result: exp.ExperimentResult) -> tuple[str, str]:
+    return (
         "at fixed k the measured ratio stays under the envelope as rho grows "
         "by three orders of magnitude; the envelope's (m rho)^(1/sqrt k) "
-        "growth is the binding shape."
+        "growth is the binding shape.",
+        "envelope holds",
     )
-    sections.append(
-        _section(
-            e7,
-            "the approximation degrades with the cost spread rho as "
-            "(m rho)^(1/sqrt k).",
-            verdict,
-        )
-    )
-    summary.append(("E7", "rho sensitivity", "envelope holds"))
 
-    e8 = exp.run_e8_families_table(quick=quick)
-    worst = max(e8.column("ratio_max"))
-    verdict = (
+
+@_claim(
+    "E8",
+    "the algorithm handles general non-metric instances (the "
+    "set-cover regime where the log factor is unavoidable).",
+    "non-metric generality",
+)
+def _e8(result: exp.ExperimentResult) -> tuple[str, str]:
+    worst = max(result.column("ratio_max"))
+    return (
         f"all families — metric and non-metric — are solved feasibly; the "
-        f"worst observed ratio is {worst:.2f}."
+        f"worst observed ratio is {worst:.2f}.",
+        f"worst ratio {worst:.2f}",
     )
-    sections.append(
-        _section(
-            e8,
-            "the algorithm handles general non-metric instances (the "
-            "set-cover regime where the log factor is unavoidable).",
-            verdict,
-        )
-    )
-    summary.append(("E8", "non-metric generality", f"worst ratio {worst:.2f}"))
 
-    e9 = exp.run_e9_scalability(quick=quick)
-    speedup = e9.rows[-1][3]
-    verdict = (
+
+@_claim(
+    "E9",
+    "(repro-band check, not a paper claim) simulation cost vs size.",
+    "scalability",
+)
+def _e9(result: exp.ExperimentResult) -> tuple[str, str]:
+    speedup = result.rows[-1][3]
+    return (
         f"the message simulator scales to the tested sizes; the sequential "
         f"emulation produces identical solutions {speedup:.1f}x faster at "
-        f"the largest size (repro band: 'simulation simple; slow at scale')."
+        f"the largest size (repro band: 'simulation simple; slow at scale').",
+        f"emulation {speedup:.1f}x faster",
     )
-    sections.append(
-        _section(
-            e9,
-            "(repro-band check, not a paper claim) simulation cost vs size.",
-            verdict,
-        )
-    )
-    summary.append(("E9", "scalability", f"emulation {speedup:.1f}x faster"))
 
-    e10 = exp.run_e10_variants_table(quick=quick)
-    verdict = (
+
+@_claim(
+    "E10",
+    "the trade-off is a technique, not a single algorithm: two "
+    "realizations with the same k behave comparably.",
+    "variant comparison",
+)
+def _e10(result: exp.ExperimentResult) -> tuple[str, str]:
+    return (
         "both realizations of the trade-off respect the round budget; the "
         "flagship (conflict-resolving greedy) and the dual ascent (finer "
-        "threshold ladder) trade their budgets differently but comparably."
+        "threshold ladder) trade their budgets differently but comparably.",
+        "both within budget",
     )
-    sections.append(
-        _section(
-            e10,
-            "the trade-off is a technique, not a single algorithm: two "
-            "realizations with the same k behave comparably.",
-            verdict,
-        )
-    )
-    summary.append(("E10", "variant comparison", "both within budget"))
 
-    e11 = exp.run_e11_faults(quick=quick)
-    verdict = (
+
+@_claim(
+    "E11",
+    "(extension; the paper assumes reliable links) behaviour under "
+    "message loss.",
+    "fault extension",
+)
+def _e11(result: exp.ExperimentResult) -> tuple[str, str]:
+    return (
         "fault-free runs are always complete (the paper's setting); with "
         "injected loss the completeness degrades gracefully and repaired "
         "solutions stay within a bounded multiple of the LP bound "
-        "(extension beyond the paper)."
+        "(extension beyond the paper).",
+        "graceful degradation",
     )
-    sections.append(
-        _section(
-            e11,
-            "(extension; the paper assumes reliable links) behaviour under "
-            "message loss.",
-            verdict,
-        )
-    )
-    summary.append(("E11", "fault extension", "graceful degradation"))
 
-    e12 = exp.run_e12_ladder_necessity(quick=quick)
-    by_k = {row[0]: row[1] for row in e12.rows}
-    verdict = (
+
+@_claim(
+    "E12",
+    "the round/approximation trade-off is real: instances exist on "
+    "which a too-small round budget forces a poor approximation "
+    "(lower-bound side of the trade-off).",
+    "ladder necessity",
+)
+def _e12(result: exp.ExperimentResult) -> tuple[str, str]:
+    by_k = {row[0]: row[1] for row in result.rows}
+    return (
         f"with a single threshold (k=1) the decoys win: ratio "
-        f"{by_k[1]:.1f} (~ the gap {e12.notes['gap']:g}); from k=4 on, the "
+        f"{by_k[1]:.1f} (~ the gap {result.notes['gap']:g}); from k=4 on, the "
         f"ladder isolates the good facility and the ratio collapses to "
         f"{min(v for k, v in by_k.items() if k >= 4):.2f} — few rounds "
-        f"genuinely cost approximation quality."
-    )
-    sections.append(
-        _section(
-            e12,
-            "the round/approximation trade-off is real: instances exist on "
-            "which a too-small round budget forces a poor approximation "
-            "(lower-bound side of the trade-off).",
-            verdict,
-        )
-    )
-    summary.append(
-        ("E12", "ladder necessity", f"k=1 ratio {by_k[1]:.0f} -> ~1 at k>=4")
+        f"genuinely cost approximation quality.",
+        f"k=1 ratio {by_k[1]:.0f} -> ~1 at k>=4",
     )
 
-    e13 = exp.run_e13_settle_ablation(quick=quick)
-    ratios13 = e13.column("ratio_mean")
-    verdict = (
+
+@_claim(
+    "E13",
+    "(design-choice ablation) the second sqrt(k) factor — repeated "
+    "conflict-resolution iterations per scale — contributes to the "
+    "approximation.",
+    "settle ablation",
+)
+def _e13(result: exp.ExperimentResult) -> tuple[str, str]:
+    ratios = result.column("ratio_mean")
+    return (
         f"with the ladder pinned, one settle iteration is measurably worse "
-        f"({ratios13[0]:.3f}) than two or more ({ratios13[1]:.3f}); returns "
+        f"({ratios[0]:.3f}) than two or more ({ratios[1]:.3f}); returns "
         f"diminish sharply after R=2, supporting the roughly even "
-        f"scales/settle split of the round budget."
-    )
-    sections.append(
-        _section(
-            e13,
-            "(design-choice ablation) the second sqrt(k) factor — repeated "
-            "conflict-resolution iterations per scale — contributes to the "
-            "approximation.",
-            verdict,
-        )
-    )
-    summary.append(
-        ("E13", "settle ablation", f"R=1: {ratios13[0]:.2f}, R>=2: {ratios13[1]:.2f}")
+        f"scales/settle split of the round budget.",
+        f"R=1: {ratios[0]:.2f}, R>=2: {ratios[1]:.2f}",
     )
 
-    e14 = exp.run_e14_anytime(quick=quick)
-    first, last = e14.rows[0], e14.rows[-1]
-    verdict = (
+
+@_claim(
+    "E14",
+    "(extension) anytime reading of the trade-off: truncating the "
+    "schedule degrades quality gracefully.",
+    "anytime truncation",
+)
+def _e14(result: exp.ExperimentResult) -> tuple[str, str]:
+    first, last = result.rows[0], result.rows[-1]
+    return (
         f"quality accrues scale by scale: at {first[0]:.0%} of the schedule "
         f"{first[3]:.0%} of clients are already served and the partial open "
         f"set repairs to ratio {first[5]:.2f}; the completed run serves "
@@ -293,102 +294,83 @@ def generate_report(output_path: Path, quick: bool = False) -> str:
         f"the completed protocol's own assignment, because repair reassigns "
         f"clients globally to the cheapest open facility — an operation the "
         f"distributed protocol cannot perform.) Stopping early behaves like "
-        f"having chosen a smaller k."
-    )
-    sections.append(
-        _section(
-            e14,
-            "(extension) anytime reading of the trade-off: truncating the "
-            "schedule degrades quality gracefully.",
-            verdict,
-        )
-    )
-    summary.append(
-        ("E14", "anytime truncation", f"{first[3]:.0%} served at {first[0]:.0%}")
+        f"having chosen a smaller k.",
+        f"{first[3]:.0%} served at {first[0]:.0%}",
     )
 
-    e15 = exp.run_e15_concentration(quick=quick)
-    worst_spread = max(row[4] for row in e15.rows)
-    verdict = (
-        f"over {e15.notes['num_seeds']} independent seeds the ratio "
+
+@_claim(
+    "E15",
+    "the guarantee holds with high probability over the algorithm's coins.",
+    "w.h.p. concentration",
+)
+def _e15(result: exp.ExperimentResult) -> tuple[str, str]:
+    worst_spread = max(row[4] for row in result.rows)
+    return (
+        f"over {result.notes['num_seeds']} independent seeds the ratio "
         f"distribution is tightly concentrated — the worst seed is within "
         f"{(worst_spread - 1) * 100:.0f}% of the median at every k and "
         f"always under the envelope. This is the measured counterpart of "
-        f"the theorem's 'with high probability' qualifier."
-    )
-    sections.append(
-        _section(
-            e15,
-            "the guarantee holds with high probability over the "
-            "algorithm's coins.",
-            verdict,
-        )
-    )
-    summary.append(
-        ("E15", "w.h.p. concentration", f"max within {(worst_spread-1)*100:.0f}% of median")
+        f"the theorem's 'with high probability' qualifier.",
+        f"max within {(worst_spread-1)*100:.0f}% of median",
     )
 
-    e16 = exp.run_e16_opening_rule(quick=quick)
-    by_fraction = {row[0]: row[1] for row in e16.rows}
-    verdict = (
+
+@_claim(
+    "E16",
+    "(design-choice ablation) a facility should open only when a "
+    "constant fraction of its proposed star accepted; the analysis "
+    "uses one half.",
+    "opening-rule ablation",
+)
+def _e16(result: exp.ExperimentResult) -> tuple[str, str]:
+    by_fraction = {row[0]: row[1] for row in result.rows}
+    return (
         f"the sweep is U-shaped: opening on any accept costs "
         f"{by_fraction[0.0]:.2f}, demanding the full star costs "
         f"{by_fraction[1.0]:.2f}, and the analyzed half-star rule sits in "
         f"the flat bottom at {by_fraction[0.5]:.2f} — the two failure modes "
         f"(paying for under-filled facilities vs deadlocking contested "
-        f"ones) are both real, and 1/2 balances them."
-    )
-    sections.append(
-        _section(
-            e16,
-            "(design-choice ablation) a facility should open only when a "
-            "constant fraction of its proposed star accepted; the analysis "
-            "uses one half.",
-            verdict,
-        )
-    )
-    summary.append(
-        (
-            "E16",
-            "opening-rule ablation",
-            f"U-shape, min at 1/2 ({by_fraction[0.5]:.2f})",
-        )
+        f"ones) are both real, and 1/2 balances them.",
+        f"U-shape, min at 1/2 ({by_fraction[0.5]:.2f})",
     )
 
-    e17 = exp.run_e17_fault_families(quick=quick)
-    worst_resilient = min(row[2] for row in e17.rows)
-    worst_plain = min(row[1] for row in e17.rows)
-    verdict = (
+
+@_claim(
+    "E17",
+    "(resilience extension) reliable delivery plus self-healing "
+    "restores the paper's reliable-network guarantees under "
+    "injected faults.",
+    "resilience per fault family",
+)
+def _e17(result: exp.ExperimentResult) -> tuple[str, str]:
+    worst_resilient = min(row[2] for row in result.rows)
+    worst_plain = min(row[1] for row in result.rows)
+    return (
         f"with reliable delivery and self-healing enabled, every fault "
         f"family completes in at least {worst_resilient:.0%} of runs "
         f"(the unprotected protocol drops as low as {worst_plain:.0%}), "
         f"and healed solutions stay in the same cost regime as the best "
         f"post-hoc repair of a plain run — in-protocol healing restores "
         f"service without abandoning the cost envelope, at a measured "
-        f"retransmission price."
-    )
-    sections.append(
-        _section(
-            e17,
-            "(resilience extension) reliable delivery plus self-healing "
-            "restores the paper's reliable-network guarantees under "
-            "injected faults.",
-            verdict,
-        )
-    )
-    summary.append(
-        (
-            "E17",
-            "resilience per fault family",
-            f"resilient completion >= {worst_resilient:.0%}",
-        )
+        f"retransmission price.",
+        f"resilient completion >= {worst_resilient:.0%}",
     )
 
-    summary_rows = "\n".join(
-        f"| {eid} | {claim} | {v} |" for eid, claim, v in summary
-    )
+
+def generate_report(output_path: Path, quick: bool = False) -> str:
+    """Run every experiment and write the report; returns the text."""
+    start = time.perf_counter()
+    sections: list[str] = []
+    summary: list[str] = []
+    for eid, runner in exp.EXPERIMENTS.items():
+        result = runner(quick=quick)
+        claim, short, verdict = _CLAIMS[eid]
+        measured, short_verdict = verdict(result)
+        sections.append(_section(result, claim, measured))
+        summary.append(f"| {eid} | {short} | {short_verdict} |")
     elapsed = time.perf_counter() - start
-    text = _HEADER.format(summary_rows=summary_rows) + "".join(sections)
+    text = _HEADER.format(summary_rows="\n".join(summary)) + "".join(sections)
     text += (
         f"---\n\n*Report generated in {elapsed:.0f}s "
         f"({'quick' if quick else 'full'} configuration).*\n"

@@ -15,6 +15,7 @@ Everything the library does is reachable from the shell::
         --engine columnar --shards 2 --no-lp --digest
     repro baselines inst.json
     repro experiment E3 --quick
+    repro experiment all --quick -o benchmarks/_artifacts
     repro chaos --family uniform -m 6 -n 18 -k 9 --num-seeds 3 -o chaos.json
     repro report EXPERIMENTS.md --quick
     cat requests.jsonl | repro serve --batch-size 16 --metrics
@@ -68,26 +69,6 @@ from repro.obs.sinks import JsonlTraceSink
 from repro.obs.watchdogs import default_watchdogs
 
 __all__ = ["main", "build_parser"]
-
-_EXPERIMENTS = {
-    "E1": exp.run_e1_tradeoff_table,
-    "E2": exp.run_e2_ratio_vs_k,
-    "E3": exp.run_e3_rounds_vs_k,
-    "E4": exp.run_e4_message_bits,
-    "E5": exp.run_e5_baselines_table,
-    "E6": exp.run_e6_rounding_ablation,
-    "E7": exp.run_e7_rho_sensitivity,
-    "E8": exp.run_e8_families_table,
-    "E9": exp.run_e9_scalability,
-    "E10": exp.run_e10_variants_table,
-    "E11": exp.run_e11_faults,
-    "E12": exp.run_e12_ladder_necessity,
-    "E13": exp.run_e13_settle_ablation,
-    "E14": exp.run_e14_anytime,
-    "E15": exp.run_e15_concentration,
-    "E16": exp.run_e16_opening_rule,
-    "E17": exp.run_e17_fault_families,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,15 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
     base.add_argument("instance", nargs="?", help="instance JSON path")
     _add_instance_source(base, require_family=False)
 
-    expcmd = sub.add_parser("experiment", help="run one experiment E1..E17")
-    expcmd.add_argument("id", choices=sorted(_EXPERIMENTS, key=_experiment_key))
+    expcmd = sub.add_parser(
+        "experiment", help="run one experiment E1..E17, or all of them"
+    )
+    expcmd.add_argument("id", choices=[*exp.EXPERIMENTS, "all"])
     expcmd.add_argument("--quick", action="store_true")
     expcmd.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=argparse.SUPPRESS,
         help="worker processes for the experiment's sweep cells (default 1; "
         "output is identical whatever the value)",
+    )
+    expcmd.add_argument(
+        "-o",
+        "--output",
+        metavar="DIR",
+        help="also write each experiment's table (ID.txt) and BENCH record "
+        "(ID.json) into DIR",
     )
 
     report = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
@@ -604,7 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="intensity grid in (0, 1] (default: 0.05 0.15 0.3)",
     )
     chaos.add_argument(
-        "--num-seeds", type=int, default=3, help="seeds per grid cell"
+        "--num-seeds",
+        type=_seed_range,
+        dest="seeds",
+        metavar="NUM_SEEDS",
+        default=argparse.SUPPRESS,
+        help="seeds per grid cell (default 3)",
     )
     chaos.add_argument(
         "--workers",
@@ -727,10 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_key(experiment_id: str) -> int:
-    return int(experiment_id[1:])
-
-
 def _add_instance_source(
     parser: argparse.ArgumentParser,
     require_family: bool = False,
@@ -851,6 +842,11 @@ def _ttl(text: str) -> float | None:
     """A TTL in seconds; 0 (or less) means entries never expire."""
     seconds = float(text)
     return seconds if seconds > 0 else None
+
+
+def _seed_range(text: str) -> tuple[int, ...]:
+    """``--num-seeds N`` as the seeds ``0 .. N-1``."""
+    return tuple(range(int(text)))
 
 
 def _given(args: argparse.Namespace, **fields: str) -> dict[str, Any]:
@@ -1246,20 +1242,28 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     from repro.perf.executor import SweepExecutor
 
-    runner = _EXPERIMENTS[args.id]
-    kwargs: dict[str, Any] = {"quick": args.quick}
-    if args.workers > 1:
+    ids = list(exp.EXPERIMENTS) if args.id == "all" else [args.id]
+    executor = SweepExecutor(**_given(args, workers="workers"))
+    serial_only = []
+    for experiment_id in ids:
+        runner = exp.EXPERIMENTS[experiment_id]
+        kwargs: dict[str, Any] = {"quick": args.quick}
         # The timing experiments (E3/E4/E9) measure the serial protocol
         # itself and take no executor; --workers is a no-op for them.
         if "executor" in inspect.signature(runner).parameters:
-            kwargs["executor"] = SweepExecutor(workers=args.workers)
+            kwargs["executor"] = executor
         else:
-            print(
-                f"note: {args.id} has no parallel sweep; ignoring --workers",
-                file=sys.stderr,
-            )
-    result = runner(**kwargs)
-    print(result.table)
+            serial_only.append(experiment_id)
+        result = runner(**kwargs)
+        print(result.table)
+        if args.output:
+            exp.save_result(args.output, result)
+    if hasattr(args, "workers") and serial_only:
+        print(
+            f"note: no parallel sweep in {', '.join(serial_only)}; "
+            "ignoring --workers there",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -1274,7 +1278,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         instance,
         k=args.k,
         variant=args.variant,
-        seeds=tuple(range(args.num_seeds)),
         reliability=None if args.no_reliability else ReliabilityPolicy(),
         healing=None if args.no_healing else SelfHealingPolicy(),
         gates=ChaosGates(
@@ -1285,7 +1288,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             )
         ),
         executor=SweepExecutor(**_given(args, workers="workers")),
-        **_given(args, families="families", intensities="intensities"),
+        **_given(
+            args, families="families", intensities="intensities", seeds="seeds"
+        ),
     )
     result = report.to_experiment_result()
     failures = report.failures()

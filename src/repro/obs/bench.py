@@ -9,9 +9,10 @@ under regression thresholds.
 
 Every verb that measures writes one through :func:`write_bench`:
 ``repro bench --suite micro|scale``, ``repro loadtest -o``, ``repro
-chaos -o`` and ``repro chaos-serve -o``, and the experiment artifacts
-(``benchmarks/_artifacts/E*.json``) that ``benchmarks/conftest.py``
-writes next to each rendered table.
+chaos -o`` and ``repro chaos-serve -o``, and ``repro experiment ID|all
+-o DIR``, which writes ``DIR/<ID>.json`` next to each rendered table
+(:func:`repro.analysis.experiments.save_result`; the quick records are
+committed in ``benchmarks/_artifacts/``).
 
 Document shape::
 

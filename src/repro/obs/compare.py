@@ -11,9 +11,10 @@ bits, cost, ratio, wall-clock — all of the paper's resources point down).
 A metric regresses when ``new / old > threshold``; ``threshold=1.0`` means
 "must not grow at all", ``1.05`` allows 5% growth. Metrics present on only
 one side are reported but never fail the comparison (schema evolution must
-not break CI), and metrics without a threshold are checked only when a
-``default_threshold`` is supplied (BENCH wall-clock entries use this with
-a loose default, since absolute timings are machine-dependent).
+not break CI). A BENCH metric ``<record id>.<name>`` falls back to the
+threshold of ``<name>`` (``scale_10k.rounds`` is gated as ``rounds``), and
+metrics without either are checked only when a ``default_threshold`` is
+supplied.
 
 ``repro compare old new --threshold cost=1.05`` exits non-zero when any
 thresholded metric regresses.
@@ -326,9 +327,10 @@ def compare_metrics(
 ) -> ComparisonReport:
     """Diff two flat metric mappings under regression thresholds.
 
-    ``thresholds`` overrides/extends :data:`DEFAULT_THRESHOLDS`;
-    ``default_threshold`` applies to every shared metric that has no
-    explicit threshold (left unchecked otherwise).
+    ``thresholds`` overrides/extends :data:`DEFAULT_THRESHOLDS`; a name
+    with no threshold of its own takes that of its part after the first
+    dot (the BENCH record id), then ``default_threshold`` (left unchecked
+    otherwise).
     """
     effective = dict(DEFAULT_THRESHOLDS)
     effective.update(thresholds or {})
@@ -336,7 +338,9 @@ def compare_metrics(
     for name in sorted(set(old) | set(new)):
         old_value = old.get(name)
         new_value = new.get(name)
-        threshold = effective.get(name, default_threshold)
+        threshold = effective.get(name)
+        if threshold is None:
+            threshold = effective.get(name.partition(".")[2], default_threshold)
         if old_value is None or new_value is None:
             status = "missing"
             threshold = None

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from repro import cli
+from repro.analysis import experiments as exp
 from repro.analysis.chaos_serve import ChaosServePlan
 from repro.analysis.loadgen import LoadShape
 from repro.cli import build_parser, main
@@ -235,6 +236,27 @@ class TestExperiment:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "E99"])
+
+    def test_all_writes_each_table_and_record(self, tmp_path, capsys, monkeypatch):
+        subset = {eid: exp.EXPERIMENTS[eid] for eid in ("E3", "E12")}
+        monkeypatch.setattr(exp, "EXPERIMENTS", subset)
+        assert main(["experiment", "all", "--quick", "-o", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "E3:" in out and "E12:" in out
+        assert err == ""  # no --workers, no note
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "E12.json", "E12.txt", "E3.json", "E3.txt"
+        ]
+        doc = json.loads((tmp_path / "E3.json").read_text())
+        assert doc["records"]["E3"]["metrics"]["rounds_max"] == 68.0
+
+    def test_workers_note_names_serial_experiments_once(self, capsys, monkeypatch):
+        subset = {eid: exp.EXPERIMENTS[eid] for eid in ("E3", "E4", "E12")}
+        monkeypatch.setattr(exp, "EXPERIMENTS", subset)
+        assert main(["experiment", "all", "--quick", "--workers", "1"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("note:") == 1
+        assert "E3, E4;" in err and "E12" not in err
 
 
 class TestReport:

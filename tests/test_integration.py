@@ -20,9 +20,8 @@ from repro import (
     solve_lp,
 )
 from repro.analysis.ratios import ratio_vs_lp
-from repro.core.aggregation import run_efficiency_aggregation
 from repro.core.bounds import approximation_envelope, round_budget
-from repro.core.parameters import TradeoffParameters, efficiency_range
+from repro.core.parameters import TradeoffParameters
 from repro.fl.generators import make_instance
 from repro.fl.io import (
     instance_from_dict,
@@ -85,26 +84,6 @@ def test_distributed_vs_all_baselines_consistent():
     for label, cost in costs.items():
         assert cost >= lp.value - 1e-6, f"{label} beat the LP lower bound"
         assert cost <= 20 * lp.value, f"{label} exploded: {cost} vs LP {lp.value}"
-
-
-def test_aggregation_feeds_valid_schedule():
-    """The in-network coefficients can drive the schedule directly."""
-    instance = make_instance("sparse", 10, 30, seed=29)
-    aggregated = run_efficiency_aggregation(instance, rounds=instance.num_nodes)
-    eff_min, eff_max = efficiency_range(instance)
-    # The sparse bipartite graph may be disconnected: every node's view
-    # must bracket within the global range and be internally consistent.
-    for node_id in range(instance.num_nodes):
-        low, high = aggregated.bounds_of(node_id)
-        assert eff_min - 1e-9 <= low <= high <= eff_max + 1e-9
-
-    # Global agreement on connected instances.
-    complete = make_instance("uniform", 8, 20, seed=29)
-    aggregated = run_efficiency_aggregation(complete)
-    global_min, global_max = efficiency_range(complete)
-    low, high = aggregated.bounds_of(0)
-    assert low == pytest.approx(global_min, rel=1e-9)
-    assert high == pytest.approx(global_max, rel=1e-9)
 
 
 def test_parameters_consistency_between_variants():

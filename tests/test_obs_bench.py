@@ -5,11 +5,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis.experiments import ExperimentResult
+from repro.analysis.experiments import ExperimentResult, save_result
 from repro.cli import main
 from repro.obs.bench import bench_path_for, write_bench
-
-from benchmarks.conftest import save_result
 
 
 def _experiment_result(experiment_id="E1"):

@@ -56,6 +56,19 @@ class TestCompareMetrics:
         report = compare_metrics(old, new, default_threshold=2.0)
         assert report.diffs[0].status == "regression"
 
+    def test_defaults_reach_bench_metrics_by_record_suffix(self):
+        old = {"scale_10k.rounds": 36.0, "scale_10k.cost": 100.0, "E3.k_max": 1.0}
+        new = {"scale_10k.rounds": 37.0, "scale_10k.cost": 101.0, "E3.k_max": 9.0}
+        by_name = {d.name: d for d in compare_metrics(old, new).diffs}
+        assert by_name["scale_10k.rounds"].threshold == 1.0
+        assert by_name["scale_10k.rounds"].status == "regression"
+        assert by_name["scale_10k.cost"].threshold == DEFAULT_THRESHOLDS["cost"]
+        assert by_name["scale_10k.cost"].status == "ok"
+        assert by_name["E3.k_max"].status == "unchecked"
+        # A full-name threshold wins over the suffix default.
+        report = compare_metrics(old, new, thresholds={"scale_10k.rounds": 1.1})
+        assert report.ok
+
     def test_zero_baseline(self):
         report = compare_metrics(
             {"drops": 0.0, "still_zero": 0.0},

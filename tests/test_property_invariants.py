@@ -16,8 +16,6 @@ from repro.baselines.jain_vazirani import jv_dual_ascent
 from repro.baselines.local_search import local_search_solve, open_set_cost
 from repro.baselines.lp import solve_lp
 from repro.baselines.mettu_plaxton import mp_radius
-from repro.core.aggregation import run_efficiency_aggregation
-from repro.core.parameters import efficiency_range
 from repro.fl.generators import uniform_instance
 
 _SETTINGS = settings(
@@ -78,14 +76,3 @@ class TestLocalSearchInvariants:
         for i in range(instance.num_facilities):
             neighbor = open_set - {i} if i in open_set else open_set | {i}
             assert open_set_cost(instance, neighbor) >= best - 1e-9
-
-
-class TestAggregationInvariants:
-    @_SETTINGS
-    @given(small_uniform_instances())
-    def test_aggregation_matches_centralized(self, instance):
-        result = run_efficiency_aggregation(instance)
-        eff_min, eff_max = efficiency_range(instance)
-        low, high = result.bounds_of(0)
-        assert low == pytest.approx(eff_min, rel=1e-9)
-        assert high == pytest.approx(eff_max, rel=1e-9)
