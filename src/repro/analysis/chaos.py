@@ -44,6 +44,7 @@ from repro.core.algorithm import DistributedFacilityLocation, Variant
 from repro.core.healing import SelfHealingPolicy
 from repro.exceptions import SimulationError
 from repro.fl.instance import FacilityLocationInstance
+from repro.flags import flag
 from repro.net.faults import (
     FaultPlan,
     GilbertElliottLoss,
@@ -80,8 +81,10 @@ DEFAULT_INTENSITIES: tuple[float, ...] = (0.05, 0.15, 0.3)
 class ChaosGates:
     """Pass/fail thresholds applied to every (family, intensity) cell."""
 
-    min_feasible_frac: float = 0.8
-    max_cost_inflation: float = 3.0
+    min_feasible_frac: float = flag(
+        0.8, "--min-feasible-frac", help="feasibility gate per grid cell")
+    max_cost_inflation: float = flag(
+        3.0, "--max-inflation", help="mean cost-inflation gate per grid cell")
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.min_feasible_frac <= 1.0:

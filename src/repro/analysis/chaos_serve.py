@@ -42,6 +42,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.analysis.experiments import ExperimentResult
 from repro.exceptions import ReproError
+from repro.flags import flag
 from repro.service.batcher import WorkUnit
 from repro.service.client import ServiceClient, StreamServiceClient
 from repro.service.queue import QueuedRequest
@@ -75,18 +76,28 @@ __all__ = [
 class ChaosServePlan:
     """What to break, and how often.
 
-    ``crash_rate`` / ``slow_rate`` are per-*cell* probabilities (decided
-    by a deterministic hash, so the same plan against the same workload
-    injects the same faults); ``drop_every`` / ``malformed_every``
-    trigger on every Nth request of the socket client loop (0 disables).
+    The per-cell faults are decided by a deterministic hash, so the same
+    plan against the same workload injects the same faults. Each field's
+    ``help`` metadata (its ``repro chaos-serve`` flag) documents it.
     """
 
-    crash_rate: float = 0.25
-    slow_rate: float = 0.0
-    slow_sleep_s: float = 0.4
-    drop_every: int = 0
-    malformed_every: int = 0
-    seed: int = 0
+    crash_rate: float = flag(
+        0.25, "--crash-rate",
+        help="fraction of cells whose first execution kills its worker")
+    slow_rate: float = flag(
+        0.0, "--slow-rate",
+        help="fraction of cells that stall once before answering")
+    slow_sleep_s: float = flag(
+        0.4, "--slow-sleep", help="stall duration for slow cells, seconds")
+    drop_every: int = flag(
+        0, "--drop-every", help="with --socket: sever the client connection "
+        "before every Nth request (0 = never)")
+    malformed_every: int = flag(
+        0, "--malformed-every", help="with --socket: inject a malformed "
+        "frame before every Nth request (0 = never)")
+    seed: int = flag(
+        0, "--seed", help="fault-assignment seed (which cells crash/stall is "
+        "a deterministic function of it)")
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.crash_rate <= 1.0:

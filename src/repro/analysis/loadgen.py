@@ -49,6 +49,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.analysis.chaos_serve import direct_signature
 from repro.exceptions import ReproError
+from repro.flags import flag
 from repro.service.client import StreamServiceClient
 from repro.service.request import InstanceRecipe, SolveRequest, SolveResponse
 from repro.service.router import RouterConfig, ServiceRouter
@@ -72,36 +73,14 @@ import random
 class LoadShape:
     """One deterministic traffic shape (everything derives from ``seed``).
 
+    A field with a ``repro loadtest`` flag is documented by the flag's
+    ``help`` metadata (see :mod:`repro.flags`); total traffic is
+    ``num_users * requests_per_user`` in both modes.
+
     Parameters
     ----------
-    name:
-        Record id in the ``BENCH_loadtest.json`` file.
-    mode:
-        ``"closed"`` (synchronous users) or ``"open"`` (scheduled
-        arrivals through one pipelining connection).
-    num_users:
-        Concurrent users (closed mode) — each gets its own TCP
-        connection and thread.
-    requests_per_user:
-        Requests each user issues; total traffic is
-        ``num_users * requests_per_user`` in both modes.
-    arrival_rate_rps:
-        Open mode: scheduled arrivals per second.
-    burstiness:
-        Open mode, in ``[0, 1)``: 0 spaces arrivals evenly; higher
-        values collapse groups of arrivals onto the group's start time,
-        so the same average rate lands in bursts.
-    zipf_s:
-        Skew of the recipe catalog's zipf popularity (weight of rank
-        ``r`` is ``1 / r**zipf_s``); larger = hotter hot keys = more
-        duplicate work keys in flight.
-    catalog_size:
-        Distinct recipes in the catalog — the number of distinct work
-        keys the whole run can produce.
     families:
         Instance families the catalog cycles through.
-    num_facilities / num_clients:
-        Instance dimensions of every catalog recipe.
     ks:
         ``k`` values the catalog cycles through.
     deadline_fraction:
@@ -113,27 +92,45 @@ class LoadShape:
     low_priority_fraction / high_priority_fraction:
         Fractions of requests tagged ``"low"`` / ``"high"`` priority
         (the rest stay ``"normal"``), exercising shed-under-pressure.
-    seed:
-        Master seed; equal shapes generate byte-equal workloads.
     """
 
-    name: str = "smoke"
-    mode: str = "closed"
-    num_users: int = 4
-    requests_per_user: int = 6
-    arrival_rate_rps: float = 200.0
-    burstiness: float = 0.0
-    zipf_s: float = 1.1
-    catalog_size: int = 12
+    name: str = flag(
+        "smoke", "--name", help="record id inside the BENCH_loadtest.json file")
+    mode: str = flag(
+        "closed", "--mode", choices=("closed", "open"),
+        help="closed = synchronous users (next request after the previous "
+        "completes); open = scheduled arrivals through one pipelined "
+        "connection")
+    num_users: int = flag(
+        4, "--users", help="concurrent users; closed mode gives each its own "
+        "connection and thread")
+    requests_per_user: int = flag(6, "--requests", help="requests per user")
+    arrival_rate_rps: float = flag(
+        200.0, "--arrival-rate", metavar="RPS",
+        help="open mode: scheduled arrivals per second")
+    burstiness: float = flag(
+        0.0, "--burstiness", help="open mode, in [0,1): 0 spaces arrivals "
+        "evenly, higher collapses groups into bursts at the same average rate")
+    #: The weight of rank ``r`` is ``1 / r**zipf_s``.
+    zipf_s: float = flag(
+        1.1, "--zipf", help="zipf skew of recipe popularity; larger = hotter "
+        "duplicates = more dedup/shared-cache traffic")
+    catalog_size: int = flag(
+        12, "--catalog", help="distinct recipes in the traffic catalog — the "
+        "number of distinct work keys the run can produce")
     families: tuple[str, ...] = ("uniform", "clustered")
-    num_facilities: int = 12
-    num_clients: int = 12
+    num_facilities: int = flag(
+        12, "-m", "--facilities", help="facilities of every catalog instance")
+    num_clients: int = flag(
+        12, "-n", "--clients", help="clients of every catalog instance")
     ks: tuple[int, ...] = (2, 3)
     deadline_fraction: float = 0.0
     deadline_s: float = 0.05
     low_priority_fraction: float = 0.0
     high_priority_fraction: float = 0.0
-    seed: int = 0
+    seed: int = flag(
+        0, "--seed",
+        help="master seed; equal shapes generate byte-equal workloads")
 
     def __post_init__(self) -> None:
         if self.mode not in ("closed", "open"):

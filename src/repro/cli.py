@@ -39,10 +39,13 @@ Everything the library does is reachable from the shell::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
+import inspect
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.analysis import experiments as exp
 from repro.analysis.tables import render_table
@@ -55,7 +58,7 @@ from repro.baselines import (
     mettu_plaxton_solve,
     solve_lp,
 )
-from repro.core.algorithm import ENGINES, Variant, solve_distributed
+from repro.core.algorithm import ENGINES, Variant, check_engine, solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.exceptions import ReproError
 from repro.fl.generators import FAMILIES, make_instance
@@ -67,6 +70,7 @@ from repro.obs.inspect import inspect_trace
 from repro.obs.manifest import RunRecord, manifest_path_for
 from repro.obs.sinks import JsonlTraceSink
 from repro.obs.watchdogs import default_watchdogs
+from repro.perf.executor import SweepExecutor
 
 __all__ = ["main", "build_parser"]
 
@@ -77,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Distributed facility-location approximation (PODC 2005 reproduction).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_VerbParser
+    )
 
     gen = sub.add_parser("generate", help="generate an instance to JSON")
     _add_instance_source(gen, require_family=True)
@@ -85,13 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the distributed algorithm")
     solve.add_argument("instance", nargs="?", help="instance JSON path")
-    _add_instance_source(solve, require_family=False)
+    _add_instance_source(solve)
     _add_recipe_arguments(
         solve,
         default_engine="simulator",
-        engine_help="execution engine (default: the message-passing simulator; "
-        "the emulation engines skip network simulation, and columnar "
-        "scales to million-node instances)",
+        engine_help="execution engine: the emulation engines skip network "
+        "simulation, and columnar scales to million-node instances",
         shards_help="worker processes for --engine columnar (shared-memory "
         "node-range sharding; never changes the output bytes)",
     )
@@ -160,17 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
         "the solve output)",
     )
 
-    inspect = sub.add_parser(
+    inspect_cmd = sub.add_parser(
         "inspect",
         help="summarize a JSONL trace written by solve --trace, or the "
         "state digests of a recording written by repro record",
     )
-    inspect.add_argument(
+    inspect_cmd.add_argument(
         "trace",
         help="JSONL trace path, or a flight-recording JSON (detected from "
         "its content)",
     )
-    inspect.add_argument(
+    inspect_cmd.add_argument(
         "--slowest", type=int, default=5, help="how many slowest rounds to show"
     )
 
@@ -180,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
         "write the recording artifact",
     )
     record.add_argument("instance", nargs="?", help="instance JSON path")
-    _add_instance_source(record, require_family=False)
+    _add_instance_source(record)
     _add_recipe_arguments(
         record,
         default_engine="loop",
-        engine_help="which engine to record (default loop)",
+        engine_help="which engine to record",
         shards_help="worker processes for --engine columnar (digests are "
         "shard-count independent by the determinism contract)",
     )
@@ -273,29 +278,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale suite only: skip rungs whose m+n exceeds this "
         "(CI runs the reduced ladder; the committed baseline is full)",
     )
-    bench.add_argument(
+    _add_flag(
+        bench,
         "-o",
         "--output",
         default=".",
-        help="output directory or explicit file path (default: cwd)",
+        help="output directory or explicit file path",
     )
 
     base = sub.add_parser("baselines", help="run every sequential baseline")
     base.add_argument("instance", nargs="?", help="instance JSON path")
-    _add_instance_source(base, require_family=False)
+    _add_instance_source(base)
 
     expcmd = sub.add_parser(
         "experiment", help="run one experiment E1..E17, or all of them"
     )
     expcmd.add_argument("id", choices=[*exp.EXPERIMENTS, "all"])
     expcmd.add_argument("--quick", action="store_true")
-    expcmd.add_argument(
-        "--workers",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker processes for the experiment's sweep cells (default 1; "
-        "output is identical whatever the value)",
-    )
+    _add_config_flags(expcmd, SweepExecutor)
     expcmd.add_argument(
         "-o",
         "--output",
@@ -308,223 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("output", nargs="?", default="EXPERIMENTS.md")
     report.add_argument("--quick", action="store_true")
 
-    serve = sub.add_parser(
+    sub.add_parser(
         "serve",
         help="run the batched solve service (JSONL on stdin/stdout, or a "
         "Unix socket with --socket); see docs/ARCHITECTURE.md",
         argument_default=argparse.SUPPRESS,
+        add_flags=_serve_flags,
     )
-    address = serve.add_mutually_exclusive_group()
-    address.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="bind a Unix domain socket at PATH instead of serving stdin",
-    )
-    address.add_argument(
-        "--tcp",
-        default=None,
-        metavar="HOST:PORT",
-        help="bind a TCP socket instead of serving stdin (port 0 picks an "
-        "ephemeral port, printed to stderr); connections are served "
-        "concurrently",
-    )
-    _add_service_workers(
-        serve,
-        "backend service workers behind a consistent-hash router; "
-        "requests route on their work key so dedup and result reuse "
-        "survive sharding (default 1 = no router)",
-        default=1,
-    )
-    serve.add_argument(
-        "--shared-cache-ttl",
-        type=_ttl,
-        help="seconds a cross-worker shared-cache entry stays servable "
-        "(with --service-workers > 1; 0 disables the TTL; default 300)",
-    )
-    serve.add_argument(
-        "--max-depth",
-        type=int,
-        help="admission-queue capacity; offers beyond it are rejected "
-        "(default 256)",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        help="most live requests per executed batch (default 32)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        help="worker processes per batch (default 1; responses are "
-        "identical whatever the value)",
-    )
-    serve.add_argument(
-        "--ttl",
-        type=_ttl,
-        help="seconds a completed response stays fetchable (default 300)",
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        help="seconds of graceful drain on SIGTERM (or a drain line): "
-        "queued work flushes within this budget, the remainder is "
-        "answered status=draining (default 30)",
-    )
-    serve.add_argument(
-        "--high-water",
-        type=int,
-        help="queue depth at which incoming low-priority work is shed "
-        "(default: disabled)",
-    )
-    serve.add_argument(
-        "--rate-limit",
-        type=float,
-        metavar="RPS",
-        help="per-client-id token-bucket refill rate in requests/second "
-        "(default: disabled)",
-    )
-    serve.add_argument(
-        "--rate-burst",
-        type=float,
-        help="token-bucket burst capacity with --rate-limit (default 8)",
-    )
-    _add_max_attempts(
-        serve,
-        "per-cell execution budget when a worker crashes or wedges "
-        "(default 3)",
-    )
-    _add_cell_timeout(
-        serve,
-        "wall-clock watchdog per pool cell; a cell still running "
-        "past it is treated like a crash and retried (default: disabled)",
-        metavar="SECONDS",
-    )
-    serve.add_argument(
-        "--metrics",
-        action="store_true",
-        default=False,
-        help="append one metrics-summary line at EOF (stdin mode only)",
-    )
-    serve.add_argument(
-        "--trace-spans",
-        default=None,
-        metavar="PATH",
-        help="trace every request through the pipeline and write the span "
-        "log (JSONL) to PATH when the server exits",
-    )
-    serve.add_argument(
-        "--profile-memory",
-        action="store_true",
-        default=False,
-        help="with --trace-spans: sample tracemalloc peaks on worker solve "
-        "spans (reported as mem_peak_kb)",
-    )
-    serve.add_argument(
-        "--slo",
-        default=None,
-        metavar="SPEC",
-        help="evaluate SLOs when the server exits and fail (exit 1) on "
-        "violation; SPEC is a JSON file or the literal 'default' "
-        "(availability 99%%, p95 latency under 2s)",
-    )
-
-    loadtest = sub.add_parser(
+    sub.add_parser(
         "loadtest",
         help="drive a deterministic traffic shape against a multi-worker "
         "TCP front end, measure latency quantiles and goodput, verify "
         "served results against direct solves, and emit a "
         "BENCH_loadtest.json record for repro compare gating",
         argument_default=argparse.SUPPRESS,
+        add_flags=_loadtest_flags,
     )
-    loadtest.add_argument(
-        "--mode",
-        choices=("closed", "open"),
-        help="closed = synchronous users (next request after the previous "
-        "completes); open = scheduled arrivals through one pipelined "
-        "connection (default closed)",
-    )
-    loadtest.add_argument(
-        "--users",
-        type=int,
-        help="concurrent users; closed mode gives each its own "
-        "connection and thread (default 4)",
-    )
-    loadtest.add_argument(
-        "--requests",
-        type=int,
-        help="requests per user (default 6)",
-    )
-    _add_service_workers(
-        loadtest,
-        "backend workers behind the router started for the test "
-        "(ignored with --address; default 2)",
-    )
-    loadtest.add_argument(
-        "--catalog",
-        type=int,
-        help="distinct recipes in the traffic catalog — the number of "
-        "distinct work keys the run can produce (default 12)",
-    )
-    loadtest.add_argument(
-        "--zipf",
-        type=float,
-        help="zipf skew of recipe popularity; larger = hotter duplicates "
-        "= more dedup/shared-cache traffic (default 1.1)",
-    )
-    loadtest.add_argument(
-        "--arrival-rate",
-        type=float,
-        metavar="RPS",
-        help="open mode: scheduled arrivals per second (default 200)",
-    )
-    loadtest.add_argument(
-        "--burstiness",
-        type=float,
-        help="open mode, in [0,1): 0 spaces arrivals evenly, higher "
-        "collapses groups into bursts at the same average rate "
-        "(default 0)",
-    )
-    _add_instance_source(
-        loadtest,
-        family_help=None,
-        seed_help="master seed; equal shapes generate byte-equal workloads "
-        "(default 0)",
-    )
-    loadtest.add_argument(
-        "--name",
-        help="record id inside the BENCH_loadtest.json file "
-        "(default smoke)",
-    )
-    loadtest.add_argument(
-        "--address",
-        default=None,
-        metavar="HOST:PORT",
-        help="drive an external repro serve --tcp front end instead of "
-        "starting one inside the test (no shutdown is sent)",
-    )
-    _add_output(loadtest, "loadtest")
-    loadtest.add_argument(
-        "--max-p95-ms",
-        type=float,
-        default=None,
-        help="fail (exit 1) when p95 latency exceeds this budget",
-    )
-    loadtest.add_argument(
-        "--max-p99-ms",
-        type=float,
-        default=None,
-        help="fail (exit 1) when p99 latency exceeds this budget",
-    )
-    loadtest.add_argument(
-        "--min-goodput",
-        type=float,
-        default=None,
-        metavar="RPS",
-        help="fail (exit 1) when goodput drops below this floor",
-    )
-    _add_json(loadtest)
 
     trace = sub.add_parser(
         "trace",
@@ -570,44 +369,182 @@ def build_parser() -> argparse.ArgumentParser:
         help="also show the slowest spans of this span log",
     )
 
-    chaos = sub.add_parser(
+    sub.add_parser(
         "chaos",
         help="sweep a fault-intensity grid and gate on feasibility and "
         "bounded cost inflation",
+        add_flags=_chaos_flags,
     )
+    sub.add_parser(
+        "chaos-serve",
+        help="run the service-level chaos harness (worker kills, slow "
+        "cells, connection drops, malformed frames) against a live "
+        "service and gate on exactly-one-terminal-response and "
+        "byte-identical results",
+        argument_default=argparse.SUPPRESS,
+        add_flags=_chaos_serve_flags,
+    )
+    return parser
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """A verb's parser; ``add_flags(parser)`` runs on its first parse or help.
+
+    The serve, loadtest, chaos and chaos-serve flags are read from their
+    library modules' dataclass fields and signatures, so a verb imports
+    those modules only when it is used, not whenever the tree is built.
+    """
+
+    def __init__(
+        self,
+        *args: Any,
+        add_flags: Callable[[argparse.ArgumentParser], None] | None = None,
+        **kwargs: Any,
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def _flags(self) -> None:
+        add_flags, self._add_flags = self._add_flags, None
+        if add_flags is not None:
+            add_flags(self)
+
+    def parse_known_args(self, args: Any = None, namespace: Any = None) -> Any:
+        self._flags()
+        return super().parse_known_args(args, namespace)
+
+    def format_help(self) -> str:
+        self._flags()
+        return super().format_help()
+
+
+def _serve_flags(serve: argparse.ArgumentParser) -> None:
+    from repro.service import RouterConfig, ServiceConfig
+
+    address = serve.add_mutually_exclusive_group()
+    address.add_argument(
+        "--socket",
+        default=None,
+        metavar="PATH",
+        help="bind a Unix domain socket at PATH instead of serving stdin",
+    )
+    address.add_argument(
+        "--tcp",
+        default=None,
+        metavar="HOST:PORT",
+        help="bind a TCP socket instead of serving stdin (port 0 picks an "
+        "ephemeral port, printed to stderr); connections are served "
+        "concurrently",
+    )
+    # `repro serve` runs without a router unless --service-workers asks.
+    _add_config_flags(serve, RouterConfig, num_workers=1)
+    _add_config_flags(serve, ServiceConfig)
+    _add_flag(
+        serve,
+        "--drain-timeout",
+        type=float,
+        default=30.0,
+        help="seconds of graceful drain on SIGTERM (or a drain line): "
+        "queued work flushes within this budget, the remainder is "
+        "answered status=draining",
+    )
+    serve.add_argument(
+        "--metrics",
+        action="store_true",
+        default=False,
+        help="append one metrics-summary line at EOF (stdin mode only)",
+    )
+    serve.add_argument(
+        "--trace-spans",
+        default=None,
+        metavar="PATH",
+        help="trace every request through the pipeline and write the span "
+        "log (JSONL) to PATH when the server exits",
+    )
+    serve.add_argument(
+        "--slo",
+        default=None,
+        metavar="SPEC",
+        help="evaluate SLOs when the server exits and fail (exit 1) on "
+        "violation; SPEC is a JSON file or the literal 'default' "
+        "(availability 99%%, p95 latency under 2s)",
+    )
+
+
+def _loadtest_flags(loadtest: argparse.ArgumentParser) -> None:
+    from repro.analysis.loadgen import LoadShape, run_loadtest
+
+    _add_config_flags(loadtest, LoadShape)
+    _add_keyword_flag(
+        loadtest,
+        run_loadtest,
+        "--service-workers",
+        type=int,
+        metavar="K",
+        help="backend workers behind the router started for the test "
+        "(ignored with --address)",
+    )
+    loadtest.add_argument(
+        "--address",
+        metavar="HOST:PORT",
+        help="drive an external repro serve --tcp front end instead of "
+        "starting one inside the test (no shutdown is sent)",
+    )
+    _add_output(loadtest, "loadtest")
+    loadtest.add_argument(
+        "--max-p95-ms",
+        type=float,
+        help="fail (exit 1) when p95 latency exceeds this budget",
+    )
+    loadtest.add_argument(
+        "--max-p99-ms",
+        type=float,
+        help="fail (exit 1) when p99 latency exceeds this budget",
+    )
+    loadtest.add_argument(
+        "--min-goodput",
+        dest="min_goodput_rps",
+        type=float,
+        metavar="RPS",
+        help="fail (exit 1) when goodput drops below this floor",
+    )
+    _add_json(loadtest)
+
+
+def _chaos_flags(chaos: argparse.ArgumentParser) -> None:
+    from repro.analysis.chaos import ChaosGates, run_chaos
+
     chaos.add_argument("instance", nargs="?", help="instance JSON path")
     _add_instance_source(chaos)
     _add_budget_arguments(chaos)
-    chaos.add_argument(
+    _add_keyword_flag(
+        chaos,
+        run_chaos,
         "--families",
         nargs="+",
-        default=argparse.SUPPRESS,
         metavar="FAMILY",
-        help="fault families to sweep (default: all); see repro.analysis.chaos",
+        help="fault families to sweep; see repro.analysis.chaos",
     )
-    chaos.add_argument(
+    _add_keyword_flag(
+        chaos,
+        run_chaos,
         "--intensities",
         nargs="+",
         type=float,
-        default=argparse.SUPPRESS,
         metavar="X",
-        help="intensity grid in (0, 1] (default: 0.05 0.15 0.3)",
+        help="intensity grid in (0, 1]",
     )
-    chaos.add_argument(
+    _add_keyword_flag(
+        chaos,
+        run_chaos,
         "--num-seeds",
         type=_seed_range,
         dest="seeds",
         metavar="NUM_SEEDS",
-        default=argparse.SUPPRESS,
-        help="seeds per grid cell (default 3)",
+        shown=len,
+        help="seeds per grid cell",
     )
-    chaos.add_argument(
-        "--workers",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker processes for the fault grid (default 1; the report "
-        "is identical whatever the value)",
-    )
+    _add_config_flags(chaos, SweepExecutor)
     chaos.add_argument(
         "--no-reliability",
         action="store_true",
@@ -618,136 +555,102 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable in-protocol self-healing",
     )
-    chaos.add_argument(
-        "--min-feasible-frac",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="feasibility gate per grid cell (default 0.8)",
-    )
-    chaos.add_argument(
-        "--max-inflation",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="mean cost-inflation gate per grid cell (default 3.0)",
-    )
+    _add_config_flags(chaos, ChaosGates)
     _add_output(chaos, "chaos")
     _add_json(chaos)
 
-    chaos_serve = sub.add_parser(
-        "chaos-serve",
-        help="run the service-level chaos harness (worker kills, slow "
-        "cells, connection drops, malformed frames) against a live "
-        "service and gate on exactly-one-terminal-response and "
-        "byte-identical results",
-        argument_default=argparse.SUPPRESS,
+
+def _chaos_serve_flags(chaos_serve: argparse.ArgumentParser) -> None:
+    from repro.analysis.chaos_serve import (
+        ChaosServePlan,
+        build_chaos_workload,
+        run_chaos_serve,
     )
-    _add_instance_source(
-        chaos_serve,
-        family_help="generator family for the workload (default uniform)",
-        seed_help=None,
+
+    workload = functools.partial(
+        _add_keyword_flag, chaos_serve, build_chaos_workload
     )
-    chaos_serve.add_argument(
-        "--requests",
+    workload(
+        "--family",
+        choices=sorted(FAMILIES),
+        help="generator family for the workload",
+    )
+    workload(
+        "-m",
+        "--facilities",
+        dest="num_facilities",
         type=int,
-        help="workload size; every third request duplicates an earlier "
-        "one so dedup is exercised under faults (default 12)",
+        metavar="FACILITIES",
+        help="facilities of every workload instance",
     )
-    chaos_serve.add_argument(
+    workload(
+        "-n",
+        "--clients",
+        dest="num_clients",
+        type=int,
+        metavar="CLIENTS",
+        help="clients of every workload instance",
+    )
+    workload(
+        "--requests",
+        dest="num_requests",
+        type=int,
+        metavar="REQUESTS",
+        help="workload size; every third request duplicates an earlier "
+        "one so dedup is exercised under faults",
+    )
+    workload(
         "-k",
         "--ks",
         nargs="+",
         type=int,
         metavar="K",
-        help="round-budget values cycled across the workload (default 4 9)",
+        help="round-budget values cycled across the workload",
     )
-    chaos_serve.add_argument(
+    run = functools.partial(_add_keyword_flag, chaos_serve, run_chaos_serve)
+    run(
         "--workers",
         type=int,
-        help="worker processes per batch; 2+ exercises pool respawn "
-        "(default 2)",
+        help="worker processes per batch; 2+ exercises pool respawn",
     )
-    chaos_serve.add_argument(
-        "--crash-rate",
-        type=float,
-        help="fraction of cells whose first execution kills its worker "
-        "(default 0.25)",
-    )
-    chaos_serve.add_argument(
-        "--slow-rate",
-        type=float,
-        help="fraction of cells that stall once before answering "
-        "(default 0)",
-    )
-    chaos_serve.add_argument(
-        "--slow-sleep",
-        type=float,
-        help="stall duration for slow cells, seconds (default 0.4)",
-    )
-    _add_cell_timeout(
-        chaos_serve,
-        "per-cell watchdog, seconds; set below --slow-sleep to turn "
-        "stalls into watchdog retries (default 30)",
-    )
-    chaos_serve.add_argument(
-        "--drop-every",
+    run(
+        "--max-attempts",
         type=int,
-        help="with --socket: sever the client connection before every "
-        "Nth request (default 0 = never)",
+        help="per-cell execution budget under crash injection",
     )
-    chaos_serve.add_argument(
-        "--malformed-every",
-        type=int,
-        help="with --socket: inject a malformed frame before every Nth "
-        "request (default 0 = never)",
+    run(
+        "--cell-timeout",
+        dest="cell_timeout_s",
+        type=float,
+        metavar="CELL_TIMEOUT",
+        help="per-cell watchdog, seconds; set below --slow-sleep to turn "
+        "stalls into watchdog retries",
     )
-    chaos_serve.add_argument(
+    run(
         "--socket",
+        dest="use_socket",
         action="store_true",
-        default=False,
         help="drive a real Unix-socket server in a thread instead of the "
         "in-process client (required for drop/malformed injection)",
     )
-    _add_max_attempts(
-        chaos_serve,
-        "per-cell execution budget under crash injection (default 4)",
-    )
-    chaos_serve.add_argument(
-        "--seed",
-        type=int,
-        help="fault-assignment seed (which cells crash/stall is a "
-        "deterministic function of it)",
-    )
+    _add_config_flags(chaos_serve, ChaosServePlan)
     _add_output(chaos_serve, "chaos_serve")
     _add_json(chaos_serve)
-    return parser
 
 
 def _add_instance_source(
-    parser: argparse.ArgumentParser,
-    require_family: bool = False,
-    *,
-    family_help: str | None = "generator family",
-    seed_help: str | None = "instance seed",
+    parser: argparse.ArgumentParser, require_family: bool = False
 ) -> None:
-    """The instance shape ``--family/-m/-n/--seed``.
-
-    A verb without ``--family`` or ``--seed`` passes ``None`` as its
-    help. A verb whose parser defaults to ``argparse.SUPPRESS`` leaves
-    the defaults to the library call it makes.
-    """
-    if family_help is not None:
-        parser.add_argument(
-            "--family",
-            choices=sorted(FAMILIES),
-            required=require_family,
-            help=family_help,
-        )
-    parser.add_argument("-m", "--facilities", type=int)
-    parser.add_argument("-n", "--clients", type=int)
-    if seed_help is not None:
-        parser.add_argument("--seed", type=int, help=seed_help)
-    if parser.argument_default is not argparse.SUPPRESS:
-        parser.set_defaults(facilities=10, clients=30, seed=0)
+    """The instance shape ``--family/-m/-n/--seed``."""
+    parser.add_argument(
+        "--family",
+        choices=sorted(FAMILIES),
+        required=require_family,
+        help="generator family",
+    )
+    parser.add_argument("-m", "--facilities", type=int, default=10)
+    parser.add_argument("-n", "--clients", type=int, default=30)
+    parser.add_argument("--seed", type=int, default=0, help="instance seed")
 
 
 def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
@@ -770,16 +673,10 @@ def _add_recipe_arguments(
     """The solve recipe flags shared by ``solve`` and ``record``."""
     _add_budget_arguments(parser)
     parser.add_argument("--algo-seed", type=int, default=0, help="algorithm seed")
-    # RoundingPolicy owns the rounding defaults.
-    parser.add_argument(
-        "--rounding",
-        choices=["select_all", "randomized"],
-        default=argparse.SUPPRESS,
-        help="rounding policy (dual_ascent only)",
-    )
-    parser.add_argument("--c-round", type=float, default=argparse.SUPPRESS)
+    _add_config_flags(parser, RoundingPolicy)
     # Each verb lists its default engine first in --help.
-    parser.add_argument(
+    _add_flag(
+        parser,
         "--engine",
         choices=[default_engine]
         + [engine for engine in ENGINES if engine != default_engine],
@@ -801,28 +698,93 @@ def _print_output(args: argparse.Namespace, data: Any, text: str) -> None:
 
 
 # A flag that feeds a config dataclass or a library call leaves its
-# default to it. It defaults to argparse.SUPPRESS, for the whole verb
-# (serve, loadtest, chaos-serve set argument_default) or per flag, so an
-# omitted flag is absent from the namespace and `_given` passes on only
-# the flags that were set. The helpers below serve those verbs.
+# default to it: the flag's dest is the field or keyword name, and it
+# defaults to argparse.SUPPRESS, for the whole verb (serve, loadtest,
+# chaos-serve set argument_default) or per flag, so an omitted flag is
+# absent from the namespace and `_options` passes on only the flags that
+# were set. Every help states the default that is actually used.
 
 
-def _add_service_workers(
-    parser: argparse.ArgumentParser, help: str, **kwargs: Any
+def _add_config_flags(
+    parser: argparse.ArgumentParser, config: type, **defaults: Any
 ) -> None:
-    parser.add_argument(
-        "--service-workers", type=int, metavar="K", help=help, **kwargs
-    )
+    """Add the flag of each field of ``config`` that declares one.
+
+    See :mod:`repro.flags`. ``defaults`` overrides a field's default
+    for this verb.
+    """
+    parser.set_defaults(**defaults)
+    for spec in dataclasses.fields(config):
+        if "flag" not in spec.metadata:
+            continue
+        default = defaults.get(spec.name, spec.default)
+        kwargs = dict(spec.metadata["argparse"])
+        if isinstance(default, bool):
+            kwargs["action"] = "store_true"
+        else:
+            kwargs.setdefault("type", type(default))
+            if "choices" not in kwargs:
+                # The metavar argparse derives from the flag, not the field.
+                name = spec.metadata["flag"][-1].lstrip("-")
+                kwargs.setdefault("metavar", name.replace("-", "_").upper())
+        action = parser.add_argument(
+            *spec.metadata["flag"],
+            dest=spec.name,
+            default=argparse.SUPPRESS,
+            help=spec.metadata["help"],
+            **kwargs,
+        )
+        _state_default(action, default)
 
 
-def _add_max_attempts(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument("--max-attempts", type=int, help=help)
-
-
-def _add_cell_timeout(
-    parser: argparse.ArgumentParser, help: str, **kwargs: Any
+def _add_keyword_flag(
+    parser: argparse.ArgumentParser,
+    function: Callable[..., Any],
+    *names: str,
+    shown: Callable[[Any], Any] | None = None,
+    **kwargs: Any,
 ) -> None:
-    parser.add_argument("--cell-timeout", type=float, help=help, **kwargs)
+    """Add a flag that sets ``function``'s keyword of the same name.
+
+    The help states the keyword's default, passed through ``shown``
+    when the flag spells it differently.
+    """
+    action = parser.add_argument(*names, default=argparse.SUPPRESS, **kwargs)
+    default = inspect.signature(function).parameters[action.dest].default
+    _state_default(action, default if shown is None else shown(default))
+
+
+def _add_flag(parser: argparse.ArgumentParser, *names: str, **kwargs: Any) -> None:
+    """Add a flag whose help states the default argparse gives it."""
+    action = parser.add_argument(*names, **kwargs)
+    _state_default(action, action.default)
+
+
+def _state_default(action: argparse.Action, default: Any) -> None:
+    """End ``action``'s help with ``default`` (a switch states none)."""
+    if not isinstance(default, bool):
+        action.help = f"{action.help} (default {_shown(default)})"
+
+
+def _shown(value: Any) -> str:
+    if value is None:
+        return "disabled"
+    if isinstance(value, float):
+        return f"{value:g}"
+    if isinstance(value, (tuple, list)):
+        return " ".join(_shown(item) for item in value)
+    return str(value)
+
+
+def _options(args: argparse.Namespace, target: Callable[..., Any]) -> dict[str, Any]:
+    """The optional parameters of ``target`` (a function or a config
+    dataclass) that the command line set, by name."""
+    return {
+        name: getattr(args, name)
+        for name, parameter in inspect.signature(target).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+        and hasattr(args, name)
+    }
 
 
 def _add_output(parser: argparse.ArgumentParser, name: str) -> None:
@@ -838,24 +800,9 @@ def _add_output(parser: argparse.ArgumentParser, name: str) -> None:
     )
 
 
-def _ttl(text: str) -> float | None:
-    """A TTL in seconds; 0 (or less) means entries never expire."""
-    seconds = float(text)
-    return seconds if seconds > 0 else None
-
-
 def _seed_range(text: str) -> tuple[int, ...]:
     """``--num-seeds N`` as the seeds ``0 .. N-1``."""
     return tuple(range(int(text)))
-
-
-def _given(args: argparse.Namespace, **fields: str) -> dict[str, Any]:
-    """``{field: args.<flag>}`` for each ``field=flag`` the user set."""
-    return {
-        field: getattr(args, flag)
-        for field, flag in fields.items()
-        if hasattr(args, flag)
-    }
 
 
 def _load_instance(args: argparse.Namespace) -> FacilityLocationInstance:
@@ -907,15 +854,6 @@ def _solve_instances(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance, cinst = _solve_instances(args)
-    simulator = args.engine == "simulator"
-    for name, value in (
-        ("--trace", args.trace),
-        ("--watchdogs", args.watchdogs),
-        ("--strict-watchdogs", args.strict_watchdogs),
-        ("--spans", args.spans),
-    ):
-        if value and not simulator:
-            raise ReproError(f"{name} requires --engine simulator")
     for name, value in (
         ("--metrics-out", args.metrics_out),
         ("--timeline", args.timeline),
@@ -924,6 +862,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise ReproError(
                 f"{name} needs a message plane: --engine simulator or columnar"
             )
+    watch = args.watchdogs or args.strict_watchdogs
+    # The simulator's own observers: the engine check refuses each one
+    # asked for on another engine, before any file is opened.
+    asked = {"trace": args.trace, "watchdogs": watch, "tracer": args.spans}
+    check_engine(args.engine, args.shards, [name for name in asked if asked[name]])
     lp_value: float | None = None
     if not args.no_lp:
         if instance is None:
@@ -933,9 +876,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             )
         lp_value = solve_lp(instance).value
     sink = JsonlTraceSink(args.trace) if args.trace else None
-    watchdogs = ()
-    if args.watchdogs or args.strict_watchdogs:
-        watchdogs = default_watchdogs(strict=args.strict_watchdogs)
+    watchdogs = default_watchdogs(strict=args.strict_watchdogs) if watch else ()
     tracer = None
     if args.spans:
         from repro.obs.spans import Tracer
@@ -946,20 +887,24 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-    policy = RoundingPolicy(**_given(args, mode="rounding", c_round="c_round"))
-    # Observers only the message-passing simulator feeds. The quality
-    # probe (with the LP bound computed above) turns the per-round trace
-    # and timeline into an anytime ratio estimate.
-    observers: dict[str, Any] = {}
-    if simulator:
-        observers = {
-            "trace": sink,
-            "probe_quality": bool(args.trace or args.timeline),
-            "lower_bound": lp_value,
-            "watchdogs": watchdogs,
-            "tracer": tracer,
-            "registry": registry,
-        }
+    observers: dict[str, Any] = {
+        name: value
+        for name, value in (
+            ("trace", sink), ("watchdogs", watchdogs), ("tracer", tracer)
+        )
+        if asked[name]
+    }
+    if args.engine == "simulator":
+        # The simulator also fills the registry round by round, and its
+        # quality probe (with the LP bound above) turns the per-round
+        # trace and timeline into an anytime ratio estimate; the other
+        # engines' totals reach the registry after the run.
+        observers.update(
+            registry=registry,
+            probe_quality=bool(args.trace or args.timeline),
+            lower_bound=lp_value,
+        )
+    policy = RoundingPolicy(**_options(args, RoundingPolicy))
 
     def run():
         if instance is None:
@@ -1115,15 +1060,17 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from repro.obs.recorder import record_run
 
     instance = _load_instance(args)
+    policy = RoundingPolicy(**_options(args, RoundingPolicy))
     recording = record_run(
         instance,
         engine=args.engine,
         k=args.k,
         variant=args.variant,
         seed=args.algo_seed,
+        rounding=policy.mode,
+        c_round=policy.c_round,
         full=args.full,
         shards=args.shards,
-        **_given(args, rounding="rounding", c_round="c_round"),
     )
     target = recording.write_json(args.output)
     print(
@@ -1238,12 +1185,8 @@ def _cmd_baselines(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    import inspect
-
-    from repro.perf.executor import SweepExecutor
-
     ids = list(exp.EXPERIMENTS) if args.id == "all" else [args.id]
-    executor = SweepExecutor(**_given(args, workers="workers"))
+    executor = SweepExecutor(**_options(args, SweepExecutor))
     serial_only = []
     for experiment_id in ids:
         runner = exp.EXPERIMENTS[experiment_id]
@@ -1271,26 +1214,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.chaos import ChaosGates, run_chaos
     from repro.core.healing import SelfHealingPolicy
     from repro.net.reliability import ReliabilityPolicy
-    from repro.perf.executor import SweepExecutor
 
     instance = _load_instance(args)
     report = run_chaos(
         instance,
         k=args.k,
-        variant=args.variant,
         reliability=None if args.no_reliability else ReliabilityPolicy(),
         healing=None if args.no_healing else SelfHealingPolicy(),
-        gates=ChaosGates(
-            **_given(
-                args,
-                min_feasible_frac="min_feasible_frac",
-                max_cost_inflation="max_inflation",
-            )
-        ),
-        executor=SweepExecutor(**_given(args, workers="workers")),
-        **_given(
-            args, families="families", intensities="intensities", seeds="seeds"
-        ),
+        gates=ChaosGates(**_options(args, ChaosGates)),
+        executor=SweepExecutor(**_options(args, SweepExecutor)),
+        **_options(args, run_chaos),
     )
     result = report.to_experiment_result()
     failures = report.failures()
@@ -1310,53 +1243,26 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
 
 
-def _chaos_serve_plan(args: argparse.Namespace) -> Any:
-    from repro.analysis.chaos_serve import ChaosServePlan
-
-    return ChaosServePlan(
-        **_given(
-            args,
-            crash_rate="crash_rate",
-            slow_rate="slow_rate",
-            slow_sleep_s="slow_sleep",
-            drop_every="drop_every",
-            malformed_every="malformed_every",
-            seed="seed",
-        )
+def _cmd_chaos_serve(args: argparse.Namespace) -> int:
+    from repro.analysis.chaos_serve import (
+        ChaosServePlan,
+        build_chaos_workload,
+        run_chaos_serve,
     )
 
-
-def _cmd_chaos_serve(args: argparse.Namespace) -> int:
-    from repro.analysis.chaos_serve import build_chaos_workload, run_chaos_serve
-
-    plan = _chaos_serve_plan(args)
-    if (plan.drop_every or plan.malformed_every) and not args.socket:
+    plan = ChaosServePlan(**_options(args, ChaosServePlan))
+    options = _options(args, run_chaos_serve)
+    if (plan.drop_every or plan.malformed_every) and not options.get("use_socket"):
         print(
             "error: --drop-every/--malformed-every inject transport faults "
             "and need --socket",
             file=sys.stderr,
         )
         return 2
-    requests = build_chaos_workload(
-        **_given(
-            args,
-            family="family",
-            num_facilities="facilities",
-            num_clients="clients",
-            ks="ks",
-            num_requests="requests",
-        )
-    )
     report = run_chaos_serve(
-        requests=requests,
+        requests=build_chaos_workload(**_options(args, build_chaos_workload)),
         plan=plan,
-        use_socket=args.socket,
-        **_given(
-            args,
-            workers="workers",
-            max_attempts="max_attempts",
-            cell_timeout_s="cell_timeout",
-        ),
+        **options,
     )
     result = report.to_experiment_result()
     failures = report.failures()
@@ -1428,36 +1334,18 @@ def _install_drain_handler() -> Any | None:
     return drain_signal
 
 
-def _service_configs(args: argparse.Namespace) -> tuple[Any, Any]:
-    """``(ServiceConfig, RouterConfig)`` for ``repro serve``."""
-    from repro.service import RouterConfig, ServiceConfig
-
-    service_config = ServiceConfig(
-        profile_memory=args.profile_memory,
-        **_given(
-            args,
-            max_queue_depth="max_depth",
-            max_batch_size="batch_size",
-            workers="workers",
-            result_ttl_s="ttl",
-            high_water="high_water",
-            max_solve_attempts="max_attempts",
-            cell_timeout_s="cell_timeout",
-            rate_limit_per_client="rate_limit",
-            rate_limit_burst="rate_burst",
-        ),
-    )
-    router_config = RouterConfig(
-        num_workers=args.service_workers,
-        **_given(args, shared_cache_ttl_s="shared_cache_ttl"),
-    )
-    return service_config, router_config
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import SolveService, serve_jsonl, serve_socket
+    from repro.service import (
+        RouterConfig,
+        ServiceConfig,
+        SolveService,
+        serve_jsonl,
+        serve_socket,
+    )
 
-    if args.service_workers > 1 and (args.trace_spans or args.slo):
+    service_config = ServiceConfig(**_options(args, ServiceConfig))
+    router_config = RouterConfig(**_options(args, RouterConfig))
+    if router_config.num_workers > 1 and (args.trace_spans or args.slo):
         # Router workers keep private registries; span/SLO aggregation
         # across them is not wired up yet.
         print(
@@ -1466,7 +1354,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.profile_memory and not args.trace_spans:
+    if service_config.profile_memory and not args.trace_spans:
         # Workers sample memory only on the spans of a traced request.
         print("error: --profile-memory requires --trace-spans", file=sys.stderr)
         return 2
@@ -1474,17 +1362,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.trace_spans:
         from repro.obs.spans import Tracer
 
-        tracer = Tracer(profile_memory=args.profile_memory)
-    service_config, router_config = _service_configs(args)
+        tracer = Tracer(profile_memory=service_config.profile_memory)
     service: Any
-    if args.service_workers > 1:
+    if router_config.num_workers > 1:
         from repro.service import ServiceRouter
 
         service = ServiceRouter(
             config=router_config, service_config=service_config
         )
         print(
-            f"routing across {args.service_workers} service workers "
+            f"routing across {router_config.num_workers} service workers "
             f"({service.ring.replicas} ring replicas each)",
             file=sys.stderr,
         )
@@ -1542,41 +1429,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_shape(args: argparse.Namespace) -> Any:
-    from repro.analysis.loadgen import LoadShape
-
-    return LoadShape(
-        **_given(
-            args,
-            name="name",
-            mode="mode",
-            num_users="users",
-            requests_per_user="requests",
-            arrival_rate_rps="arrival_rate",
-            burstiness="burstiness",
-            zipf_s="zipf",
-            catalog_size="catalog",
-            num_facilities="facilities",
-            num_clients="clients",
-            seed="seed",
-        )
-    )
-
-
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.analysis.loadgen import run_loadtest
+    from repro.analysis.loadgen import LoadShape, run_loadtest
 
-    shape = _load_shape(args)
-    report = run_loadtest(
-        shape,
-        address=args.address,
-        **_given(args, service_workers="service_workers"),
-    )
-    failures = report.gate_failures(
-        max_p95_ms=args.max_p95_ms,
-        max_p99_ms=args.max_p99_ms,
-        min_goodput_rps=args.min_goodput,
-    )
+    shape = LoadShape(**_options(args, LoadShape))
+    report = run_loadtest(shape, **_options(args, run_loadtest))
+    failures = report.gate_failures(**_options(args, report.gate_failures))
     return _finish_gated(
         args,
         key=shape.name,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.dual_ascent_nodes import (
     DualClientNode,
@@ -59,6 +59,7 @@ __all__ = [
     "Variant",
     "DistributedRunResult",
     "DistributedFacilityLocation",
+    "check_engine",
     "solve_distributed",
 ]
 
@@ -502,6 +503,22 @@ def solve_distributed(
     raises :class:`~repro.exceptions.AlgorithmError` on the emulation
     engines.
     """
+    check_engine(engine, shards, kwargs)
+    if engine == "simulator":
+        return DistributedFacilityLocation(
+            instance, k, variant=variant, seed=seed, **kwargs
+        ).run()
+    return _run_emulation(instance, k, Variant(variant), seed, engine, shards, **kwargs)
+
+
+def check_engine(
+    engine: str, shards: int = 1, options: Iterable[str] = ()
+) -> None:
+    """Raise :class:`~repro.exceptions.AlgorithmError` unless ``engine``
+    runs on ``shards`` shards with every keyword named in ``options``.
+
+    :func:`solve_distributed` checks its call with it before it runs.
+    """
     if engine not in ENGINES:
         raise AlgorithmError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
@@ -511,17 +528,12 @@ def solve_distributed(
             f"engine {engine!r} does not shard; use engine='columnar' "
             "for shards > 1"
         )
-    if engine == "simulator":
-        return DistributedFacilityLocation(
-            instance, k, variant=variant, seed=seed, **kwargs
-        ).run()
-    refused = sorted(set(kwargs) - {"rounding", "open_fraction", "recorder"})
-    if refused:
+    refused = sorted(set(options) - {"rounding", "open_fraction", "recorder"})
+    if refused and engine != "simulator":
         raise AlgorithmError(
             f"{', '.join(refused)} need engine='simulator'; engine "
             f"{engine!r} runs no message-passing network"
         )
-    return _run_emulation(instance, k, Variant(variant), seed, engine, shards, **kwargs)
 
 
 def _run_emulation(

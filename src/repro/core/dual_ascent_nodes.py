@@ -48,6 +48,7 @@ from repro.core.healing import (
 )
 from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError
+from repro.flags import flag
 from repro.net.message import Message
 from repro.net.node import Node, RoundContext
 
@@ -85,12 +86,13 @@ class RoundingPolicy:
         ``mass`` is the selected payment volume; leftovers are handled by
         the deterministic fallback. The randomized mode is the paper's
         rounding step and the subject of ablation E6.
-    c_round:
-        The rounding constant (only used by ``"randomized"``).
     """
 
-    mode: str = "select_all"
-    c_round: float = 1.0
+    mode: str = flag(
+        "select_all", "--rounding", choices=("select_all", "randomized"),
+        help="rounding policy (dual_ascent only)")
+    c_round: float = flag(
+        1.0, "--c-round", help="the rounding constant (randomized only)")
 
     def __post_init__(self) -> None:
         if self.mode not in ("select_all", "randomized"):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.exceptions import ReproError
+from repro.flags import flag
 
 __all__ = ["SweepExecutor"]
 
@@ -52,7 +53,9 @@ class SweepExecutor:
         cells are tiny and dispatch overhead dominates.
     """
 
-    workers: int = 1
+    workers: int = flag(
+        1, "--workers", help="worker processes for the sweep's cells; the "
+        "output is identical whatever the value")
     chunksize: int = 1
 
     def __post_init__(self) -> None:

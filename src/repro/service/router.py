@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
 from repro.exceptions import ReproError
+from repro.flags import flag, ttl_seconds
 from repro.obs.registry import MetricsRegistry
 from repro.service.queue import AdmissionResult
 from repro.service.request import SolveRequest, SolveResponse
@@ -282,13 +283,11 @@ class SharedResultCache:
 class RouterConfig:
     """Tunables of one :class:`ServiceRouter`.
 
+    A field's ``help`` metadata documents it (it is also the help of
+    its ``repro serve`` flag; see :mod:`repro.flags`).
+
     Parameters
     ----------
-    num_workers:
-        Backend service workers (``repro serve --service-workers``).
-    shared_cache_ttl_s:
-        Seconds a shared-cache entry stays servable (``None`` = keep
-        until capacity eviction).
     shared_cache_entries:
         Shared-cache capacity (oldest store evicted past it).
     parallel_flush:
@@ -297,8 +296,16 @@ class RouterConfig:
         wall-clock only, never bytes.
     """
 
-    num_workers: int = 2
-    shared_cache_ttl_s: float | None = 300.0
+    num_workers: int = flag(
+        2, "--service-workers", metavar="K",
+        help="backend service workers behind a consistent-hash router "
+        "(repro serve starts no router for 1); requests route on their "
+        "work key so dedup and result reuse survive sharding")
+    #: ``None`` keeps an entry until capacity eviction.
+    shared_cache_ttl_s: float | None = flag(
+        300.0, "--shared-cache-ttl", type=ttl_seconds,
+        help="seconds a cross-worker shared-cache entry stays servable "
+        "(with --service-workers > 1; 0 disables the TTL)")
     shared_cache_entries: int = 512
     parallel_flush: bool = True
 

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import ReproError
+from repro.flags import flag, ttl_seconds
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, Tracer
 from repro.perf.cache import cache_stats
@@ -79,55 +80,51 @@ _LATENCY_BUCKETS: tuple[float, ...] = (
 class ServiceConfig:
     """Tunables of one :class:`SolveService`.
 
-    Parameters
-    ----------
-    max_queue_depth:
-        Admission-queue capacity; offers beyond it are rejected.
-    max_batch_size:
-        Most *live* requests drained into one batch (expired requests
-        never count against it).
-    workers:
-        Process count handed to the batch executor; 1 (the default)
-        solves in-process.
-    result_ttl_s:
-        Seconds a completed response stays fetchable (``None`` = keep
-        until capacity eviction).
-    profile_memory:
-        When the service is traced, opt worker solve spans into
-        ``tracemalloc`` peak sampling (reported as ``mem_peak_kb``).
-        Ignored without a tracer.
-    high_water:
-        Optional early-shedding queue depth: at or above it, incoming
-        ``"low"``-priority work is refused (``shed_low_priority``)
-        while normal/high traffic still admits up to
-        ``max_queue_depth``. ``None`` disables early shedding.
-    max_solve_attempts:
-        Per-cell execution budget of the default
-        :class:`~repro.service.resilience.ResilientExecutor`: how many
-        times a cell whose worker crashed or wedged is re-executed
-        before it answers with an error.
-    cell_timeout_s:
-        Wall-clock watchdog for pool cells: a cell that has not
-        finished within the budget is treated like a crash (pool
-        respawned, cell retried). ``None`` disables the watchdog.
-    rate_limit_per_client:
-        Token-bucket refill rate (requests/second) applied per
-        ``client_id``; an offer beyond the bucket is rejected with
-        reason ``"rate_limited"``. ``None`` disables rate limiting.
-    rate_limit_burst:
-        Bucket capacity (the burst a quiet client may spend at once).
+    Each field's ``help`` metadata documents it; it is also the help of
+    the ``repro serve`` flag that sets it (see :mod:`repro.flags`).
     """
 
-    max_queue_depth: int = 256
-    max_batch_size: int = 32
-    workers: int = 1
-    result_ttl_s: float | None = 300.0
-    profile_memory: bool = False
-    high_water: int | None = None
-    max_solve_attempts: int = 3
-    cell_timeout_s: float | None = None
-    rate_limit_per_client: float | None = None
-    rate_limit_burst: float = 8.0
+    max_queue_depth: int = flag(
+        256, "--max-depth",
+        help="admission-queue capacity; offers beyond it are rejected")
+    #: Expired requests never count against it.
+    max_batch_size: int = flag(
+        32, "--batch-size", help="most live requests per executed batch")
+    #: 1 solves in-process.
+    workers: int = flag(
+        1, "--workers", help="worker processes per batch; responses are "
+        "identical whatever the value")
+    #: ``None`` keeps a response until capacity eviction.
+    result_ttl_s: float | None = flag(
+        300.0, "--ttl", type=ttl_seconds,
+        help="seconds a completed response stays fetchable")
+    #: Ignored without a tracer.
+    profile_memory: bool = flag(
+        False, "--profile-memory", help="with --trace-spans: sample "
+        "tracemalloc peaks on worker solve spans (reported as mem_peak_kb)")
+    #: At or above it, incoming ``"low"``-priority work is refused
+    #: (``shed_low_priority``) while normal/high traffic still admits up
+    #: to ``max_queue_depth``.
+    high_water: int | None = flag(
+        None, "--high-water", type=int,
+        help="queue depth at which incoming low-priority work is shed")
+    #: The budget of the default
+    #: :class:`~repro.service.resilience.ResilientExecutor`.
+    max_solve_attempts: int = flag(
+        3, "--max-attempts",
+        help="per-cell execution budget when a worker crashes or wedges")
+    cell_timeout_s: float | None = flag(
+        None, "--cell-timeout", type=float, metavar="SECONDS",
+        help="wall-clock watchdog per pool cell; a cell still running past "
+        "it is treated like a crash and retried")
+    #: An offer beyond the bucket is rejected with reason
+    #: ``"rate_limited"``.
+    rate_limit_per_client: float | None = flag(
+        None, "--rate-limit", type=float, metavar="RPS",
+        help="per-client-id token-bucket refill rate in requests/second")
+    rate_limit_burst: float = flag(
+        8.0, "--rate-burst",
+        help="token-bucket burst capacity with --rate-limit")
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import re
 
 import pytest
 
 from repro import cli
 from repro.analysis import experiments as exp
+from repro.analysis.chaos import ChaosGates
 from repro.analysis.chaos_serve import ChaosServePlan
 from repro.analysis.loadgen import LoadShape
 from repro.cli import build_parser, main
+from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.fl.io import load_instance_json
+from repro.perf.executor import SweepExecutor
 from repro.service import RouterConfig, ServiceConfig
-from tests.test_cli_golden import parsers
 
 
 class TestGenerate:
@@ -104,6 +106,21 @@ class TestSolve:
         )
         assert code == 1
         assert "does not shard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_trace_off_simulator_errors_before_writing(self, sparse, tmp_path, capsys):
+        trace = tmp_path / "run.jsonl"
+        source = (
+            ["--sparse-degree", "3", "-m", "6", "-n", "15"]
+            if sparse
+            else ["--family", "uniform", "-m", "6", "-n", "15"]
+        )
+        code = main(
+            ["solve", *source, "--engine", "columnar", "--no-lp", "--trace", str(trace)]
+        )
+        assert code == 1
+        assert "trace" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_no_lp_skips_ratio(self, capsys):
         code = main(
@@ -469,29 +486,65 @@ class TestTopVerb:
         assert "snapshot" in capsys.readouterr().err
 
 
+def _other_value(field, value) -> tuple[str, object]:
+    """A command-line text for ``field`` that parses to a value other
+    than ``value``, and the value it parses to."""
+    choices = field.metadata["argparse"].get("choices")
+    if choices:
+        other = next(choice for choice in choices if choice != value)
+        return other, other
+    if isinstance(value, str):
+        return value + "2", value + "2"
+    if isinstance(value, float) or "float" in str(field.type):
+        other = value / 2 if value else 0.5
+        return str(other), other
+    other = value + 1 if value is not None else 1
+    return str(other), other
+
+
 @pytest.mark.parametrize(
-    ("verb", "build", "expected"),
+    ("argv", "configs"),
     [
-        # `serve` runs without a router unless --service-workers says so.
-        ("serve", cli._service_configs, (ServiceConfig(), RouterConfig(num_workers=1))),
-        ("loadtest", cli._load_shape, LoadShape()),
-        ("chaos-serve", cli._chaos_serve_plan, ChaosServePlan()),
+        pytest.param(argv, configs, id=argv[0])
+        for argv, configs in (
+            # `serve` runs without a router unless --service-workers asks.
+            (["serve"], (ServiceConfig(), RouterConfig(num_workers=1))),
+            (["loadtest"], (LoadShape(),)),
+            (["chaos-serve"], (ChaosServePlan(),)),
+            (["chaos"], (ChaosGates(), SweepExecutor())),
+            (["experiment", "E1"], (SweepExecutor(),)),
+            (["solve"], (RoundingPolicy(),)),
+            (["record", "-o", "out.json"], (RoundingPolicy(),)),
+        )
     ],
 )
-def test_config_flags_take_the_dataclass_defaults(verb, build, expected):
+def test_config_flags_take_the_dataclass_defaults(argv, configs):
     parser = build_parser()
-    bare = build(parser.parse_args([verb]))
-    assert bare == expected
-    # Every "(default N)" a help string states is the dataclass's value:
-    # passing it explicitly builds the same config as leaving it out.
+
+    def built(extra: list[str]) -> list[object]:
+        args = parser.parse_args([*argv, *extra])
+        return [type(c)(**cli._options(args, type(c))) for c in configs]
+
+    # Bare argv builds the default configs...
+    assert built([]) == list(configs)
+    # ...and each generated flag, given a non-default value, changes
+    # exactly its own field.
     checked = 0
-    for action in dict(parsers(parser))[f"repro {verb}"]._actions:
-        stated = re.search(r"default:? (\d[\d.]*(?: \d[\d.]*)*)", action.help or "")
-        if stated and action.option_strings:
-            argv = [verb, action.option_strings[-1], *stated.group(1).split()]
-            assert build(parser.parse_args(argv)) == bare, argv
+    for index, config in enumerate(configs):
+        for field in dataclasses.fields(config):
+            if "flag" not in field.metadata:
+                continue
+            option = field.metadata["flag"][-1]
+            bare = getattr(config, field.name)
+            if isinstance(bare, bool):
+                extra, expected = [option], True
+            else:
+                text, expected = _other_value(field, bare)
+                extra = [option, text]
+            changed = built(extra)[index]
+            assert changed == dataclasses.replace(config, **{field.name: expected}), extra
             checked += 1
-    assert checked >= 5
+    assert checked >= 1
 
 
 _SMALL_LOADTEST = [
