@@ -197,8 +197,9 @@ class DistributedFacilityLocation:
         quality probe's ``ratio_vs_bound``.
     tracer:
         Optional :class:`~repro.obs.spans.Tracer` shared with the
-        simulator; the run becomes an ``algo.run`` span with per-round
-        children. Purely observational — never changes the output.
+        simulator; the run becomes an ``algo.run`` span with a
+        ``sim.build`` child and per-round children. Purely observational —
+        never changes the output.
     recorder:
         Optional :class:`~repro.obs.recorder.FlightRecorder` shared with
         the simulator: every round is digested (node state + message
@@ -266,17 +267,20 @@ class DistributedFacilityLocation:
         instance = self.instance
         m = instance.num_facilities
         topology = Topology.from_instance(instance)
+        # Each cost row and column is read once: .tolist() yields the same
+        # Python floats as one connection_cost call per edge end.
+        costs = instance.connection_costs
+        opening = instance.opening_costs.tolist()
+        greedy = self.variant is Variant.GREEDY
         nodes: list = []
-        for i in range(m):
-            client_costs = {
-                m + j: instance.connection_cost(i, j)
-                for j in instance.clients_of_facility(i)
-            }
-            if self.variant is Variant.GREEDY:
+        for i, row in enumerate(costs):
+            row = row.tolist()
+            client_costs = {m + j: row[j] for j in instance.clients_of_facility(i)}
+            if greedy:
                 nodes.append(
                     GreedyFacilityNode(
                         i,
-                        instance.opening_cost(i),
+                        opening[i],
                         client_costs,
                         self.params,
                         open_fraction=self.open_fraction,
@@ -286,18 +290,16 @@ class DistributedFacilityLocation:
                 nodes.append(
                     DualFacilityNode(
                         i,
-                        instance.opening_cost(i),
+                        opening[i],
                         client_costs,
                         self.params,
                         self.rounding,
                     )
                 )
-        for j in range(instance.num_clients):
-            facility_costs = {
-                i: instance.connection_cost(i, j)
-                for i in instance.facilities_of_client(j)
-            }
-            if self.variant is Variant.GREEDY:
+        for j, column in enumerate(costs.T):
+            column = column.tolist()
+            facility_costs = {i: column[i] for i in instance.facilities_of_client(j)}
+            if greedy:
                 nodes.append(
                     GreedyClientNode(
                         m + j, facility_costs, self.params, healing=self.healing
@@ -350,17 +352,22 @@ class DistributedFacilityLocation:
 
         With a tracer attached the whole execution becomes an
         ``algo.run`` span (variant/k/rounds annotated) whose children are
-        the simulator's per-round ``sim.round`` spans.
+        a ``sim.build`` span (:meth:`build_simulator`) and the
+        simulator's per-round ``sim.round`` spans.
         """
-        simulator = self.build_simulator()
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span(
                 "algo.run",
                 attributes={"variant": self.variant.value, "k": self.params.k},
             )
-        start = time.perf_counter()
         try:
+            if span is None:
+                simulator = self.build_simulator()
+            else:
+                with self.tracer.span("sim.build"):
+                    simulator = self.build_simulator()
+            start = time.perf_counter()
             metrics = simulator.run(max_rounds=self.round_budget())
         except Exception:
             if span is not None:

@@ -154,11 +154,18 @@ class DualFacilityNode(Node):
 
     @property
     def payment(self) -> float:
-        """Current accumulated payment ``P_i``."""
-        return sum(
-            max(0.0, alpha - self.client_costs[j])
-            for j, alpha in self.alphas.items()
-        )
+        """Current accumulated payment ``P_i``.
+
+        Excesses are added left to right in arrival order, the order the
+        other engines accumulate in; one that is not positive (``-0.0``
+        and NaN included) adds ``0.0``, as ``max(0.0, excess)`` would.
+        """
+        costs = self.client_costs
+        total = 0
+        for j, alpha in self.alphas.items():
+            excess = alpha - costs[j]
+            total += excess if excess > 0.0 else 0.0
+        return total
 
     def on_round(self, ctx: RoundContext, inbox: list[Message]) -> None:
         phase, level = dual_phase_of_round(self.params, ctx.round_number)
@@ -169,7 +176,7 @@ class DualFacilityNode(Node):
             if msg.kind == ALPHA:
                 self.alphas[msg.sender] = float(msg["alpha"])
         if phase == "tight":
-            self._update_payments(ctx, inbox, level)
+            self._update_payments(ctx, level)
         elif phase == "round2":
             self._decide_open(ctx, inbox)
         elif phase == "round4":
@@ -182,13 +189,9 @@ class DualFacilityNode(Node):
             answer_heal_messages(self, ctx, inbox)
             self.finished = True
 
-    def _update_payments(
-        self, ctx: RoundContext, inbox: list[Message], level: int
-    ) -> None:
-        """TIGHT: fold new budgets in; announce tightness on crossing."""
-        for msg in inbox:
-            if msg.kind == ALPHA:
-                self.alphas[msg.sender] = float(msg["alpha"])
+    def _update_payments(self, ctx: RoundContext, level: int) -> None:
+        """TIGHT: announce tightness on crossing (``on_round`` has already
+        folded this inbox's budgets in)."""
         # The tolerance must scale with the budget ladder, not only with
         # f_i: when f_i is many orders of magnitude below the budgets,
         # float cancellation in (alpha - c) can swallow f_i entirely and

@@ -23,7 +23,7 @@ from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError
 from repro.fl.instance import FacilityLocationInstance
-from repro.net.rng import spawn_node_rngs
+from repro.net.rng import NodeStreams
 
 __all__ = ["emulate_loop"]
 
@@ -92,7 +92,7 @@ def _emulate_greedy(
     n = instance.num_clients
     prov = recorder.provenance if recorder is not None else None
     opened_event: dict[int, int] = {}  # facility -> its open event id
-    rngs = spawn_node_rngs(seed, m)  # facility i uses stream i; clients never draw
+    rngs = NodeStreams(seed)  # facility i draws stream i; clients never draw
     opening = instance.opening_costs
     # Per-facility adjacency as (client, cost) sorted by (cost, node id),
     # matching GreedyFacilityNode._best_star ordering (node id = m + j).
@@ -301,7 +301,7 @@ def _emulate_dual(
     alpha_event: dict[int, int] = {}  # client -> latest alpha_raise event
     tight_event: dict[int, int] = {}  # facility -> its tight event
     settle_event: dict[int, int] = {}  # client -> its settle event
-    rngs = spawn_node_rngs(seed, m)
+    rngs = NodeStreams(seed)
     gamma = [
         min(instance.connection_cost(i, j) for i in instance.facilities_of_client(j))
         for j in range(n)

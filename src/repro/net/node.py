@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.exceptions import MessageSizeError, NotANeighborError, SimulationError
 from repro.net.message import Message, message_bits
+from repro.net.rng import node_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.simulator import Simulator
@@ -53,15 +54,19 @@ def _oversize(message: Message, budget: int) -> MessageSizeError:
 class Node:
     """Base class for protocol nodes.
 
-    Attributes populated by the simulator before :meth:`on_setup`:
+    Attributes:
 
     ``node_id``
         This node's identifier in the topology.
     ``neighbors``
-        Frozenset of neighbor identifiers.
+        Frozenset of neighbor identifiers, set by the simulator before
+        :meth:`on_setup`.
     ``rng``
         A private ``numpy.random.Generator``; all of the node's coin flips
-        must come from here so runs are reproducible.
+        must come from here so runs are reproducible. It is built on the
+        first draw: ``node_rng(seed, node_id)`` for the seed the simulator
+        keyed it to (:meth:`seed_rng`), ``default_rng(0)`` for a node
+        driven without one. A node that never draws builds none.
     ``finished``
         Set to ``True`` by the node itself when its part of the protocol is
         complete.
@@ -77,20 +82,24 @@ class Node:
         self.node_id = int(node_id)
         self.neighbors: frozenset[int] = frozenset()
         self._rng: np.random.Generator | None = None
+        self._rng_seed: int | None = None
         self.finished = False
         self.crashed = False
 
     @property
     def rng(self) -> np.random.Generator:
-        # The simulator assigns every node its stream; a node driven
-        # without one gets ``default_rng(0)`` when it first draws.
         if self._rng is None:
-            self._rng = np.random.default_rng(0)
+            if self._rng_seed is None:
+                self._rng = np.random.default_rng(0)
+            else:
+                self._rng = node_rng(self._rng_seed, self.node_id)
         return self._rng
 
-    @rng.setter
-    def rng(self, value: np.random.Generator) -> None:
-        self._rng = value
+    def seed_rng(self, seed: int) -> None:
+        """Key :attr:`rng` to ``node_rng(seed, node_id)``, built on the
+        first draw; a stream built before is dropped."""
+        self._rng_seed = seed
+        self._rng = None
 
     def on_setup(self, ctx: "RoundContext") -> None:
         """One-time initialization hook (round 0). Override as needed."""

@@ -2,14 +2,17 @@
 
 Every node must flip its own coins — sharing one stream across nodes would
 silently leak information between them and would also make results depend
-on node scheduling order. :func:`spawn_node_rngs` derives one independent
-``numpy`` generator per node from a single experiment seed using
-``SeedSequence.spawn``, which guarantees streams that are both independent
-and stable across runs and platforms.
+on node scheduling order. Node ``i``'s stream is
+``SeedSequence(seed, spawn_key=(i,))`` feeding ``PCG64``
+(:func:`node_rng`): the ``i``-th child of ``SeedSequence(seed).spawn``,
+so streams are independent and stable across runs and platforms, and
+one node's stream is built without its siblings.
 
-Node ``i``'s stream is ``SeedSequence(seed, spawn_key=(i,))`` feeding
-``PCG64`` (:func:`node_rng`). The object engines hold one ``Generator``
-per node. The columnar engine draws for thousands of facilities per
+Engines build a stream only for a node that draws. A simulator
+:class:`~repro.net.node.Node` builds its ``Generator`` on its first draw,
+and the loop engine keeps a :class:`NodeStreams` map filled the same way;
+clients never draw, and dual facilities draw only under randomized
+rounding. The columnar engine draws for thousands of facilities per
 call, so it uses a :class:`CoinPlane` instead: the same streams, held as
 numpy ``uint64`` limbs for a whole block of node ids, with
 ``random(ids)`` advancing only the rows drawn. The plane reproduces
@@ -24,21 +27,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["spawn_node_rngs", "node_rng", "derive_rng", "CoinPlane"]
-
-
-def spawn_node_rngs(seed: int, num_nodes: int) -> list[np.random.Generator]:
-    """One independent, reproducible generator per node.
-
-    Parameters
-    ----------
-    seed:
-        The experiment-level seed.
-    num_nodes:
-        How many node streams to derive.
-    """
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(num_nodes)]
+__all__ = ["node_rng", "NodeStreams", "derive_rng", "CoinPlane"]
 
 
 def node_rng(seed: int, node: int) -> np.random.Generator:
@@ -47,10 +36,22 @@ def node_rng(seed: int, node: int) -> np.random.Generator:
     ``SeedSequence.spawn`` keys each child purely by its index
     (``spawn_key=(i,)`` under the root entropy), so the stream of node
     ``i`` does not depend on how many siblings were spawned alongside it.
-    This is bit-identical to ``spawn_node_rngs(seed, N)[node]`` for any
-    ``N > node``.
+    This is bit-identical to
+    ``default_rng(SeedSequence(seed).spawn(N)[node])`` for any ``N > node``.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(node,)))
+
+
+class NodeStreams(dict):
+    """Node id -> ``node_rng(seed, id)``, each built on its first lookup."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, node: int) -> np.random.Generator:
+        rng = self[node] = node_rng(self.seed, node)
+        return rng
 
 
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:

@@ -36,7 +36,6 @@ from repro.net.reliability import (
     ReliabilityPolicy,
     ReliabilityStats,
 )
-from repro.net.rng import spawn_node_rngs
 from repro.net.topology import Topology
 from repro.net.trace import NullTrace, Trace
 from repro.obs.probes import RoundProbe
@@ -75,8 +74,9 @@ class Simulator:
         One node per topology identifier; either a sequence in id order or a
         mapping ``id -> node``. Node ids must match topology ids exactly.
     seed:
-        Experiment seed; per-node independent random streams are derived
-        from it.
+        Experiment seed. Node ``i`` draws from ``node_rng(seed, i)``,
+        built on its first draw (see :meth:`~repro.net.node.Node.seed_rng`),
+        so nodes that never draw cost no generator.
     fault_plan:
         Optional fault injection (drops, bursts, partitions, link cuts,
         duplication, crashes with optional recovery — see
@@ -172,9 +172,9 @@ class Simulator:
         # (see RoundContext.rebind) instead of allocated per node per
         # round — cuts the dominant allocation churn of the round loop.
         self._context = RoundContext(self, self._nodes[0], 0)
-        for node, rng in zip(self._nodes, spawn_node_rngs(seed, len(self._nodes))):
+        for node in self._nodes:
             node.neighbors = topology.neighbors(node.node_id)
-            node.rng = rng
+            node.seed_rng(self._seed)
 
     # ------------------------------------------------------------------
     # Accessors

@@ -35,8 +35,17 @@ class Topology:
                 raise SimulationError(f"self-loop on node {u} is not allowed")
             adjacency[u].add(v)
             adjacency[v].add(u)
-        self._adjacency = tuple(frozenset(s) for s in adjacency)
-        self._neighbor_order = tuple(tuple(sorted(s)) for s in adjacency)
+        self._adopt([tuple(sorted(s)) for s in adjacency])
+
+    def _adopt(self, neighbor_order: list[tuple[int, ...]]) -> None:
+        """Take each node's neighbors, already sorted by increasing id.
+
+        The one place a topology's state is built: ``__init__`` sorts its
+        edge sets into this form, :meth:`from_instance` reads it off the
+        instance's adjacency.
+        """
+        self._neighbor_order = tuple(neighbor_order)
+        self._adjacency = tuple(frozenset(order) for order in neighbor_order)
 
     # ------------------------------------------------------------------
     # Builders
@@ -52,8 +61,16 @@ class Topology:
         which a client can talk to precisely the facilities it could use.
         """
         m = instance.num_facilities
-        edges = ((i, m + j) for i, j, _ in instance.iter_edges())
-        return cls(instance.num_nodes, edges)
+        # The instance's adjacency tuples are already in increasing order.
+        order = [
+            tuple(m + j for j in instance.clients_of_facility(i)) for i in range(m)
+        ]
+        order.extend(
+            instance.facilities_of_client(j) for j in range(instance.num_clients)
+        )
+        topology = cls.__new__(cls)
+        topology._adopt(order)
+        return topology
 
     @classmethod
     def complete(cls, num_nodes: int) -> "Topology":

@@ -12,30 +12,47 @@ from repro.fl.generators import make_instance
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.metrics import NetworkMetrics
-from repro.net.rng import CoinPlane, derive_rng, node_rng, spawn_node_rngs
+from repro.net.rng import CoinPlane, NodeStreams, derive_rng, node_rng
 from repro.net.trace import NullTrace, Trace
+
+
+def _spawned(seed: int, num_nodes: int) -> list[np.random.Generator]:
+    """numpy's own per-node streams: the children of one spawn."""
+    return [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(num_nodes)
+    ]
 
 
 class TestRng:
     def test_reproducible(self):
-        a = [rng.random() for rng in spawn_node_rngs(7, 5)]
-        b = [rng.random() for rng in spawn_node_rngs(7, 5)]
+        a = [node_rng(7, i).random() for i in range(5)]
+        b = [node_rng(7, i).random() for i in range(5)]
         assert a == b
 
     def test_streams_are_distinct(self):
-        values = [rng.random() for rng in spawn_node_rngs(7, 10)]
+        values = [node_rng(7, i).random() for i in range(10)]
         assert len(set(values)) == 10
 
     def test_different_seeds_differ(self):
-        a = [rng.random() for rng in spawn_node_rngs(1, 3)]
-        b = [rng.random() for rng in spawn_node_rngs(2, 3)]
+        a = [node_rng(1, i).random() for i in range(3)]
+        b = [node_rng(2, i).random() for i in range(3)]
         assert a != b
 
     def test_node_rng_is_that_node_of_the_full_spawn(self):
-        spawned = [rng.random(3).tolist() for rng in spawn_node_rngs(7, 6)]
-        assert [node_rng(7, i).random(3).tolist() for i in (5, 0, 3)] == [
-            spawned[5], spawned[0], spawned[3]
-        ]
+        for seed in (0, 7, 2**40 + 3):
+            for i in (0, 3, 5):
+                expected = node_rng(seed, i).random(3).tolist()
+                for num_nodes in (i + 1, 6, 64):
+                    spawned = _spawned(seed, num_nodes)[i]
+                    assert spawned.random(3).tolist() == expected
+
+    def test_node_streams_build_each_stream_once_on_first_lookup(self):
+        streams = NodeStreams(7)
+        assert len(streams) == 0
+        first = streams[4]
+        assert list(streams) == [4] and streams[4] is first
+        assert first.random(3).tolist() == node_rng(7, 4).random(3).tolist()
 
     def test_derive_rng_keyed(self):
         assert derive_rng(1, 2).random() == derive_rng(1, 2).random()

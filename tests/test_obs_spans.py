@@ -298,6 +298,7 @@ class TestPipelineTracing:
             ]
             assert path[-1] in {
                 "sim.round",
+                "sim.build",
                 "algo.run",
                 "worker.instance",
                 "worker.lp",
