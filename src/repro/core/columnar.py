@@ -27,11 +27,20 @@ sparse ones:
   state — facility shards write their edge slices of the per-edge flag
   columns, client shards gather them through the client-order
   permutation after the barrier.
-* **Bounded working set.** Every phase walks its slice in fixed-size
-  blocks: facility blocks of about :data:`_FACILITY_BLOCK_EDGES` edges,
-  each with its own degree-padded 2-D columns built once per solve, and
-  client blocks of :data:`_CLIENT_BLOCK` clients. Per-phase temporaries
-  are sized by a block, not by the edge count.
+* **Bounded working set that follows the frontier.** Every phase walks
+  its slice in fixed-size blocks: facility blocks of about
+  :data:`_FACILITY_BLOCK_EDGES` edges, each with its own degree-padded
+  2-D columns, and client blocks of :data:`_CLIENT_BLOCK` clients.
+  Per-phase temporaries are sized by a block, not by the edge count.
+  Greedy's facility and offer phases narrow their blocks to the active
+  clients: each time the active-client count has halved since the last
+  rebuild, every facility block's padded view is rebuilt over its
+  active clients' edges and every client block keeps only its active
+  clients' ``cli_*`` slots, so their work tracks the active edges, not
+  all of them. Dual ascent skips a level's alpha, facility and freeze
+  phases once every client is frozen, since nothing can move after
+  that. Barriers and snapshots never change, so the ledger and the
+  recorder see every round.
 
 **Determinism contract.** The loop engine stays the small-scale oracle,
 and this engine must match it *bit for bit* — same open sets, same
@@ -40,11 +49,13 @@ count:
 
 * The per-facility prefix sums of the greedy star search are computed on
   a degree-padded 2-D array with ``numpy.cumsum`` (fee in column 0, one
-  edge per subsequent column in (cost, client id) order). Absent and
-  inactive slots contribute exact ``0.0`` terms, which IEEE addition
-  absorbs exactly for the non-negative partial sums that occur here, so
-  the prefix values equal the loop engine's running ``total += cost``
-  sums at every real-edge position.
+  edge per subsequent column in (cost, client id) order). Inactive slots
+  contribute exact ``0.0`` terms, which IEEE addition absorbs exactly
+  for the non-negative partial sums that occur here, so the prefix
+  values equal the loop engine's running ``total += cost`` sums at every
+  active-edge position. Narrowing a view drops only such slots and keeps
+  the rest in order, so it changes no prefix value; absent slots sit
+  past each row's last edge and are never read.
 * First-extremum tie-breaks (the loop engine's ``(priority, -i)`` /
   ``(cost, i)`` keys) become two-pass segment reductions: a ``reduceat``
   for the extreme value, then a ``reduceat`` over facility ids restricted
@@ -113,6 +124,11 @@ _FACILITY_BLOCK_EDGES = 1 << 17
 
 #: Clients per client block.
 _CLIENT_BLOCK = 1 << 16
+
+#: The greedy views are rebuilt over the active clients' edges once the
+#: active-client count has fallen to ``1 / _NARROW_RATIO`` of what it was
+#: at the last rebuild.
+_NARROW_RATIO = 2
 
 
 # ----------------------------------------------------------------------
@@ -407,25 +423,95 @@ class ColumnarInstance:
         or ``"byc"`` (client order, absent slots cost +inf). Absent slots
         name client 0."""
         ptr = self.fac_ptr
-        deg = ptr[f0 + 1 : f1 + 1] - ptr[f0:f1]
-        width = int(deg.max()) if deg.size else 0
-        valid = np.arange(width)[None, :] < deg[:, None]
         # Row-major real slots enumerate the slice's edges in plane order.
         edges = slice(int(ptr[f0]), int(ptr[f1]))
-        cost = np.full(valid.shape, 0.0 if order == "g" else np.inf)
-        cost[valid] = getattr(self, f"{order}_cost")[edges]
-        cli = np.zeros(valid.shape, dtype=np.int64)
-        cli[valid] = getattr(self, f"{order}_cli")[edges]
-        return _PaddedSlice(valid=valid, cost=cost, cli=cli)
+        return _PaddedSlice.build(
+            ptr[f0 + 1 : f1 + 1] - ptr[f0:f1],
+            getattr(self, f"{order}_cost")[edges],
+            getattr(self, f"{order}_cli")[edges],
+            edges,
+            0.0 if order == "g" else np.inf,
+        )
 
 
 @dataclass(frozen=True)
 class _PaddedSlice:
-    """One edge order of a facility slice, padded to 2-D (one row per facility)."""
+    """One edge order of a facility slice, padded to 2-D (one row per facility).
+
+    ``edges`` names the plane positions of the real slots in row-major
+    order: a ``slice`` for a whole facility slice, an index array for a
+    view narrowed by :meth:`restricted`.
+    """
 
     valid: np.ndarray  # (ms, D) bool — real-edge slots
     cost: np.ndarray  # (ms, D) float64
     cli: np.ndarray  # (ms, D) int64 client ids, 0 padded
+    edges: slice | np.ndarray
+
+    @classmethod
+    def build(cls, degrees, cost, cli, edges, absent_cost: float) -> "_PaddedSlice":
+        """Pad per-row runs of ``cost``/``cli`` (``degrees[r]`` slots in row ``r``)."""
+        width = int(degrees.max()) if degrees.size else 0
+        valid = np.arange(width)[None, :] < degrees[:, None]
+        padded_cost = np.full(valid.shape, absent_cost)
+        padded_cost[valid] = cost
+        padded_cli = np.zeros(valid.shape, dtype=np.int64)
+        padded_cli[valid] = cli
+        return cls(valid=valid, cost=padded_cost, cli=padded_cli, edges=edges)
+
+    def restricted(self, keep: np.ndarray) -> "_PaddedSlice":
+        """The same rows over only the real slots where ``keep`` holds.
+
+        Kept slots stay in their row order, so a greedy-order view stays
+        in (cost, client id) order; absent slots cost 0.0, as in the
+        greedy order's padding.
+        """
+        picked = np.flatnonzero(keep[self.valid])
+        if isinstance(self.edges, slice):
+            edges = picked + self.edges.start
+        else:
+            edges = self.edges[picked]
+        return _PaddedSlice.build(
+            keep.sum(axis=1), self.cost[keep], self.cli[keep], edges, 0.0
+        )
+
+
+@dataclass(frozen=True)
+class _ClientView:
+    """The clients one greedy offer phase visits, with their ``cli_*`` slots.
+
+    A whole client block is two slices and reads its segment lengths from
+    ``cli_ptr`` when used; a view narrowed by :meth:`restricted` holds
+    index arrays and its own lengths.
+    """
+
+    ids: slice | np.ndarray
+    slots: slice | np.ndarray
+    lengths: np.ndarray | None = None
+
+    @classmethod
+    def block(cls, cinst: "ColumnarInstance", c0: int, c1: int) -> "_ClientView":
+        lo, hi = int(cinst.cli_ptr[c0]), int(cinst.cli_ptr[c1])
+        return cls(ids=slice(c0, c1), slots=slice(lo, hi))
+
+    def segments(self, cinst: "ColumnarInstance") -> tuple[np.ndarray, np.ndarray]:
+        """Reduceat offsets and lengths of each client's run of slots."""
+        if self.lengths is None:
+            return _client_segments(cinst, self.ids.start, self.ids.stop)[2:]
+        starts = np.zeros(self.lengths.size, dtype=np.int64)
+        np.cumsum(self.lengths[:-1], out=starts[1:])
+        return starts, self.lengths
+
+    def restricted(self, cinst: "ColumnarInstance", keep: np.ndarray) -> "_ClientView":
+        """The clients where ``keep`` (one flag per client) holds, in order."""
+        _, lengths = self.segments(cinst)
+        ids, slots = self.ids, self.slots
+        if isinstance(ids, slice):
+            ids = np.arange(ids.start, ids.stop)
+            slots = np.arange(slots.start, slots.stop)
+        return _ClientView(
+            ids=ids[keep], slots=slots[np.repeat(keep, lengths)], lengths=lengths[keep]
+        )
 
 
 def _facility_blocks(cinst: ColumnarInstance, f0: int, f1: int) -> list[tuple[int, int]]:
@@ -561,16 +647,16 @@ def _greedy_facility_phase(
     priorities[ids] = coins.random(ids)
     if act.shape[1]:
         member2d = act & (np.cumsum(act, axis=1) <= best[:, None]) & proposers[:, None]
-        member[cinst.fac_ptr[f0] : cinst.fac_ptr[f1]] = member2d[pad.valid]
+        member[pad.edges] = member2d[pad.valid]
 
 
 def _greedy_client_offer_phase(
-    cinst, c0, c1, *, member, priorities, best_fac, has_offer
+    cinst, view, *, member, priorities, best_fac, has_offer
 ) -> np.ndarray:
-    """Offer resolution for ``[c0, c1)``; returns partial accept counts."""
-    lo, hi, starts, lengths = _client_segments(cinst, c0, c1)
-    e_fac = cinst.cli_fac[lo:hi]
-    e_member = member[cinst.cli_edge[lo:hi]]
+    """Offer resolution for the clients of ``view``; returns partial accept counts."""
+    starts, lengths = view.segments(cinst)
+    e_fac = cinst.cli_fac[view.slots]
+    e_member = member[cinst.cli_edge[view.slots]]
     key = np.where(e_member, priorities[e_fac], -1.0)
     best = np.maximum.reduceat(key, starts)
     offered = best >= 0.0
@@ -578,8 +664,8 @@ def _greedy_client_offer_phase(
     # facility id, exactly like the loop engine's (priority, -i) key.
     attain = e_member & (key == np.repeat(best, lengths))
     chosen = np.minimum.reduceat(np.where(attain, e_fac, cinst.m), starts)
-    best_fac[c0:c1] = np.where(offered, chosen, 0)
-    has_offer[c0:c1] = offered
+    best_fac[view.ids] = np.where(offered, chosen, 0)
+    has_offer[view.ids] = offered
     return np.bincount(chosen[offered], minlength=cinst.m)
 
 
@@ -856,8 +942,16 @@ def _schedule(
     coins = CoinPlane(seed, *f)
     if variant is Variant.GREEDY:
         accepted_partial = s["accepted_partial"][shard]
+        offers = [_ClientView.block(cinst, b0, b1) for b0, b1 in cblocks]
+        narrowed_at = cinst.n  # active clients the views were last built over
         for iteration in range(1, params.num_iterations + 1):
-            busy = bool(s["active"].any())
+            # ``active`` last changed before the previous snapshot barrier,
+            # so every shard reads the same count here.
+            live = int(np.count_nonzero(s["active"]))
+            busy = live > 0
+            if busy and live * _NARROW_RATIO <= narrowed_at:
+                narrowed_at = live
+                _narrow_to_active(cinst, fblocks, offers, s)
             scale = params.scale_of_iteration(iteration)
             if busy:
                 for b0, b1, pad in fblocks:
@@ -870,9 +964,9 @@ def _schedule(
             sync()
             if busy:
                 accepted_partial[...] = 0
-                for b0, b1 in cblocks:
+                for view in offers:
                     accepted_partial += _greedy_client_offer_phase(
-                        cinst, b0, b1, member=s["member"], priorities=s["priorities"],
+                        cinst, view, member=s["member"], priorities=s["priorities"],
                         best_fac=s["best_fac"], has_offer=s["has_offer"],
                     )
             sync()
@@ -916,20 +1010,29 @@ def _schedule(
     slack = 1e-12 * np.maximum(cinst.opening, params.eff_max)
     for level in range(1, params.num_scales + 1):
         threshold = params.threshold(level)
-        for b0, b1 in cblocks:
-            _dual_client_alpha_phase(
-                b0, b1, threshold, hook, level,
-                alphas=s["alphas"], frozen=s["frozen"], gamma=s["gamma"],
-            )
+        # Once every client is frozen no alpha, payment, tightness or
+        # witness can change, so the level's phases are skipped; ``frozen``
+        # last changed before the previous snapshot barrier.
+        moving = not s["frozen"].all()
+        if moving:
+            for b0, b1 in cblocks:
+                _dual_client_alpha_phase(
+                    b0, b1, threshold, hook, level,
+                    alphas=s["alphas"], frozen=s["frozen"], gamma=s["gamma"],
+                )
         sync()
-        for b0, b1, pad in fblocks:
-            _dual_facility_phase(
-                cinst, pad, slack, b0, b1,
-                alphas=s["alphas"], tight=s["tight"], witness=s["witness"],
-            )
+        if moving:
+            for b0, b1, pad in fblocks:
+                _dual_facility_phase(
+                    cinst, pad, slack, b0, b1,
+                    alphas=s["alphas"], tight=s["tight"], witness=s["witness"],
+                )
         sync()
-        for b0, b1 in cblocks:
-            _dual_client_freeze_phase(cinst, b0, b1, witness=s["witness"], frozen=s["frozen"])
+        if moving:
+            for b0, b1 in cblocks:
+                _dual_client_freeze_phase(
+                    cinst, b0, b1, witness=s["witness"], frozen=s["frozen"]
+                )
         sync()
         snapshot(f"dual:level:{level}")
     snapshot("dual:ladder")
@@ -954,6 +1057,30 @@ def _schedule(
             b0, b1, forced_mask=s["forced_mask"], target=s["target"], is_open=s["is_open"]
         )
     sync()
+
+
+def _narrow_to_active(cinst, fblocks, offers, s) -> None:
+    """Rebuild the greedy views, in place, over the active clients only.
+
+    A dropped slot was an exact ``0.0`` term of its row's prefix sums and
+    never a member, so every kept prefix value and every membership is
+    what the wider view computes. The dropped edges' ``member`` flags and
+    the dropped clients' ``has_offer``/``best_fac`` are cleared here to
+    what a full pass writes for an inactive client, so the ledger's sums
+    read the same. An offer view left with no client is removed.
+    """
+    active, member = s["active"], s["member"]
+    for index, (b0, b1, pad) in enumerate(fblocks):
+        member[pad.edges] = False
+        fblocks[index] = (b0, b1, pad.restricted(pad.valid & active[pad.cli]))
+    kept = []
+    for view in offers:
+        s["has_offer"][view.ids] = False
+        s["best_fac"][view.ids] = 0
+        keep = active[view.ids]
+        if keep.any():
+            kept.append(view.restricted(cinst, keep))
+    offers[:] = kept
 
 
 def _state_specs(cinst: ColumnarInstance, variant: Variant, rows: int):

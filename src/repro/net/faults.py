@@ -254,9 +254,11 @@ class FaultPlan:
         Called by the simulator at setup, so reusing one plan object
         across two runs yields identical fault decisions in both — the
         streams are per-run, never carried over from a previous run.
+        Each stream is derived on its first draw, so a run that never
+        drops or duplicates at random builds none.
         """
-        self._rng = derive_rng(self.seed, _KEY_IID_DROP)
-        self._dup_rng = derive_rng(self.seed, _KEY_DUPLICATE)
+        self._rng: np.random.Generator | None = None
+        self._dup_rng: np.random.Generator | None = None
         self._burst_channels: dict[tuple[int, int], _BurstChannel] = {}
 
     # ------------------------------------------------------------------
@@ -278,10 +280,11 @@ class FaultPlan:
         for partition in self.partitions:
             if partition.severs(message.sender, message.receiver, rnd):
                 return True
-        if self.drop_probability > 0.0 and bool(
-            self._rng.random() < self.drop_probability
-        ):
-            return True
+        if self.drop_probability > 0.0:
+            if self._rng is None:
+                self._rng = derive_rng(self.seed, _KEY_IID_DROP)
+            if bool(self._rng.random() < self.drop_probability):
+                return True
         if self.burst is not None and self._burst_drop(message, rnd):
             return True
         return False
@@ -313,6 +316,8 @@ class FaultPlan:
         """Decide (reproducibly) whether this delivery arrives twice."""
         if self.duplicate_probability <= 0.0:
             return False
+        if self._dup_rng is None:
+            self._dup_rng = derive_rng(self.seed, _KEY_DUPLICATE)
         return bool(self._dup_rng.random() < self.duplicate_probability)
 
     # ------------------------------------------------------------------

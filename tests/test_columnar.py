@@ -10,6 +10,7 @@ divergence bisection that covers the other engines.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -254,6 +255,147 @@ class TestBlockBoundaries:
         assert blocked.metrics == whole.metrics
         assert digest == whole_digest == oracle.final_digest()
         assert columnar.columnar_efficiency_range(cinst) == efficiency
+
+
+class TestNarrowedBlockBoundaries:
+    """Greedy views narrowed to the active clients, across tiny blocks and
+    shards: a facility block can lose every edge (a width-0 pad) and a
+    shard's offer views can empty, and still no output byte moves."""
+
+    @staticmethod
+    def _solve(cinst, k, shards):
+        recorder = FlightRecorder(engine="columnar")
+        result = solve_columnar(cinst, k=k, seed=3, shards=shards, recorder=recorder)
+        return result, recorder.final_digest()
+
+    @pytest.mark.parametrize(("m", "n", "seed", "k"), [(10, 33, 11, 5), (12, 40, 5, 12)])
+    def test_narrowing_changes_nothing(self, monkeypatch, m, n, seed, k):
+        instance = make_instance("sparse", m, n, seed=seed)
+        cinst = ColumnarInstance.from_instance(instance)
+        oracle = FlightRecorder(engine="loop")
+        solve_distributed(instance, k=k, seed=3, engine="loop", recorder=oracle)
+        whole, whole_digest = self._solve(cinst, k, 1)
+        assert whole_digest == oracle.final_digest()
+
+        narrowings: list[np.ndarray] = []
+        width_zero: list[bool] = []
+        narrow = columnar._narrow_to_active
+
+        def watched(cinst_, fblocks, offers, s):
+            narrowings.append(s["active"].copy())
+            narrow(cinst_, fblocks, offers, s)
+            width_zero.append(any(pad.valid.shape[1] == 0 for _, _, pad in fblocks))
+
+        monkeypatch.setattr(columnar, "_narrow_to_active", watched)
+        for facility_edges, clients in [(1, 5), (64, 5)]:
+            monkeypatch.setattr(columnar, "_FACILITY_BLOCK_EDGES", facility_edges)
+            monkeypatch.setattr(columnar, "_CLIENT_BLOCK", clients)
+            for shards in (1, 3):
+                narrowings.clear()
+                width_zero.clear()
+                blocked, digest = self._solve(cinst, k, shards)
+                # The sharded parent runs the schedule over empty slices,
+                # so it takes every narrowing decision its workers take.
+                assert len(narrowings) >= 2
+                for name in ("open_mask", "assignment"):
+                    assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+                assert blocked.cost == whole.cost
+                assert dataclasses.asdict(blocked.metrics) == dataclasses.asdict(whole.metrics)
+                assert digest == oracle.final_digest()
+                if shards == 1 and facility_edges == 1:
+                    assert any(width_zero), "no facility block lost every edge"
+                if shards == 3:
+                    emptied = [
+                        not active[c0:c1].any()
+                        for active in narrowings
+                        for c0, c1 in columnar._split_ranges(cinst.n, 3)
+                    ]
+                    assert any(emptied), "no shard's active-client list emptied"
+
+
+class TestFrontierWork:
+    """Kernel work follows the frontier, counted by wrapping the phase
+    functions: greedy edge visits track the active edges, and dual
+    passes stop at the fixed point."""
+
+    @pytest.fixture(scope="class")
+    def cinst(self):
+        return ColumnarInstance.generate_sparse(300, 9700, seed=5)
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_greedy_visits_follow_active_edges(self, monkeypatch, cinst, k):
+        degrees = cinst.client_degrees
+        active_edges: list[int] = []
+        facility_visits: list[int] = []
+        offer_visits: list[int] = []
+        facility_phase = columnar._greedy_facility_phase
+        offer_phase = columnar._greedy_client_offer_phase
+
+        def facility(cinst_, pad, params, scale, coins, f0, f1, **state):
+            if f0 == 0:  # the first block opens an iteration
+                active_edges.append(int(degrees[state["active"]].sum()))
+                facility_visits.append(0)
+                offer_visits.append(0)
+            facility_visits[-1] += int(pad.valid.sum())
+            return facility_phase(cinst_, pad, params, scale, coins, f0, f1, **state)
+
+        def offer(cinst_, view, **state):
+            offer_visits[-1] += int(view.segments(cinst_)[1].sum())
+            return offer_phase(cinst_, view, **state)
+
+        # With narrowing switched off the same solve must give the same bytes.
+        ratio = columnar._NARROW_RATIO
+        monkeypatch.setattr(columnar, "_NARROW_RATIO", cinst.n + 1)
+        wide = solve_columnar(cinst, k=k, seed=1)
+        monkeypatch.setattr(columnar, "_NARROW_RATIO", ratio)
+        monkeypatch.setattr(columnar, "_greedy_facility_phase", facility)
+        monkeypatch.setattr(columnar, "_greedy_client_offer_phase", offer)
+        result = solve_columnar(cinst, k=k, seed=1)
+        assert len(active_edges) >= 3
+        assert facility_visits[0] == offer_visits[0] == cinst.num_edges
+        later = sum(active_edges[1:])
+        assert sum(facility_visits[1:]) <= 2 * later
+        assert sum(offer_visits[1:]) <= 2 * later
+        # Every pass over the whole plane would visit far more.
+        assert 2 * later < (len(active_edges) - 1) * cinst.num_edges
+        assert wide.open_mask.tobytes() == result.open_mask.tobytes()
+        assert wide.assignment.tobytes() == result.assignment.tobytes()
+        assert wide.metrics == result.metrics
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_no_dual_pass_after_the_fixed_point(self, monkeypatch, cinst, k):
+        events: list[str] = []
+        settled_at: list[str] = []
+
+        def counted(name):
+            phase = getattr(columnar, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return phase(*args, **kwargs)
+
+            monkeypatch.setattr(columnar, name, wrapper)
+
+        for name in (
+            "_dual_client_alpha_phase", "_dual_facility_phase", "_dual_client_freeze_phase"
+        ):
+            counted(name)
+        observe = columnar._Observer.__call__
+
+        def snapshot(observer, label):
+            events.append(label)
+            if label.startswith("dual:level:") and observer.s["frozen"].all():
+                settled_at.append(label)
+            return observe(observer, label)
+
+        monkeypatch.setattr(columnar._Observer, "__call__", snapshot)
+        solve_columnar(cinst, k=k, variant="dual_ascent", seed=1)
+        levels = [e for e in events if e.startswith("dual:level:")]
+        assert levels == [f"dual:level:{level}" for level in range(1, k + 1)]
+        assert settled_at and settled_at[0] != levels[-1], "no level after the fixed point"
+        after = events[events.index(settled_at[0]) + 1 :]
+        assert not [e for e in after if e.startswith("_dual_")]
+        assert events.count("_dual_client_alpha_phase") == levels.index(settled_at[0]) + 1
 
 
 class TestWorkingSet:

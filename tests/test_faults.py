@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.net.faults as faults_module
+from repro.core.algorithm import solve_distributed
 from repro.exceptions import SimulationError
+from repro.fl.generators import make_instance
 from repro.net.faults import (
     FaultPlan,
     GilbertElliottLoss,
@@ -182,6 +185,55 @@ class TestFaultPlanStreams:
         without = FaultPlan(drop_probability=0.5, seed=8)
         drops_b = [without.should_drop(msg(), round_number=1) for _ in range(100)]
         assert drops_a == drops_b
+
+
+class TestFaultPlanStreamsOnFirstDraw:
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        keys: list[tuple[int, ...]] = []
+        derive = faults_module.derive_rng
+
+        def counting(seed, *stream_keys):
+            keys.append(stream_keys)
+            return derive(seed, *stream_keys)
+
+        monkeypatch.setattr(faults_module, "derive_rng", counting)
+        return keys
+
+    def test_fault_free_run_builds_no_stream(self, derived):
+        instance = make_instance("uniform", 5, 12, seed=2)
+        solve_distributed(instance, k=4, seed=1)
+        solve_distributed(instance, k=4, seed=1, fault_plan=FaultPlan(seed=3))
+        solve_distributed(
+            instance, k=4, seed=1,
+            fault_plan=FaultPlan(link_failures=[LinkFailure(0, 5, 1, 2)]),
+        )
+        assert derived == []
+
+    def test_each_stream_is_built_on_its_first_draw(self, derived):
+        plan = FaultPlan(drop_probability=0.5, duplicate_probability=0.5, seed=11)
+        assert derived == []
+        plan.should_drop(msg(), round_number=1)
+        plan.should_drop(msg(), round_number=1)
+        assert derived == [(faults_module._KEY_IID_DROP,)]
+        plan.should_duplicate(msg())
+        assert derived == [(faults_module._KEY_IID_DROP,), (faults_module._KEY_DUPLICATE,)]
+
+    def test_reused_plan_repeats_its_decisions(self):
+        instance = make_instance("uniform", 5, 12, seed=2)
+        plan = FaultPlan(drop_probability=0.2, duplicate_probability=0.2, seed=5)
+        first = solve_distributed(instance, k=4, seed=1, fault_plan=plan)
+        second = solve_distributed(instance, k=4, seed=1, fault_plan=plan)
+        fresh = solve_distributed(
+            instance, k=4, seed=1,
+            fault_plan=FaultPlan(drop_probability=0.2, duplicate_probability=0.2, seed=5),
+        )
+        assert first.metrics.dropped_messages > 0
+        assert first.metrics.duplicated_messages > 0
+        for other in (second, fresh):
+            assert other.metrics == first.metrics
+            assert other.open_facilities == first.open_facilities
+            assert other.solution == first.solution
 
 
 class TestFaultPlanValidate:
