@@ -13,8 +13,9 @@ test:
 	pytest tests/
 
 # The quick experiment artifacts that tier-1 (tests/test_experiments.py)
-# compares exactly; bench-full writes the full configurations to a
-# scratch directory.
+# and `repro compare` gate; they hold no clock reading, so rerunning on
+# unchanged code rewrites no byte. bench-full writes the full
+# configurations to a scratch directory.
 bench:
 	python -m repro.cli experiment all --quick -o benchmarks/_artifacts
 
@@ -22,7 +23,7 @@ bench-full:
 	python -m repro.cli experiment all -o experiments-full
 
 report:
-	python -m repro.analysis.report
+	python -m repro.cli report
 
 # API reference into docs/api/ (pdoc when installed, stdlib fallback
 # otherwise), then the doc-quality gates: relative-link checker and the

@@ -7,8 +7,8 @@
 * :mod:`~repro.analysis.tables` — fixed-width ASCII tables, the output
   format of every benchmark;
 * :mod:`~repro.analysis.experiments` — the canonical experiment
-  configurations E1–E17 and their id → runner registry, read by
-  ``repro experiment``, the EXPERIMENTS.md report and tier-1;
+  configurations E1–E17 and the table of their runners and declared
+  claims, read by ``repro experiment``, ``repro report`` and tier-1;
 * :mod:`~repro.analysis.chaos` — the chaos harness sweeping fault
   families and intensities against feasibility/cost-inflation gates
   (import it as a module; it is not re-exported here to keep this

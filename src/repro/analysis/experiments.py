@@ -1,4 +1,4 @@
-"""Canonical experiment configurations E1–E17.
+"""Canonical experiment configurations E1–E17 and the claims they check.
 
 The original paper proves analytical bounds and has no measurement
 section; this module instantiates every stated claim as a measurable
@@ -6,12 +6,14 @@ table/figure (see the experiment index in DESIGN.md). Each ``run_*``
 function is deterministic given its arguments and returns an
 :class:`ExperimentResult` (structured rows + a rendered ASCII table).
 
-:data:`EXPERIMENTS` maps each id to its runner; it is the one list that
-``repro experiment ID|all``, the EXPERIMENTS.md report and the tier-1
-artifact gate read. :func:`save_result` writes a result's table and
-BENCH record; ``repro experiment all --quick -o benchmarks/_artifacts``
-writes the committed artifacts that ``tests/test_experiments.py``
-compares exactly.
+:data:`EXPERIMENTS` maps each id to an :class:`Experiment`: its runner
+plus its :class:`Claim` declarations, each a value read from the result
+and a bound it must respect. That table is the one place a claim lives:
+``repro experiment ID|all``, ``repro report`` (EXPERIMENTS.md), tier-1
+and ``repro compare`` all read it. :func:`save_result` writes a result's
+table and its BENCH record, claims included, so ``repro compare`` gates
+two artifact directories from the files alone; ``repro experiment all
+--quick -o benchmarks/_artifacts`` writes the committed artifacts.
 
 Every function takes a ``quick`` flag that shrinks the workload to
 test-friendly size without changing its structure.
@@ -19,7 +21,6 @@ test-friendly size without changing its structure.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -59,6 +60,8 @@ from repro.perf.executor import SweepExecutor
 
 __all__ = [
     "EXPERIMENTS",
+    "Claim",
+    "Experiment",
     "ExperimentResult",
     "save_result",
     "run_e1_tradeoff_table",
@@ -97,8 +100,8 @@ class ExperimentResult:
     headers: tuple[str, ...]
     rows: tuple[tuple[Any, ...], ...]
     notes: Mapping[str, Any] = field(default_factory=dict)
-    #: Columns read off the clock; they differ run to run, so the
-    #: artifact gate skips their metrics (as it skips ``wall_seconds``).
+    #: Columns read off the clock; they differ run to run, so they stay
+    #: in the printed table and :func:`save_result` drops them.
     timing_columns: tuple[str, ...] = ()
 
     @property
@@ -113,10 +116,15 @@ class ExperimentResult:
         idx = self.headers.index(header)
         return [row[idx] for row in self.rows]
 
-    @property
-    def wall_seconds(self) -> float:
-        """Wall-clock the experiment took (0.0 for hand-built results)."""
-        return float(self.notes.get("wall_seconds", 0.0))
+    def untimed(self) -> ExperimentResult:
+        """This result without its :attr:`timing_columns`."""
+        keep = [i for i, h in enumerate(self.headers) if h not in self.timing_columns]
+        return replace(
+            self,
+            headers=tuple(self.headers[i] for i in keep),
+            rows=tuple(tuple(row[i] for i in keep) for row in self.rows),
+            timing_columns=(),
+        )
 
     def to_record(self) -> dict[str, Any]:
         """This experiment's record in a BENCH file (:mod:`repro.obs.bench`).
@@ -126,13 +134,14 @@ class ExperimentResult:
         configuration (the notes); ``metrics`` carries per-column
         mean/max of every numeric table column, which is what
         cross-version regression comparison keys on. NaN/inf cells are
-        dropped (they encode "not applicable").
+        dropped (they encode "not applicable"). A ``wall_seconds`` note
+        (a chaos run's clock; experiments carry none) becomes the
+        record's ``wall_seconds``.
         """
-        params = {
-            key: _json_safe(value)
-            for key, value in sorted(self.notes.items())
-            if key != "wall_seconds"
-        }
+        params = {key: _json_safe(value) for key, value in sorted(self.notes.items())}
+        record: dict[str, Any] = {"params": params}
+        if "wall_seconds" in params:
+            record["wall_seconds"] = float(params.pop("wall_seconds"))
         metrics: dict[str, float] = {}
         for idx, header in enumerate(self.headers):
             values = [
@@ -145,11 +154,8 @@ class ExperimentResult:
             if values:
                 metrics[f"{header}_mean"] = sum(values) / len(values)
                 metrics[f"{header}_max"] = max(values)
-        return {
-            "wall_seconds": self.wall_seconds,
-            "params": params,
-            "metrics": metrics,
-        }
+        record["metrics"] = metrics
+        return record
 
 
 def _json_safe(value: Any) -> Any:
@@ -159,27 +165,6 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, tuple):
         return [_json_safe(v) for v in value]
     return value
-
-
-def _timed(
-    func: Callable[..., ExperimentResult]
-) -> Callable[..., ExperimentResult]:
-    """Attach the experiment's wall-clock to its record.
-
-    Benchmark artifacts and EXPERIMENTS.md snapshots carry the timing in
-    ``notes["wall_seconds"]``, so cross-version trajectories (BENCH_*.json)
-    can track cost *and* speed from the same record.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args: Any, **kwargs: Any) -> ExperimentResult:
-        start = time.perf_counter()
-        result = func(*args, **kwargs)
-        notes = dict(result.notes)
-        notes["wall_seconds"] = time.perf_counter() - start
-        return replace(result, notes=notes)
-
-    return wrapper
 
 
 #: In-process fallback used whenever a sweep gets no explicit executor.
@@ -231,7 +216,6 @@ def _ratio_sweep(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e1_tradeoff_table(
     m: int = 20,
     n: int = 60,
@@ -292,7 +276,6 @@ def run_e1_tradeoff_table(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e2_ratio_vs_k(
     m: int = 20,
     n: int = 60,
@@ -340,7 +323,6 @@ def run_e2_ratio_vs_k(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e3_rounds_vs_k(
     m: int = 20,
     n: int = 60,
@@ -377,7 +359,6 @@ def run_e3_rounds_vs_k(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e4_message_bits(
     sizes: Sequence[tuple[int, int]] | None = None,
     k: int = 9,
@@ -425,7 +406,6 @@ def run_e4_message_bits(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e5_baselines_table(
     m: int = 15,
     n: int = 45,
@@ -504,7 +484,6 @@ def run_e5_baselines_table(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e6_rounding_ablation(
     m: int = 20,
     n: int = 60,
@@ -569,7 +548,6 @@ def run_e6_rounding_ablation(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e7_rho_sensitivity(
     m: int = 20,
     n: int = 60,
@@ -619,7 +597,6 @@ def run_e7_rho_sensitivity(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e8_families_table(
     m: int = 20,
     n: int = 60,
@@ -685,7 +662,6 @@ def run_e8_families_table(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e9_scalability(
     sizes: Sequence[tuple[int, int]] | None = None,
     k: int = 9,
@@ -746,7 +722,6 @@ def run_e9_scalability(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e10_variants_table(
     m: int = 20,
     n: int = 60,
@@ -797,7 +772,6 @@ def run_e10_variants_table(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e11_faults(
     m: int = 20,
     n: int = 60,
@@ -859,7 +833,6 @@ def run_e11_faults(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e12_ladder_necessity(
     m: int = 20,
     n: int = 60,
@@ -912,7 +885,6 @@ def run_e12_ladder_necessity(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e13_settle_ablation(
     m: int = 20,
     n: int = 60,
@@ -982,7 +954,6 @@ def run_e13_settle_ablation(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e14_anytime(
     m: int = 20,
     n: int = 60,
@@ -1063,7 +1034,6 @@ def run_e14_anytime(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e15_concentration(
     m: int = 20,
     n: int = 60,
@@ -1127,7 +1097,6 @@ def run_e15_concentration(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e16_opening_rule(
     m: int = 20,
     n: int = 60,
@@ -1188,7 +1157,6 @@ def run_e16_opening_rule(
 # ----------------------------------------------------------------------
 
 
-@_timed
 def run_e17_fault_families(
     m: int = 20,
     n: int = 60,
@@ -1284,39 +1252,309 @@ def run_e17_fault_families(
     )
 
 
-#: Every experiment by id, in index order.
-EXPERIMENTS: Mapping[str, Callable[..., ExperimentResult]] = {
-    "E1": run_e1_tradeoff_table,
-    "E2": run_e2_ratio_vs_k,
-    "E3": run_e3_rounds_vs_k,
-    "E4": run_e4_message_bits,
-    "E5": run_e5_baselines_table,
-    "E6": run_e6_rounding_ablation,
-    "E7": run_e7_rho_sensitivity,
-    "E8": run_e8_families_table,
-    "E9": run_e9_scalability,
-    "E10": run_e10_variants_table,
-    "E11": run_e11_faults,
-    "E12": run_e12_ladder_necessity,
-    "E13": run_e13_settle_ablation,
-    "E14": run_e14_anytime,
-    "E15": run_e15_concentration,
-    "E16": run_e16_opening_rule,
-    "E17": run_e17_fault_families,
+# ----------------------------------------------------------------------
+# The claim table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim an experiment checks: ``value(result)`` against ``bound``.
+
+    ``better`` is ``"lower"`` (the value may not exceed the bound) or
+    ``"higher"`` (it may not fall below it); ``sentence`` is what
+    EXPERIMENTS.md prints next to the measured value. A ``timed`` claim
+    reads the clock: tier-1 and the report check it, but it is never
+    recorded, so ``repro compare`` never sees it.
+    """
+
+    name: str
+    value: Callable[[ExperimentResult], float]
+    bound: float
+    better: str
+    sentence: str
+    timed: bool = False
+
+    def holds(self, value: float) -> bool:
+        """Whether ``value`` respects the bound (NaN never does)."""
+        if self.better == "lower":
+            return value <= self.bound
+        return value >= self.bound
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One entry of :data:`EXPERIMENTS`: a runner and what it claims."""
+
+    run: Callable[..., ExperimentResult]
+    #: The report's summary-row label.
+    topic: str
+    #: The paper's claim the experiment instantiates, as the report states it.
+    paper: str
+    claims: tuple[Claim, ...]
+
+    def check(self, result: ExperimentResult) -> list[tuple[Claim, float]]:
+        """Every claim with its measured value on ``result``."""
+        return [(claim, float(claim.value(result))) for claim in self.claims]
+
+
+def _peak(result: ExperimentResult, numerator: str, denominator: str) -> float:
+    """The largest per-row ratio of two columns."""
+    pairs = zip(result.column(numerator), result.column(denominator))
+    return max(a / b for a, b in pairs)
+
+
+def _finite_cells(result: ExperimentResult, *headers: str) -> list[float]:
+    """Every non-NaN cell of the named columns (NaN means "not run")."""
+    return [v for h in headers for v in result.column(h) if v == v]
+
+
+def _largest_drop(values: Sequence[float]) -> float:
+    """How far a series ever falls from one entry to the next."""
+    return max(a - b for a, b in zip(values, values[1:]))
+
+
+def _exact_gap(result: ExperimentResult) -> float:
+    """How far the exact optimum exceeds the best ratio of its row, over
+    the rows where it was computed (0.0 where it is the best)."""
+    exact = result.headers.index("exact")
+    gaps = [
+        row[exact] - min(v for v in row[1:] if v == v)
+        for row in result.rows
+        if row[exact] == row[exact]
+    ]
+    return max(gaps, default=0.0)
+
+
+def _by_first(result: ExperimentResult) -> dict[Any, float]:
+    """The second column keyed by the first (one row per setting)."""
+    return {row[0]: row[1] for row in result.rows}
+
+
+_LP_FLOOR = "no ratio falls below the LP bound (smallest; 0.99 is float slack)"
+_ENVELOPE = "every ratio sits under the envelope (largest ratio / envelope)"
+
+#: Every experiment by id, in index order, with its declared claims.
+#: Plain data: nothing here runs at import.
+EXPERIMENTS: Mapping[str, Experiment] = {
+    "E1": Experiment(
+        run_e1_tradeoff_table, "main trade-off bound",
+        "for every k, the algorithm is an "
+        "O(sqrt(k) (m rho)^(1/sqrt k) log(m+n))-approximation.", (
+        Claim("max_implied_C", lambda r: r.notes["max_implied_C"], 1.0, "lower",
+              _ENVELOPE + ", over all k and families"),
+    )),
+    "E2": Experiment(
+        run_e2_ratio_vs_k, "ratio decreases in k",
+        "more rounds buy a better approximation, converging toward the "
+        "sequential (log-factor) quality as k grows.", (
+        Claim("min_ratio", lambda r: min(r.column("ratio_mean")), 0.99, "higher",
+              _LP_FLOOR),
+        Claim("envelope_margin", lambda r: _peak(r, "ratio_mean", "envelope"), 1.0,
+              "lower", _ENVELOPE),
+        Claim("fine_over_coarse", lambda r: r.column("ratio_mean")[-1]
+              / r.column("ratio_mean")[0], 0.8, "lower", "the finest k improves "
+              "on the coarsest by at least 20% (last ratio / first)"),
+        Claim("fine_over_greedy", lambda r: r.column("ratio_mean")[-1]
+              / r.column("greedy_ref")[0], 2.0, "lower", "the finest k lands "
+              "within 2x of the greedy reference it converges to"),
+    )),
+    "E3": Experiment(
+        run_e3_rounds_vs_k, "rounds are Theta(k)",
+        "the algorithm runs in O(k) rounds.", (
+        Claim("budget_margin", lambda r: _peak(r, "rounds", "budget"), 1.0, "lower",
+              "every run stays in the 4k + 8 round budget (largest rounds / budget)"),
+        Claim("fit_slope_min", lambda r: r.notes["fit_slope"], 2.0, "higher",
+              "rounds grow linearly in k: the fitted slope is at least 2"),
+        Claim("fit_slope_max", lambda r: r.notes["fit_slope"], 5.0, "lower",
+              "and at most 5 rounds per unit of k"),
+    )),
+    "E4": Experiment(
+        run_e4_message_bits, "O(log N)-bit messages",
+        "messages are bounded by O(log N) bits (CONGEST).", (
+        Claim("envelope_margin", lambda r: _peak(r, "max_bits", "envelope"), 1.2,
+              "lower", "the largest message stays within 1.2x the 16 log2 N "
+              "envelope (slack for small-N constants)"),
+        Claim("max_bits", lambda r: max(r.column("max_bits")), 88, "lower",
+              "no message exceeds one 64-bit cost word plus a constant tag"),
+    )),
+    "E5": Experiment(
+        run_e5_baselines_table, "vs sequential baselines",
+        "the distributed algorithm trades a bounded factor against the "
+        "best sequential algorithms.", (
+        Claim("min_ratio", lambda r: min(_finite_cells(r, *r.headers[1:])), 0.99,
+              "higher", _LP_FLOOR),
+        Claim("distributed_over_greedy", lambda r: _peak(r, "distributed", "greedy"),
+              3.0, "lower", "at a generous round budget the distributed "
+              "algorithm stays within 3x of centralized greedy"),
+        Claim("exact_gap", _exact_gap, 1e-9, "lower", "no algorithm beats the "
+              "exact optimum where computed (largest exact minus row best)"),
+    )),
+    "E6": Experiment(
+        run_e6_rounding_ablation, "rounding ablation",
+        "randomized rounding costs an extra O(log(m+n)) factor w.h.p.; "
+        "a deterministic fallback guarantees feasibility.", (
+        Claim("select_all_fallbacks", lambda r: r.rows[0][3], 0.0, "lower",
+              "select_all never needs the deterministic fallback"),
+        Claim("min_ratio", lambda r: min(r.column("ratio_mean")), 0.99, "higher",
+              "randomized rounding falls back, yet every run stays feasible "
+              "(smallest ratio_mean; 0.99 is float slack)"),
+    )),
+    "E7": Experiment(
+        run_e7_rho_sensitivity, "rho sensitivity",
+        "the approximation degrades with the cost spread rho as "
+        "(m rho)^(1/sqrt k).", (
+        Claim("envelope_margin", lambda r: _peak(r, "ratio_max", "envelope"), 1.0,
+              "lower", _ENVELOPE + ", as rho grows at fixed k"),
+    )),
+    "E8": Experiment(
+        run_e8_families_table, "non-metric generality",
+        "the algorithm handles general non-metric instances (the "
+        "set-cover regime where the log factor is unavoidable).", (
+        Claim("min_ratio", lambda r: min(r.column("ratio_mean")), 0.99, "higher",
+              _LP_FLOOR),
+        Claim("worst_ratio", lambda r: max(r.column("ratio_max")), 25.0, "lower",
+              "metric and non-metric families alike stay within 25x the LP bound"),
+    )),
+    "E9": Experiment(
+        run_e9_scalability, "scalability",
+        "(repro-band check, not a paper claim) simulation cost vs size.", (
+        Claim("speedup", lambda r: r.column("speedup")[-1], 1.0, "higher",
+              "the sequential emulation (identical solutions) is not slower than "
+              "the simulator at the largest size (simulator time / its time)",
+              timed=True),
+    )),
+    "E10": Experiment(
+        run_e10_variants_table, "variant comparison",
+        "the trade-off is a technique, not a single algorithm: two "
+        "realizations with the same k behave comparably.", (
+        Claim("min_ratio", lambda r: min(r.column("ratio_mean")), 0.99, "higher",
+              _LP_FLOOR),
+        Claim("budget_margin", lambda r: max(
+              row[4] / round_budget(row[0]) for row in r.rows), 1.0, "lower",
+              "both realizations stay in the 4k + 8 round budget (largest "
+              "rounds / budget)"),
+    )),
+    "E11": Experiment(
+        run_e11_faults, "fault extension",
+        "(extension; the paper assumes reliable links) behaviour under "
+        "message loss.", (
+        Claim("fault_free_complete", lambda r: r.rows[0][1], 1.0, "higher",
+              "fault-free runs (the paper's setting) always complete"),
+        Claim("fault_free_unserved", lambda r: r.rows[0][2], 0.0, "lower",
+              "and leave no client unserved (mean unserved clients)"),
+        Claim("worst_repaired_ratio", lambda r: max(_finite_cells(
+              r, "repaired_ratio")), 25.0, "lower", "under injected loss, "
+              "repaired solutions stay within 25x the LP bound"),
+    )),
+    "E12": Experiment(
+        run_e12_ladder_necessity, "ladder necessity",
+        "the round/approximation trade-off is real: instances exist on "
+        "which a too-small round budget forces a poor approximation "
+        "(lower-bound side of the trade-off).", (
+        Claim("k1_over_gap", lambda r: _by_first(r)[1] / r.notes["gap"], 0.5,
+              "higher", "with one threshold (k=1) the decoys win: the ratio "
+              "reaches half the planted gap (k=1 ratio / gap)"),
+        Claim("ladder_ratio", lambda r: max(
+              v for k, v in _by_first(r).items() if k > 1), 1.5, "lower",
+              "more thresholds isolate the good facility (largest ratio, k > 1)"),
+    )),
+    "E13": Experiment(
+        run_e13_settle_ablation, "settle ablation",
+        "(design-choice ablation) the second sqrt(k) factor — repeated "
+        "conflict-resolution iterations per scale — contributes to the "
+        "approximation.", (
+        Claim("two_minus_one", lambda r: r.column("ratio_mean")[1]
+              - r.column("ratio_mean")[0], 0.05, "lower", "two settle iterations "
+              "are not worse than one (R=2 minus R=1; 0.05 is seed noise)"),
+        Claim("most_minus_best", lambda r: r.column("ratio_mean")[-1]
+              - min(r.column("ratio_mean")), 0.05, "lower", "and the most "
+              "iterations is, within that slack, the best"),
+    )),
+    "E14": Experiment(
+        run_e14_anytime, "anytime truncation",
+        "(extension) anytime reading of the trade-off: truncating the "
+        "schedule degrades quality gracefully.", (
+        Claim("served_drop", lambda r: _largest_drop(r.column("served_frac")), 0.0,
+              "lower", "the served fraction never falls as the schedule runs "
+              "longer (largest fall between truncations)"),
+        Claim("repairable_drop", lambda r: _largest_drop(
+              r.column("repairable_frac")), 0.0, "lower",
+              "nor does the repairable fraction"),
+        Claim("final_served", lambda r: r.column("served_frac")[-1], 1.0,
+              "higher", "the completed run serves every client"),
+        Claim("final_repairable", lambda r: r.column("repairable_frac")[-1], 1.0,
+              "higher", "and is always repairable"),
+    )),
+    "E15": Experiment(
+        run_e15_concentration, "w.h.p. concentration",
+        "the guarantee holds with high probability over the algorithm's "
+        "coins.", (
+        Claim("envelope_margin", lambda r: _peak(r, "max", "envelope"), 1.0,
+              "lower", _ENVELOPE + ", for the worst seed"),
+        Claim("max_spread", lambda r: max(r.column("max/p50")), 1.5, "lower",
+              "the worst seed is within 1.5x of the median at every k"),
+    )),
+    "E16": Experiment(
+        run_e16_opening_rule, "opening-rule ablation",
+        "(design-choice ablation) a facility should open only when a "
+        "constant fraction of its proposed star accepted; the analysis "
+        "uses one half.", (
+        Claim("half_minus_any", lambda r: _by_first(r)[0.5] - _by_first(r)[0.0],
+              1e-9, "lower", "opening on half the star is no worse than on any "
+              "accept, which pays for under-filled facilities (1/2 minus 0)"),
+        Claim("half_minus_full", lambda r: _by_first(r)[0.5] - _by_first(r)[1.0],
+              1e-9, "lower", "nor than demanding the full star, which deadlocks "
+              "contested ones (1/2 minus 1)"),
+    )),
+    "E17": Experiment(
+        run_e17_fault_families, "resilience per fault family",
+        "(resilience extension) reliable delivery plus self-healing "
+        "restores the paper's reliable-network guarantees under "
+        "injected faults.", (
+        Claim("resilient_minus_plain", lambda r: min(b - a for a, b in zip(
+              r.column("plain_complete"), r.column("resilient_complete"))), 0.0,
+              "higher", "resilience never completes less often than the plain "
+              "protocol (smallest difference of completion rates)"),
+        Claim("resilient_complete", lambda r: min(r.column("resilient_complete")),
+              1.0, "higher", "every fault family completes at these intensities"),
+        Claim("worst_healed_ratio", lambda r: max(_finite_cells(
+              r, "healed_ratio")), 25.0, "lower",
+              "healed solutions stay within 25x the LP bound"),
+        Claim("families_without_retries", lambda r: sum(
+              v <= 0 for v in r.column("retries_mean")), 0, "lower",
+              "every fault family exercises the retransmit sublayer"),
+    )),
 }
 
 
-def save_result(directory: str | Path, result: ExperimentResult) -> Path:
+def save_result(
+    directory: str | Path, result: ExperimentResult, claims: Sequence[Claim] = ()
+) -> Path:
     """Write both faces of an experiment into ``directory``.
 
     ``<ID>.txt`` is the rendered table, for humans and EXPERIMENTS.md
     diffs; ``<ID>.json`` is the BENCH file ``repro compare`` diffs
-    across versions. Returns the BENCH file's path.
+    across versions, with each claim's value, bound and direction.
+    Neither holds a clock reading (timing columns and ``timed`` claims
+    stay out), so unchanged code rewrites the same bytes. Returns the
+    BENCH file's path.
     """
     from repro.obs.bench import write_bench
 
     eid = result.experiment_id
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"{eid}.txt").write_text(result.table + "\n")
-    return write_bench(eid, {eid: result.to_record()}, directory / f"{eid}.json")
+    saved = result.untimed()
+    (directory / f"{eid}.txt").write_text(saved.table + "\n")
+    record = saved.to_record()
+    record["claims"] = {
+        claim.name: {
+            "value": float(claim.value(result)),
+            "bound": claim.bound,
+            "better": claim.better,
+        }
+        for claim in claims
+        if not claim.timed
+    }
+    return write_bench(eid, {eid: record}, directory / f"{eid}.json")

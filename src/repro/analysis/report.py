@@ -2,40 +2,40 @@
 
 Runs every experiment of :data:`repro.analysis.experiments.EXPERIMENTS`
 (E1–E17, full configurations) and writes EXPERIMENTS.md with the measured
-tables plus a paper-vs-measured verdict per experiment. Because the report
-is generated by code, the published numbers are always regenerable:
-
-    python -m repro.analysis.report [output_path]
+tables plus, per experiment, the paper's claim and each declared
+:class:`~repro.analysis.experiments.Claim` with its measured value and
+verdict. Because the report is generated by code, the published numbers
+are always regenerable with ``repro report [OUT] [--quick]``.
 """
 
 from __future__ import annotations
 
-import sys
-import time
 from pathlib import Path
-from typing import Callable
 
 from repro.analysis import experiments as exp
 
-__all__ = ["generate_report", "main"]
+__all__ = ["generate_report"]
 
 _HEADER = """# EXPERIMENTS — paper claims vs measurements
 
-Generated by `python -m repro.analysis.report`; all numbers regenerate
-from the seeds recorded in `repro/analysis/experiments.py`.
+Generated by `repro report`; all numbers regenerate from the seeds
+recorded in `repro/analysis/experiments.py`.
 
 The original PODC 2005 paper proves **analytic bounds** and contains no
 measurement section, so there are no absolute numbers to match. Each
 experiment instantiates one stated claim; "paper" below is the claim,
-"measured" is what this reproduction observes. Ratios are measured against
-the **LP relaxation lower bound**, so every reported ratio *upper-bounds*
+"measured" lists the bounds the experiment declares for it, each with
+the value this reproduction observes. Ratios are measured against the
+**LP relaxation lower bound**, so every reported ratio *upper-bounds*
 the true approximation factor.
 
-`repro experiment all --quick -o benchmarks/_artifacts` writes, next to
-each `E*.txt` table, a versioned BENCH file `E*.json` (parameters,
-per-column metric summaries, wall-clock). Tier-1 compares each committed
-record with a fresh run, and `repro compare old_dir/ new_dir/` pairs two
-such directories by filename and diffs each pair.
+The claims are declared once, in `repro.analysis.experiments.EXPERIMENTS`:
+tier-1 asserts them on the quick configurations, this report prints
+them, and `repro experiment all --quick -o benchmarks/_artifacts`
+records each one's value, bound and direction in the BENCH file `E*.json`
+next to each `E*.txt` table. `repro compare old_dir/ new_dir/` pairs two
+such directories by filename and, with no threshold flag, fails on a
+broken claim bound or on any metric that moved the wrong way.
 
 | ID | Claim (paper) | Verdict |
 |----|---------------|---------|
@@ -45,351 +45,47 @@ such directories by filename and diffs each pair.
 """
 
 
-def _section(result: exp.ExperimentResult, claim: str, verdict: str) -> str:
-    notes = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(result.notes.items()))
-    return (
-        f"## {result.experiment_id} — {result.title}\n\n"
-        f"**Paper claim.** {claim}\n\n"
-        f"**Measured.** {verdict}\n\n"
-        f"```\n{result.table}\n```\n\n"
-        f"*(parameters: {notes})*\n\n"
-    )
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
 
 
-#: Per experiment id: (paper claim, summary-row claim, verdict builder).
-#: A builder reads the measured result and returns the section's verdict
-#: and the summary row's short verdict.
-_Verdict = Callable[[exp.ExperimentResult], tuple[str, str]]
-_CLAIMS: dict[str, tuple[str, str, _Verdict]] = {}
-
-
-def _claim(eid: str, claim: str, short: str) -> Callable[[_Verdict], _Verdict]:
-    def register(verdict: _Verdict) -> _Verdict:
-        _CLAIMS[eid] = (claim, short, verdict)
-        return verdict
-
-    return register
-
-
-@_claim(
-    "E1",
-    "for every k, the algorithm is an "
-    "O(sqrt(k) (m rho)^(1/sqrt k) log(m+n))-approximation.",
-    "main trade-off bound",
-)
-def _e1(result: exp.ExperimentResult) -> tuple[str, str]:
-    c = result.notes["max_implied_C"]
-    return (
-        f"every measured ratio sits below the envelope; the implied constant "
-        f"never exceeds {c:.3g} (<= 1) across all k and families.",
-        "holds (C <= %.3g)" % c,
+def _section(
+    experiment: exp.Experiment, result: exp.ExperimentResult
+) -> tuple[str, str]:
+    """The experiment's section and its summary-row verdict."""
+    lines, broken = [], []
+    for claim, value in experiment.check(result):
+        holds = claim.holds(value)
+        if not holds:
+            broken.append(claim.name)
+        sign = "<=" if claim.better == "lower" else ">="
+        lines.append(
+            f"- {claim.sentence}: {_fmt(value)} (bound {sign} {_fmt(claim.bound)}) "
+            f"— {'holds' if holds else '**BROKEN**'}."
+        )
+    notes = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(result.notes.items()))
+    section = (
+        f"## {result.experiment_id} — {result.title}\n\n"
+        f"**Paper claim.** {experiment.paper}\n\n"
+        "**Measured.**\n\n" + "\n".join(lines) + "\n\n"
+        f"```\n{result.table}\n```\n\n"
+        f"*(parameters: {notes})*\n\n"
     )
-
-
-@_claim(
-    "E2",
-    "more rounds buy a better approximation, converging toward the "
-    "sequential (log-factor) quality as k grows.",
-    "ratio decreases in k",
-)
-def _e2(result: exp.ExperimentResult) -> tuple[str, str]:
-    ratios = result.column("ratio_mean")
-    greedy_ref = result.column("greedy_ref")[0]
-    return (
-        f"the measured curve falls from {ratios[0]:.2f} (k={result.rows[0][0]}) "
-        f"to {ratios[-1]:.2f} (k={result.rows[-1][0]}), approaching the greedy "
-        f"reference {greedy_ref:.2f}.",
-        f"{ratios[0]:.2f} -> {ratios[-1]:.2f}",
-    )
-
-
-@_claim("E3", "the algorithm runs in O(k) rounds.", "rounds are Theta(k)")
-def _e3(result: exp.ExperimentResult) -> tuple[str, str]:
-    slope = result.notes["fit_slope"]
-    return (
-        f"measured rounds fit rounds ~= {slope:.2f} k + "
-        f"{result.notes['fit_intercept']:.1f}; every point is under the "
-        f"4k + 8 budget.",
-        f"slope {slope:.2f}",
-    )
-
-
-@_claim(
-    "E4", "messages are bounded by O(log N) bits (CONGEST).", "O(log N)-bit messages"
-)
-def _e4(result: exp.ExperimentResult) -> tuple[str, str]:
-    max_bits = max(result.column("max_bits"))
-    return (
-        f"the largest message over all network sizes is {max_bits} bits "
-        f"(one 64-bit cost word + constant tag) — constant in practice, "
-        f"comfortably under the 16 log2 N envelope.",
-        f"max {max_bits} bits",
-    )
-
-
-@_claim(
-    "E5",
-    "the distributed algorithm trades a bounded factor against the "
-    "best sequential algorithms.",
-    "vs sequential baselines",
-)
-def _e5(result: exp.ExperimentResult) -> tuple[str, str]:
-    return (
-        "the distributed algorithm at a generous round budget lands within a "
-        "small factor of the centralized baselines on every family; the "
-        "exact optimum (where computable) is never beaten, and metric-only "
-        "baselines (JV/MP/LP-rounding) behave per their classical factors.",
-        "bounded gap",
-    )
-
-
-@_claim(
-    "E6",
-    "randomized rounding costs an extra O(log(m+n)) factor w.h.p.; "
-    "a deterministic fallback guarantees feasibility.",
-    "rounding ablation",
-)
-def _e6(result: exp.ExperimentResult) -> tuple[str, str]:
-    return (
-        "select_all never needs the fallback; aggressive randomized rounding "
-        "(small constants) trades opening cost for connection cost and "
-        "triggers the deterministic fallback, yet every run stays feasible — "
-        "the paper's 'with high probability' machinery made visible.",
-        "fallback works",
-    )
-
-
-@_claim(
-    "E7",
-    "the approximation degrades with the cost spread rho as "
-    "(m rho)^(1/sqrt k).",
-    "rho sensitivity",
-)
-def _e7(result: exp.ExperimentResult) -> tuple[str, str]:
-    return (
-        "at fixed k the measured ratio stays under the envelope as rho grows "
-        "by three orders of magnitude; the envelope's (m rho)^(1/sqrt k) "
-        "growth is the binding shape.",
-        "envelope holds",
-    )
-
-
-@_claim(
-    "E8",
-    "the algorithm handles general non-metric instances (the "
-    "set-cover regime where the log factor is unavoidable).",
-    "non-metric generality",
-)
-def _e8(result: exp.ExperimentResult) -> tuple[str, str]:
-    worst = max(result.column("ratio_max"))
-    return (
-        f"all families — metric and non-metric — are solved feasibly; the "
-        f"worst observed ratio is {worst:.2f}.",
-        f"worst ratio {worst:.2f}",
-    )
-
-
-@_claim(
-    "E9",
-    "(repro-band check, not a paper claim) simulation cost vs size.",
-    "scalability",
-)
-def _e9(result: exp.ExperimentResult) -> tuple[str, str]:
-    speedup = result.rows[-1][3]
-    return (
-        f"the message simulator scales to the tested sizes; the sequential "
-        f"emulation produces identical solutions {speedup:.1f}x faster at "
-        f"the largest size (repro band: 'simulation simple; slow at scale').",
-        f"emulation {speedup:.1f}x faster",
-    )
-
-
-@_claim(
-    "E10",
-    "the trade-off is a technique, not a single algorithm: two "
-    "realizations with the same k behave comparably.",
-    "variant comparison",
-)
-def _e10(result: exp.ExperimentResult) -> tuple[str, str]:
-    return (
-        "both realizations of the trade-off respect the round budget; the "
-        "flagship (conflict-resolving greedy) and the dual ascent (finer "
-        "threshold ladder) trade their budgets differently but comparably.",
-        "both within budget",
-    )
-
-
-@_claim(
-    "E11",
-    "(extension; the paper assumes reliable links) behaviour under "
-    "message loss.",
-    "fault extension",
-)
-def _e11(result: exp.ExperimentResult) -> tuple[str, str]:
-    return (
-        "fault-free runs are always complete (the paper's setting); with "
-        "injected loss the completeness degrades gracefully and repaired "
-        "solutions stay within a bounded multiple of the LP bound "
-        "(extension beyond the paper).",
-        "graceful degradation",
-    )
-
-
-@_claim(
-    "E12",
-    "the round/approximation trade-off is real: instances exist on "
-    "which a too-small round budget forces a poor approximation "
-    "(lower-bound side of the trade-off).",
-    "ladder necessity",
-)
-def _e12(result: exp.ExperimentResult) -> tuple[str, str]:
-    by_k = {row[0]: row[1] for row in result.rows}
-    return (
-        f"with a single threshold (k=1) the decoys win: ratio "
-        f"{by_k[1]:.1f} (~ the gap {result.notes['gap']:g}); from k=4 on, the "
-        f"ladder isolates the good facility and the ratio collapses to "
-        f"{min(v for k, v in by_k.items() if k >= 4):.2f} — few rounds "
-        f"genuinely cost approximation quality.",
-        f"k=1 ratio {by_k[1]:.0f} -> ~1 at k>=4",
-    )
-
-
-@_claim(
-    "E13",
-    "(design-choice ablation) the second sqrt(k) factor — repeated "
-    "conflict-resolution iterations per scale — contributes to the "
-    "approximation.",
-    "settle ablation",
-)
-def _e13(result: exp.ExperimentResult) -> tuple[str, str]:
-    ratios = result.column("ratio_mean")
-    return (
-        f"with the ladder pinned, one settle iteration is measurably worse "
-        f"({ratios[0]:.3f}) than two or more ({ratios[1]:.3f}); returns "
-        f"diminish sharply after R=2, supporting the roughly even "
-        f"scales/settle split of the round budget.",
-        f"R=1: {ratios[0]:.2f}, R>=2: {ratios[1]:.2f}",
-    )
-
-
-@_claim(
-    "E14",
-    "(extension) anytime reading of the trade-off: truncating the "
-    "schedule degrades quality gracefully.",
-    "anytime truncation",
-)
-def _e14(result: exp.ExperimentResult) -> tuple[str, str]:
-    first, last = result.rows[0], result.rows[-1]
-    return (
-        f"quality accrues scale by scale: at {first[0]:.0%} of the schedule "
-        f"{first[3]:.0%} of clients are already served and the partial open "
-        f"set repairs to ratio {first[5]:.2f}; the completed run serves "
-        f"everyone at ratio {last[5]:.2f}. (The repaired ratio can even beat "
-        f"the completed protocol's own assignment, because repair reassigns "
-        f"clients globally to the cheapest open facility — an operation the "
-        f"distributed protocol cannot perform.) Stopping early behaves like "
-        f"having chosen a smaller k.",
-        f"{first[3]:.0%} served at {first[0]:.0%}",
-    )
-
-
-@_claim(
-    "E15",
-    "the guarantee holds with high probability over the algorithm's coins.",
-    "w.h.p. concentration",
-)
-def _e15(result: exp.ExperimentResult) -> tuple[str, str]:
-    worst_spread = max(row[4] for row in result.rows)
-    return (
-        f"over {result.notes['num_seeds']} independent seeds the ratio "
-        f"distribution is tightly concentrated — the worst seed is within "
-        f"{(worst_spread - 1) * 100:.0f}% of the median at every k and "
-        f"always under the envelope. This is the measured counterpart of "
-        f"the theorem's 'with high probability' qualifier.",
-        f"max within {(worst_spread-1)*100:.0f}% of median",
-    )
-
-
-@_claim(
-    "E16",
-    "(design-choice ablation) a facility should open only when a "
-    "constant fraction of its proposed star accepted; the analysis "
-    "uses one half.",
-    "opening-rule ablation",
-)
-def _e16(result: exp.ExperimentResult) -> tuple[str, str]:
-    by_fraction = {row[0]: row[1] for row in result.rows}
-    return (
-        f"the sweep is U-shaped: opening on any accept costs "
-        f"{by_fraction[0.0]:.2f}, demanding the full star costs "
-        f"{by_fraction[1.0]:.2f}, and the analyzed half-star rule sits in "
-        f"the flat bottom at {by_fraction[0.5]:.2f} — the two failure modes "
-        f"(paying for under-filled facilities vs deadlocking contested "
-        f"ones) are both real, and 1/2 balances them.",
-        f"U-shape, min at 1/2 ({by_fraction[0.5]:.2f})",
-    )
-
-
-@_claim(
-    "E17",
-    "(resilience extension) reliable delivery plus self-healing "
-    "restores the paper's reliable-network guarantees under "
-    "injected faults.",
-    "resilience per fault family",
-)
-def _e17(result: exp.ExperimentResult) -> tuple[str, str]:
-    worst_resilient = min(row[2] for row in result.rows)
-    worst_plain = min(row[1] for row in result.rows)
-    return (
-        f"with reliable delivery and self-healing enabled, every fault "
-        f"family completes in at least {worst_resilient:.0%} of runs "
-        f"(the unprotected protocol drops as low as {worst_plain:.0%}), "
-        f"and healed solutions stay in the same cost regime as the best "
-        f"post-hoc repair of a plain run — in-protocol healing restores "
-        f"service without abandoning the cost envelope, at a measured "
-        f"retransmission price.",
-        f"resilient completion >= {worst_resilient:.0%}",
-    )
+    summary = "BROKEN: " + ", ".join(broken) if broken else "holds"
+    return section, summary
 
 
 def generate_report(output_path: Path, quick: bool = False) -> str:
     """Run every experiment and write the report; returns the text."""
-    start = time.perf_counter()
     sections: list[str] = []
     summary: list[str] = []
-    for eid, runner in exp.EXPERIMENTS.items():
-        result = runner(quick=quick)
-        claim, short, verdict = _CLAIMS[eid]
-        measured, short_verdict = verdict(result)
-        sections.append(_section(result, claim, measured))
-        summary.append(f"| {eid} | {short} | {short_verdict} |")
-    elapsed = time.perf_counter() - start
+    for eid, experiment in exp.EXPERIMENTS.items():
+        section, verdict = _section(experiment, experiment.run(quick=quick))
+        sections.append(section)
+        summary.append(f"| {eid} | {experiment.topic} | {verdict} |")
     text = _HEADER.format(summary_rows="\n".join(summary)) + "".join(sections)
-    text += (
-        f"---\n\n*Report generated in {elapsed:.0f}s "
-        f"({'quick' if quick else 'full'} configuration).*\n"
-    )
+    text += f"---\n\n*({'quick' if quick else 'full'} configuration)*\n"
     output_path.write_text(text)
     return text
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: ``python -m repro.analysis.report [--quick] [OUT]``."""
-    args = list(sys.argv[1:] if argv is None else argv)
-    quick = "--quick" in args
-    if quick:
-        args.remove("--quick")
-    output = Path(args[0]) if args else Path("EXPERIMENTS.md")
-    generate_report(output, quick=quick)
-    print(f"wrote {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -439,15 +439,6 @@ def _serve_flags(serve: argparse.ArgumentParser) -> None:
     # `repro serve` runs without a router unless --service-workers asks.
     _add_config_flags(serve, RouterConfig, num_workers=1)
     _add_config_flags(serve, ServiceConfig)
-    _add_flag(
-        serve,
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        help="seconds of graceful drain on SIGTERM (or a drain line): "
-        "queued work flushes within this budget, the remainder is "
-        "answered status=draining",
-    )
     serve.add_argument(
         "--metrics",
         action="store_true",
@@ -1060,15 +1051,13 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from repro.obs.recorder import record_run
 
     instance = _load_instance(args)
-    policy = RoundingPolicy(**_options(args, RoundingPolicy))
     recording = record_run(
         instance,
         engine=args.engine,
         k=args.k,
         variant=args.variant,
         seed=args.algo_seed,
-        rounding=policy.mode,
-        c_round=policy.c_round,
+        rounding=RoundingPolicy(**_options(args, RoundingPolicy)),
         full=args.full,
         shards=args.shards,
     )
@@ -1141,7 +1130,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     regressions = sum(len(r.regressions) for r in reports)
     if regressions:
         print(
-            f"error: {regressions} metric(s) regressed past threshold",
+            f"error: {regressions} metric(s) regressed or broke a claim bound",
             file=sys.stderr,
         )
         return 1
@@ -1189,18 +1178,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     executor = SweepExecutor(**_options(args, SweepExecutor))
     serial_only = []
     for experiment_id in ids:
-        runner = exp.EXPERIMENTS[experiment_id]
+        experiment = exp.EXPERIMENTS[experiment_id]
         kwargs: dict[str, Any] = {"quick": args.quick}
         # The timing experiments (E3/E4/E9) measure the serial protocol
         # itself and take no executor; --workers is a no-op for them.
-        if "executor" in inspect.signature(runner).parameters:
+        if "executor" in inspect.signature(experiment.run).parameters:
             kwargs["executor"] = executor
         else:
             serial_only.append(experiment_id)
-        result = runner(**kwargs)
+        result = experiment.run(**kwargs)
         print(result.table)
         if args.output:
-            exp.save_result(args.output, result)
+            exp.save_result(args.output, result, experiment.claims)
     if hasattr(args, "workers") and serial_only:
         print(
             f"note: no parallel sweep in {', '.join(serial_only)}; "
@@ -1390,16 +1379,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"serving on tcp {host}:{bound}", file=sys.stderr, flush=True
             ),
             drain_signal=drain_signal,
-            drain_timeout_s=args.drain_timeout,
         )
     elif args.socket:
         print(f"serving on unix socket {args.socket}", file=sys.stderr)
-        serve_socket(
-            service,
-            args.socket,
-            drain_signal=drain_signal,
-            drain_timeout_s=args.drain_timeout,
-        )
+        serve_socket(service, args.socket, drain_signal=drain_signal)
     else:
         serve_jsonl(
             service,
@@ -1407,7 +1390,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             sys.stdout,
             emit_metrics=args.metrics,
             drain_signal=drain_signal,
-            drain_timeout_s=args.drain_timeout,
         )
     if tracer is not None:
         from repro.obs.spans import write_spans_jsonl

@@ -19,6 +19,10 @@ Document shape::
     {"type": "bench", "schema": 1, "name": ..., "version": ...,
      "records": {<record id>: {"wall_seconds": ..., "metrics": {...},
                                "params": {...}}, ...}}
+
+An experiment record has no ``wall_seconds`` and adds ``"claims":
+{<name>: {"value": ..., "bound": ..., "better": "lower"|"higher"}}``,
+which :mod:`repro.obs.compare` gates with no threshold.
 """
 
 from __future__ import annotations

@@ -16,8 +16,13 @@ threshold of ``<name>`` (``scale_10k.rounds`` is gated as ``rounds``), and
 metrics without either are checked only when a ``default_threshold`` is
 supplied.
 
+A BENCH record that carries ``claims`` (as every ``repro experiment -o``
+record does) is gated by :class:`Gate` from the files alone: each claim
+must hold its recorded bound on the new side (else ``broken``), and no
+number of the record may drift past :data:`CLAIM_RTOL` the bad way.
+
 ``repro compare old new --threshold cost=1.05`` exits non-zero when any
-thresholded metric regresses.
+thresholded metric regresses or any claim is broken.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from repro.analysis.tables import render_table
 from repro.exceptions import ReproError
 
 __all__ = [
+    "CLAIM_RTOL",
     "DEFAULT_THRESHOLDS",
+    "Gate",
     "MetricDiff",
     "ComparisonReport",
     "parse_threshold",
@@ -56,6 +63,42 @@ DEFAULT_THRESHOLDS: Mapping[str, float] = {
     "ratio_vs_bound": 1.02,
     "wall_seconds": 5.0,
 }
+
+
+#: Relative drift in the bad direction that a number of a claim-carrying
+#: BENCH record may show against the old side: float noise, nothing more.
+CLAIM_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Gate:
+    """How a number of a claim-carrying BENCH record is checked.
+
+    ``better`` names the good direction; ``bound``, set for a claim, is
+    the limit its new value may not pass.
+    """
+
+    better: str = "lower"
+    bound: float | None = None
+
+    def status(self, old: float | None, new: float | None) -> str:
+        """``broken``, ``missing``, ``regression``, ``improved`` or ``ok``."""
+        sign = 1.0 if self.better == "lower" else -1.0
+        if None not in (new, self.bound) and not sign * (new - self.bound) <= 0:
+            return "broken"
+        if old is None or new is None:
+            return "missing"
+        drift = sign * (new - old)
+        tolerance = CLAIM_RTOL * abs(old)
+        if drift > tolerance:
+            return "regression"
+        return "improved" if drift < -tolerance else "ok"
+
+    def __str__(self) -> str:
+        if self.bound is None:
+            return f"rel {CLAIM_RTOL:g}"
+        sign = "<=" if self.better == "lower" else ">="
+        return f"rel {CLAIM_RTOL:g}, {sign} {self.bound:g}"
 
 
 def parse_threshold(spec: str) -> tuple[str, float]:
@@ -82,7 +125,9 @@ class MetricDiff:
     old: float | None
     new: float | None
     threshold: float | None
-    status: str  # "ok" | "regression" | "improved" | "unchecked" | "missing"
+    #: "ok" | "regression" | "broken" | "improved" | "unchecked" | "missing"
+    status: str
+    gate: Gate | None = None
 
     @property
     def ratio(self) -> float | None:
@@ -104,19 +149,19 @@ class ComparisonReport:
 
     @property
     def regressions(self) -> list[MetricDiff]:
-        """Diffs that exceeded their threshold."""
-        return [d for d in self.diffs if d.status == "regression"]
+        """Diffs that exceeded their threshold or broke their claim bound."""
+        return [d for d in self.diffs if d.status in ("broken", "regression")]
 
     @property
     def ok(self) -> bool:
-        """Whether no thresholded metric regressed."""
+        """Whether no metric regressed and no claim broke."""
         return not self.regressions
 
     def render(self) -> str:
-        """Fixed-width diff table, regressions first."""
-        order = {"regression": 0, "improved": 1, "ok": 2, "unchecked": 3, "missing": 4}
+        """Fixed-width diff table, failures first."""
+        order = ("broken", "regression", "improved", "ok", "unchecked", "missing")
         rows = []
-        for diff in sorted(self.diffs, key=lambda d: (order[d.status], d.name)):
+        for diff in sorted(self.diffs, key=lambda d: (order.index(d.status), d.name)):
             ratio = diff.ratio
             rows.append(
                 (
@@ -124,7 +169,7 @@ class ComparisonReport:
                     "-" if diff.old is None else diff.old,
                     "-" if diff.new is None else diff.new,
                     "-" if ratio is None else ratio,
-                    "-" if diff.threshold is None else diff.threshold,
+                    diff.gate or ("-" if diff.threshold is None else diff.threshold),
                     diff.status,
                 )
             )
@@ -148,6 +193,7 @@ class ComparisonReport:
                     "new": d.new,
                     "ratio": d.ratio if d.ratio != math.inf else "inf",
                     "threshold": d.threshold,
+                    "gate": None if d.gate is None else str(d.gate),
                     "status": d.status,
                 }
                 for d in self.diffs
@@ -189,22 +235,47 @@ def _manifest_metrics(record: Mapping[str, Any]) -> dict[str, float]:
     return flat
 
 
-def _bench_metrics(doc: Mapping[str, Any]) -> dict[str, float]:
-    """Flatten a BENCH_<name>.json trajectory document."""
+def _numbers(prefix: str, mapping: Any) -> dict[str, float]:
+    """The numeric (non-bool) values of ``mapping``, keys prefixed."""
+    return {
+        f"{prefix}{key}": float(value)
+        for key, value in sorted((mapping or {}).items())
+        if isinstance(value, (int, float)) and not isinstance(value, bool)
+    }
+
+
+def _bench_metrics(
+    doc: Mapping[str, Any]
+) -> tuple[dict[str, float], dict[str, Gate]]:
+    """Flatten a BENCH_<name>.json trajectory document, with the gate of
+    every number of a record that carries ``claims`` (its numeric
+    ``params`` included)."""
     flat: dict[str, float] = {}
+    gates: dict[str, Gate] = {}
     for record_id, record in sorted((doc.get("records") or {}).items()):
         if not isinstance(record, Mapping):
             continue
+        numbers = _numbers(f"{record_id}.", record.get("metrics"))
         wall = record.get("wall_seconds")
         if isinstance(wall, (int, float)):
-            flat[f"{record_id}.wall_seconds"] = float(wall)
-        for key, value in sorted((record.get("notes") or {}).items()):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                flat[f"{record_id}.notes.{key}"] = float(value)
-        for key, value in sorted((record.get("metrics") or {}).items()):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                flat[f"{record_id}.{key}"] = float(value)
-    return flat
+            numbers[f"{record_id}.wall_seconds"] = float(wall)
+        claims = record.get("claims")
+        if isinstance(claims, Mapping):
+            numbers.update(_numbers(f"{record_id}.params.", record.get("params")))
+            gates.update(dict.fromkeys(numbers, Gate()))
+        flat.update(numbers)
+        if not isinstance(claims, Mapping):
+            continue
+        for name, claim in sorted(claims.items()):
+            key = f"{record_id}.claims.{name}"
+            try:
+                flat[key] = float(claim["value"])
+                gates[key] = Gate(better=claim["better"], bound=float(claim["bound"]))
+            except (KeyError, TypeError, ValueError):
+                raise ReproError(f"malformed claim {key!r}: {claim!r}") from None
+            if gates[key].better not in ("lower", "higher"):
+                raise ReproError(f"claim {key!r}: better must be lower or higher")
+    return flat, gates
 
 
 def _snapshot_metrics(doc: Mapping[str, Any]) -> dict[str, float]:
@@ -286,15 +357,21 @@ def extract_metrics(path: str | Path) -> dict[str, float]:
 
     Recognized formats: JSONL traces (``*.jsonl``), manifest JSON files
     (``{"type": "manifest"}``), BENCH trajectory files (``{"type":
-    "bench"}`` or a top-level ``records`` mapping) and metrics snapshots
+    "bench"}`` or a top-level ``records`` mapping; a record's claims
+    appear as ``<record id>.claims.<name>``) and metrics snapshots
     (``repro.metrics.snapshot/v1`` — histograms contribute offline-derived
     p50/p95).
     """
+    return _load(path)[0]
+
+
+def _load(path: str | Path) -> tuple[dict[str, float], dict[str, Gate]]:
+    """:func:`extract_metrics`, plus the gates a BENCH file's claims set."""
     target = Path(path)
     if not target.exists():
         raise ReproError(f"run artifact not found: {target}")
     if target.suffix == ".jsonl":
-        return _trace_metrics(target)
+        return _trace_metrics(target), {}
     try:
         doc = json.loads(target.read_text())
     except json.JSONDecodeError as error:
@@ -302,9 +379,9 @@ def extract_metrics(path: str | Path) -> dict[str, float]:
     if not isinstance(doc, Mapping):
         raise ReproError(f"{target}: expected a JSON object at top level")
     if doc.get("type") == "manifest":
-        return _manifest_metrics(doc)
+        return _manifest_metrics(doc), {}
     if doc.get("schema") == "repro.metrics.snapshot/v1":
-        return _snapshot_metrics(doc)
+        return _snapshot_metrics(doc), {}
     if doc.get("type") == "bench" or "records" in doc:
         return _bench_metrics(doc)
     raise ReproError(
@@ -324,9 +401,11 @@ def compare_metrics(
     default_threshold: float | None = None,
     old_label: str = "old",
     new_label: str = "new",
+    gates: Mapping[str, Gate] | None = None,
 ) -> ComparisonReport:
     """Diff two flat metric mappings under regression thresholds.
 
+    A name in ``gates`` is checked by its :class:`Gate` alone. Otherwise
     ``thresholds`` overrides/extends :data:`DEFAULT_THRESHOLDS`; a name
     with no threshold of its own takes that of its part after the first
     dot (the BENCH record id), then ``default_threshold`` (left unchecked
@@ -334,14 +413,19 @@ def compare_metrics(
     """
     effective = dict(DEFAULT_THRESHOLDS)
     effective.update(thresholds or {})
+    gates = gates or {}
     report = ComparisonReport(old_label=old_label, new_label=new_label)
     for name in sorted(set(old) | set(new)):
         old_value = old.get(name)
         new_value = new.get(name)
+        gate = gates.get(name)
         threshold = effective.get(name)
         if threshold is None:
             threshold = effective.get(name.partition(".")[2], default_threshold)
-        if old_value is None or new_value is None:
+        if gate is not None:
+            status = gate.status(old_value, new_value)
+            threshold = None
+        elif old_value is None or new_value is None:
             status = "missing"
             threshold = None
         elif threshold is None:
@@ -364,6 +448,7 @@ def compare_metrics(
                 new=new_value,
                 threshold=threshold,
                 status=status,
+                gate=gate,
             )
         )
     return report
@@ -391,8 +476,10 @@ def compare_paths(
 
     Directory mode pairs files by name and compares every common pair;
     names present on only one side are skipped (they cannot regress).
-    Raises :class:`~repro.exceptions.ReproError` when a directory pair
-    shares no artifact at all, which is always a usage error.
+    Claim-carrying BENCH records are gated as the module docstring says,
+    with the new side's claim bounds. Raises
+    :class:`~repro.exceptions.ReproError` when a directory pair shares no
+    artifact at all, which is always a usage error.
     """
     old_path, new_path = Path(old), Path(new)
     if old_path.is_dir() != new_path.is_dir():
@@ -400,31 +487,30 @@ def compare_paths(
             "compare needs two files or two directories, not a mix: "
             f"{old_path} vs {new_path}"
         )
-    if not old_path.is_dir():
-        report = compare_metrics(
-            extract_metrics(old_path),
-            extract_metrics(new_path),
-            thresholds=thresholds,
-            default_threshold=default_threshold,
-            old_label=str(old_path),
-            new_label=str(new_path),
+    if old_path.is_dir():
+        old_artifacts = _artifact_names(old_path)
+        new_artifacts = _artifact_names(new_path)
+        common = sorted(set(old_artifacts) & set(new_artifacts))
+        if not common:
+            raise ReproError(
+                f"no artifact filename is present in both {old_path} and {new_path}"
+            )
+        pairs = [(old_artifacts[name], new_artifacts[name]) for name in common]
+    else:
+        pairs = [(old_path, new_path)]
+    reports = []
+    for old_file, new_file in pairs:
+        old_metrics, old_gates = _load(old_file)
+        new_metrics, new_gates = _load(new_file)
+        reports.append(
+            compare_metrics(
+                old_metrics,
+                new_metrics,
+                thresholds=thresholds,
+                default_threshold=default_threshold,
+                old_label=str(old_file),
+                new_label=str(new_file),
+                gates={**old_gates, **new_gates},
+            )
         )
-        return [report]
-    old_artifacts = _artifact_names(old_path)
-    new_artifacts = _artifact_names(new_path)
-    common = sorted(set(old_artifacts) & set(new_artifacts))
-    if not common:
-        raise ReproError(
-            f"no artifact filename is present in both {old_path} and {new_path}"
-        )
-    return [
-        compare_metrics(
-            extract_metrics(old_artifacts[name]),
-            extract_metrics(new_artifacts[name]),
-            thresholds=thresholds,
-            default_threshold=default_threshold,
-            old_label=str(old_artifacts[name]),
-            new_label=str(new_artifacts[name]),
-        )
-        for name in common
-    ]
+    return reports

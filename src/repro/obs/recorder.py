@@ -41,10 +41,13 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.exceptions import ReproError
 from repro.obs.provenance import ProvenanceLog
+
+if TYPE_CHECKING:
+    from repro.core.dual_ascent_nodes import RoundingPolicy
 
 __all__ = [
     "RECORDING_SCHEMA",
@@ -646,8 +649,7 @@ def record_run(
     k: int,
     variant: str = "greedy",
     seed: int = 0,
-    rounding: str = "select_all",
-    c_round: float = 1.0,
+    rounding: RoundingPolicy | None = None,
     open_fraction: float = 0.5,
     full: bool = False,
     shards: int = 1,
@@ -657,7 +659,9 @@ def record_run(
     The full solve recipe — including the instance itself — is embedded
     in the recording's ``config``, which is what makes
     :func:`replay_recording` hermetic: the artifact alone suffices to
-    re-run and digest-check the execution on any machine. ``shards``
+    re-run and digest-check the execution on any machine. ``rounding``
+    defaults to ``RoundingPolicy()`` and is recorded as its ``rounding``
+    (mode) and ``c_round`` keys. ``shards``
     applies to the columnar engine only — any other engine raises, as
     :func:`~repro.core.algorithm.solve_distributed` does — and, by the
     sharding determinism contract, never changes the resulting digests
@@ -667,6 +671,8 @@ def record_run(
     from repro.core.algorithm import solve_distributed
     from repro.core.dual_ascent_nodes import RoundingPolicy
     from repro.fl.io import instance_to_dict
+
+    rounding = rounding or RoundingPolicy()
 
     if engine not in RECORDING_ENGINES:
         raise ReproError(
@@ -684,8 +690,8 @@ def record_run(
         "k": int(k),
         "variant": variant,
         "seed": int(seed),
-        "rounding": rounding,
-        "c_round": float(c_round),
+        "rounding": rounding.mode,
+        "c_round": float(rounding.c_round),
         "open_fraction": float(open_fraction),
         "full": bool(full),
         "instance": instance_to_dict(instance),
@@ -698,7 +704,7 @@ def record_run(
         k=k,
         variant=variant,
         seed=seed,
-        rounding=RoundingPolicy(mode=rounding, c_round=c_round),
+        rounding=rounding,
         open_fraction=open_fraction,
         recorder=recorder,
         engine=engine,
@@ -724,6 +730,7 @@ def replay_recording(
         raise ReproError(
             "recording embeds no instance; it cannot be replayed hermetically"
         )
+    from repro.core.dual_ascent_nodes import RoundingPolicy
     from repro.fl.io import instance_from_dict
 
     instance = instance_from_dict(config["instance"])
@@ -734,8 +741,10 @@ def replay_recording(
         k=int(config.get("k", 9)),
         variant=str(config.get("variant", "greedy")),
         seed=int(config.get("seed", 0)),
-        rounding=str(config.get("rounding", "select_all")),
-        c_round=float(config.get("c_round", 1.0)),
+        rounding=RoundingPolicy(
+            mode=str(config.get("rounding", "select_all")),
+            c_round=float(config.get("c_round", 1.0)),
+        ),
         open_fraction=float(config.get("open_fraction", 0.5)),
         full=bool(config.get("full", False)),
         shards=int(config.get("shards", 1)) if engine == "columnar" else 1,

@@ -546,25 +546,20 @@ class ServiceRouter:
     ) -> list[SolveResponse]:
         """Stop all workers, optionally flushing queued work first.
 
-        The drain budget is shared: each worker's shutdown gets the
-        time remaining on the router's clock, so ``drain_timeout_s``
-        bounds the whole front end, not each worker separately.
+        The drain budget (default: the service config's
+        ``drain_timeout_s``) is shared: each worker's shutdown gets the
+        time remaining on the router's clock, so it bounds the whole
+        front end, not each worker separately.
         Responses (flushed plus typed ``draining`` leftovers, plus any
         unreturned cache hits) merge in global admission order.
         """
         self.begin_drain()
-        deadline = (
-            self._clock() + drain_timeout_s
-            if drain_timeout_s is not None
-            else None
-        )
+        if drain_timeout_s is None:
+            drain_timeout_s = self.service_config.drain_timeout_s
+        deadline = self._clock() + drain_timeout_s
         merged: list[tuple[int, SolveResponse]] = []
         for worker in self.workers:
-            remaining = (
-                max(deadline - self._clock(), 0.0)
-                if deadline is not None
-                else None
-            )
+            remaining = max(deadline - self._clock(), 0.0)
             for response in worker.shutdown(
                 drain=drain, drain_timeout_s=remaining
             ):

@@ -18,7 +18,8 @@ input line          reply line(s)
 ``{"type":"drain"}`` graceful shutdown: one ``response`` line per
                     flushed or drain-rejected request, then
                     ``drain_done`` with the count; the server then
-                    stops (``timeout_s`` bounds the flush)
+                    stops (``timeout_s``, else the service's
+                    ``drain_timeout_s``, bounds the flush)
 ``{"type":"shutdown"}`` one ``bye`` line; the server then stops
 =================== ==================================================
 
@@ -193,7 +194,6 @@ def serve_jsonl(
     stream_out: IO[str],
     emit_metrics: bool = False,
     drain_signal: Any | None = None,
-    drain_timeout_s: float | None = None,
 ) -> int:
     """Serve the line protocol over text streams until EOF or shutdown.
 
@@ -203,8 +203,9 @@ def serve_jsonl(
     ``metrics`` line. ``drain_signal`` — any object with ``is_set()``,
     e.g. a ``threading.Event`` flipped by a SIGTERM handler — triggers a
     graceful drain when observed between lines: admission stops, queued
-    work flushes for up to ``drain_timeout_s`` seconds, the remainder is
-    answered ``status="draining"``, and the loop exits. Returns the
+    work flushes for up to the service's configured ``drain_timeout_s``
+    seconds, the remainder is answered ``status="draining"``, and the
+    loop exits. Returns the
     number of lines served.
     """
     protocol = ServiceProtocol(service)
@@ -217,10 +218,7 @@ def serve_jsonl(
     )
     tail: list[dict[str, Any]] = []
     if drain_requested() and not protocol.shutting_down:
-        drain: dict[str, Any] = {"type": "drain"}
-        if drain_timeout_s is not None:
-            drain["timeout_s"] = drain_timeout_s
-        tail.append(drain)
+        tail.append({"type": "drain"})
     elif not protocol.shutting_down and service.pending:
         tail.append({"type": "flush"})
     if emit_metrics:
@@ -272,7 +270,6 @@ def _accept_loop(
     service: Any,
     ready: Any | None,
     drain_signal: Any | None,
-    drain_timeout_s: float | None,
 ) -> int:
     """Accept connections on ``listener``, one thread each, until a
     ``shutdown``/``drain`` line or ``drain_signal``; returns the number
@@ -289,7 +286,7 @@ def _accept_loop(
     while not protocol.shutting_down:
         if drain_signal is not None and drain_signal.is_set():
             with lock:
-                service.shutdown(drain=True, drain_timeout_s=drain_timeout_s)
+                service.shutdown(drain=True)
             break
         try:
             conn, _ = listener.accept()
@@ -318,7 +315,6 @@ def serve_socket(
     path: str | Path,
     ready: Any | None = None,
     drain_signal: Any | None = None,
-    drain_timeout_s: float | None = None,
 ) -> int:
     """Serve the line protocol on a Unix domain socket at ``path``.
 
@@ -350,9 +346,7 @@ def serve_socket(
         socket.AF_UNIX, str(socket_path), f"Unix socket {str(socket_path)!r}"
     ) as listener:
         try:
-            return _accept_loop(
-                listener, service, ready, drain_signal, drain_timeout_s
-            )
+            return _accept_loop(listener, service, ready, drain_signal)
         finally:
             socket_path.unlink(missing_ok=True)
 
@@ -364,7 +358,6 @@ def serve_tcp(
     ready: Any | None = None,
     on_bound: Callable[[int], None] | None = None,
     drain_signal: Any | None = None,
-    drain_timeout_s: float | None = None,
 ) -> int:
     """Serve the line protocol on a TCP socket, one thread per connection.
 
@@ -381,7 +374,8 @@ def serve_tcp(
     connection. ``drain_signal`` (an ``is_set()`` object, e.g. an event
     flipped by SIGTERM) is polled between accepts, also while clients
     sit idle on open connections: once set, the service drains
-    gracefully — bounded by ``drain_timeout_s`` — and the server exits.
+    gracefully — bounded by its configured ``drain_timeout_s`` — and the
+    server exits.
     A client-sent ``drain`` or ``shutdown`` line stops the server the
     same way. Returns the number of connections served.
     """
@@ -390,6 +384,4 @@ def serve_tcp(
     ) as listener:
         if on_bound is not None:
             on_bound(listener.getsockname()[1])
-        return _accept_loop(
-            listener, service, ready, drain_signal, drain_timeout_s
-        )
+        return _accept_loop(listener, service, ready, drain_signal)

@@ -125,6 +125,14 @@ class ServiceConfig:
     rate_limit_burst: float = flag(
         8.0, "--rate-burst",
         help="token-bucket burst capacity with --rate-limit")
+    #: The budget of :meth:`SolveService.shutdown` when the caller names
+    #: none, which is how every server of :mod:`repro.service.server`
+    #: drains; ``inf`` drains without a limit.
+    drain_timeout_s: float = flag(
+        30.0, "--drain-timeout",
+        help="seconds of graceful drain on SIGTERM (or a drain line): "
+        "queued work flushes within this budget, the remainder is "
+        "answered status=draining")
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -547,7 +555,9 @@ class SolveService:
 
         With ``drain=True`` (the default), admission stops and queued
         batches execute until the queue is empty or ``drain_timeout_s``
-        of wall clock has elapsed. Whatever is still queued afterwards
+        (default: the configured
+        :attr:`~ServiceConfig.drain_timeout_s`) of wall clock has
+        elapsed. Whatever is still queued afterwards
         — everything, when ``drain=False`` — is answered with a typed
         ``status="draining"`` response (retained and fetchable like any
         other), so every admitted request still reaches a terminal
@@ -556,14 +566,10 @@ class SolveService:
         self.begin_drain()
         out: list[SolveResponse] = []
         if drain:
-            deadline = (
-                self._clock() + drain_timeout_s
-                if drain_timeout_s is not None
-                else None
-            )
-            while self.queue.depth and (
-                deadline is None or self._clock() < deadline
-            ):
+            if drain_timeout_s is None:
+                drain_timeout_s = self.config.drain_timeout_s
+            deadline = self._clock() + drain_timeout_s
+            while self.queue.depth and self._clock() < deadline:
                 out.extend(self.process_pending())
         leftovers_live, leftovers_expired = self.queue.drain(max_items=None)
         for item in sorted(

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from repro.analysis.experiments import ExperimentResult, save_result
+from repro.analysis.experiments import Claim, ExperimentResult, save_result
 from repro.cli import main
 from repro.obs.bench import bench_path_for, write_bench
 
@@ -16,7 +17,7 @@ def _experiment_result(experiment_id="E1"):
         title="demo",
         headers=("k", "ratio", "label"),
         rows=((1, 2.0, "a"), (4, 1.5, "b"), (9, float("nan"), "c")),
-        notes={"m": 20, "wall_seconds": 0.25},
+        notes={"m": 20},
     )
 
 
@@ -30,8 +31,7 @@ def _self_compare(path, capsys, *extra):
 class TestExperimentRecord:
     def test_to_record_shape(self):
         record = _experiment_result().to_record()
-        assert set(record) == {"wall_seconds", "params", "metrics"}
-        assert record["wall_seconds"] == 0.25
+        assert set(record) == {"params", "metrics"}  # no clock reading
         assert record["params"] == {"m": 20}
         # Column stats over finite numeric cells only; text columns skipped.
         assert record["metrics"]["ratio_max"] == 2.0
@@ -41,18 +41,27 @@ class TestExperimentRecord:
         json.dumps(record, allow_nan=False)  # strict JSON, no NaN leakage
 
     def test_save_result_writes_a_comparable_bench_file(self, tmp_path, capsys):
-        result = _experiment_result()
-        save_result(tmp_path, result)
-        assert (tmp_path / "E1.txt").read_text() == result.table + "\n"
+        """Claims are recorded and gated; clock columns and timed claims
+        stay out of both files."""
+        result = replace(_experiment_result(), timing_columns=("ratio",))
+        claims = (
+            Claim("k_max", lambda r: max(r.column("k")), 9, "lower", "k is small"),
+            Claim("speedup", lambda r: r.rows[0][1], 1.0, "higher", "", timed=True),
+        )
+        save_result(tmp_path, result, claims)
+        assert (tmp_path / "E1.txt").read_text() == result.untimed().table + "\n"
+        assert "ratio" not in (tmp_path / "E1.txt").read_text()
         doc = json.loads((tmp_path / "E1.json").read_text())
         assert doc["type"] == "bench" and doc["name"] == "E1"
-        assert doc["records"] == {"E1": result.to_record()}
-        code, (report,) = _self_compare(
-            tmp_path / "E1.json", capsys, "--default-threshold", "1"
-        )
+        claimed = {"k_max": {"value": 9.0, "bound": 9, "better": "lower"}}
+        assert doc["records"] == {
+            "E1": {**result.untimed().to_record(), "claims": claimed}
+        }
+        code, (report,) = _self_compare(tmp_path / "E1.json", capsys)
         assert code == 0
         names = {metric["name"] for metric in report["metrics"]}
-        assert {"E1.wall_seconds", "E1.ratio_max"} <= names
+        assert {"E1.k_max", "E1.claims.k_max"} <= names
+        assert "E1.ratio_max" not in names
         assert all(metric["status"] == "ok" for metric in report["metrics"])
 
     def test_artifact_directories_compare_by_name(self, tmp_path, capsys):

@@ -231,3 +231,60 @@ class TestCompareCli:
         code = main(["compare", "x", "y", "--threshold", "nonsense"])
         assert code == 1
         assert "threshold" in capsys.readouterr().err
+
+
+def _claim_record(ratio: float, value: float, bound: float = 1.0) -> dict:
+    """A BENCH document holding one claim-carrying experiment record."""
+    claim = {"value": value, "bound": bound, "better": "lower"}
+    record = {"metrics": {"ratio_max": ratio}, "claims": {"margin": claim}}
+    return {"type": "bench", "records": {"E1": record}}
+
+
+class TestClaimRecords:
+    """Records with ``claims`` are gated from the files, with no flag."""
+
+    def _compare(self, tmp_path, old: dict, new: dict):
+        for name, doc in (("old.json", old), ("new.json", new)):
+            (tmp_path / name).write_text(json.dumps(doc))
+        (report,) = compare_paths(tmp_path / "old.json", tmp_path / "new.json")
+        return {d.name: d.status for d in report.diffs}, report
+
+    def test_broken_claim_bound_fails_without_a_flag(self, tmp_path, capsys):
+        old, new = _claim_record(1.5, 0.9), _claim_record(1.5, 0.9, bound=0.8)
+        statuses, _ = self._compare(tmp_path, old, new)
+        assert statuses == {"E1.claims.margin": "broken", "E1.ratio_max": "ok"}
+        code = main(["compare", str(tmp_path / "old.json"), str(tmp_path / "new.json")])
+        assert code == 1
+        assert "broken" in capsys.readouterr().out
+
+    def test_relative_drift_of_1e_10_passes(self, tmp_path):
+        old, drift = _claim_record(1.5, 0.9), 1.0 + 1e-10
+        statuses, report = self._compare(
+            tmp_path, old, _claim_record(1.5 * drift, 0.9 * drift)
+        )
+        assert report.ok and set(statuses.values()) == {"ok"}
+        # Past CLAIM_RTOL in the bad direction, a metric regresses.
+        statuses, report = self._compare(tmp_path, old, _claim_record(1.5001, 0.9))
+        assert statuses["E1.ratio_max"] == "regression" and not report.ok
+
+    def test_record_without_claims_compares_as_before(self, tmp_path):
+        """The ``BENCH_scale.json`` shape: thresholds only, no gates."""
+        metrics = {"rounds": 36.0, "cost": 100.0, "mem_peak_kb": 19337.0}
+        record = {"metrics": metrics, "params": {"m": 2000}, "wall_seconds": 0.28}
+        old = {"type": "bench", "records": {"scale_100k": record}}
+        new = json.loads(json.dumps(old))
+        new["records"]["scale_100k"]["metrics"].update(cost=101.0, mem_peak_kb=9e9)
+        statuses, report = self._compare(tmp_path, old, new)
+        assert report.ok and all(d.gate is None for d in report.diffs)
+        assert statuses == {
+            "scale_100k.cost": "ok",
+            "scale_100k.mem_peak_kb": "unchecked",
+            "scale_100k.rounds": "ok",
+            "scale_100k.wall_seconds": "ok",
+        }
+
+    def test_malformed_claim_is_an_error(self, tmp_path):
+        doc = _claim_record(1.5, 0.9)
+        doc["records"]["E1"]["claims"]["margin"]["better"] = "up"
+        with pytest.raises(ReproError, match="lower or higher"):
+            self._compare(tmp_path, doc, doc)

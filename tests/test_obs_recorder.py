@@ -23,6 +23,7 @@ import pytest
 
 import repro.core.sequential_sim as seqsim
 from repro.core.algorithm import solve_distributed
+from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.exceptions import ReproError
 from repro.fl.generators import make_instance
 from repro.obs.recorder import (
@@ -54,6 +55,7 @@ def instance():
 class TestCrossEngineDeterminism:
     @pytest.mark.parametrize("variant,rounding", CONFIGS)
     def test_loop_vs_columnar_zero_divergence(self, instance, variant, rounding):
+        rounding = RoundingPolicy(mode=rounding)
         left = record_run(
             instance, engine="loop", k=4, variant=variant, seed=7, rounding=rounding
         )

@@ -393,6 +393,23 @@ class TestDrain:
         responses = service.shutdown(drain=False)
         assert [r.status for r in responses] == ["draining"]
 
+    def test_bare_server_and_bare_cli_share_the_drain_budget(self):
+        """An embedded server and a bare ``repro serve`` drain within one
+        budget, ServiceConfig's ``drain_timeout_s``."""
+        from repro.cli import _options, build_parser
+
+        args = build_parser().parse_args(["serve"])
+        assert ServiceConfig(**_options(args, ServiceConfig)) == ServiceConfig()
+        budget = ServiceConfig().drain_timeout_s
+        assert budget == 30.0
+        # Every server drains through a bare drain line; a clock ticking
+        # just past the budget per read leaves the queued request undone.
+        for step, status in ((budget + 1, "draining"), (budget - 1, "ok")):
+            service = SolveService(clock=TickingClock(step))
+            service.submit(request("a"))
+            replies = list(ServiceProtocol(service).handle({"type": "drain"}))
+            assert [r.get("status") for r in replies] == [status, None]
+
     def test_drain_protocol_line(self):
         service = SolveService()
         protocol = ServiceProtocol(service)
@@ -425,11 +442,10 @@ class TestDrain:
         )
         out = StringIO()
         serve_jsonl(
-            SolveService(),
+            SolveService(config=ServiceConfig(drain_timeout_s=5.0)),
             StringIO(lines),
             out,
             drain_signal=TriggerAfter(2),
-            drain_timeout_s=5.0,
         )
         payloads = [json.loads(line) for line in out.getvalue().splitlines()]
         kinds = [p.get("type") for p in payloads]

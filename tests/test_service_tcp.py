@@ -22,6 +22,7 @@ from repro.service import (
     RetryingServiceClient,
     RetryPolicy,
     RouterConfig,
+    ServiceConfig,
     ServiceRouter,
     SolveService,
     StreamServiceClient,
@@ -131,11 +132,9 @@ class TestServeTcp:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_drain_signal_stops_the_server(self, server, family):
-        service = SolveService()
+        service = SolveService(config=ServiceConfig(drain_timeout_s=5.0))
         drain = threading.Event()
-        endpoint, thread = server(
-            service, family, drain_signal=drain, drain_timeout_s=5.0
-        )
+        endpoint, thread = server(service, family, drain_signal=drain)
         # A client sitting idle on an open connection must not pin the
         # server past the drain.
         with StreamServiceClient(**endpoint) as idle:
