@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.aggregate import aggregate, linear_fit
 from repro.analysis.tables import render_table
@@ -48,6 +48,7 @@ from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
 from repro.fl.generators import decoy_instance, high_spread_instance, make_instance
 from repro.net.faults import FaultPlan
+from repro.obs.compare import Gate
 from repro.perf.cache import cached_instance, cached_lp_value
 from repro.perf.cells import (
     CellOutcome,
@@ -241,7 +242,6 @@ def run_e1_tradeoff_table(
         k_values = k_values or DEFAULT_K_VALUES
         families = families or DEFAULT_FAMILIES
     rows: list[tuple[Any, ...]] = []
-    max_constant = 0.0
     for family in families:
         ratios, rho = _ratio_sweep(
             family, m, n, k_values, seeds, executor=executor
@@ -250,7 +250,6 @@ def run_e1_tradeoff_table(
             agg = aggregate(ratios[k])
             envelope = approximation_envelope(k, m, n, rho)
             constant = agg.maximum / envelope
-            max_constant = max(max_constant, constant)
             rows.append(
                 (family, k, agg.mean, agg.std, agg.maximum, envelope, constant)
             )
@@ -267,7 +266,7 @@ def run_e1_tradeoff_table(
             "implied_C",
         ),
         rows=tuple(rows),
-        notes={"m": m, "n": n, "seeds": len(seeds), "max_implied_C": max_constant},
+        notes={"m": m, "n": n, "seeds": len(seeds)},
     )
 
 
@@ -1262,8 +1261,11 @@ class Claim:
     """One claim an experiment checks: ``value(result)`` against ``bound``.
 
     ``better`` is ``"lower"`` (the value may not exceed the bound) or
-    ``"higher"`` (it may not fall below it); ``sentence`` is what
-    EXPERIMENTS.md prints next to the measured value. A ``timed`` claim
+    ``"higher"`` (it may not fall below it), checked by :attr:`gate`,
+    the same :class:`~repro.obs.compare.Gate` ``repro compare`` applies;
+    ``sentence`` is what EXPERIMENTS.md prints next to the measured
+    value. A NaN anywhere in the cells a value reads makes it NaN, which
+    no bound holds. A ``timed`` claim
     reads the clock: tier-1 and the report check it, but it is never
     recorded, so ``repro compare`` never sees it.
     """
@@ -1275,11 +1277,10 @@ class Claim:
     sentence: str
     timed: bool = False
 
-    def holds(self, value: float) -> bool:
-        """Whether ``value`` respects the bound (NaN never does)."""
-        if self.better == "lower":
-            return value <= self.bound
-        return value >= self.bound
+    @property
+    def gate(self) -> Gate:
+        """The bound check (which also validates ``better``)."""
+        return Gate(self.better, self.bound)
 
 
 @dataclass(frozen=True)
@@ -1298,10 +1299,17 @@ class Experiment:
         return [(claim, float(claim.value(result))) for claim in self.claims]
 
 
+def _worst(values: Iterable[float], pick: Callable[..., float] = max) -> float:
+    """``pick`` of ``values``, or NaN if any is NaN (builtin min and max
+    skip a NaN that is not first, and a NaN row must break its claim)."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else pick(values)
+
+
 def _peak(result: ExperimentResult, numerator: str, denominator: str) -> float:
     """The largest per-row ratio of two columns."""
     pairs = zip(result.column(numerator), result.column(denominator))
-    return max(a / b for a, b in pairs)
+    return _worst(a / b for a, b in pairs)
 
 
 def _finite_cells(result: ExperimentResult, *headers: str) -> list[float]:
@@ -1311,7 +1319,7 @@ def _finite_cells(result: ExperimentResult, *headers: str) -> list[float]:
 
 def _largest_drop(values: Sequence[float]) -> float:
     """How far a series ever falls from one entry to the next."""
-    return max(a - b for a, b in zip(values, values[1:]))
+    return _worst(a - b for a, b in zip(values, values[1:]))
 
 
 def _exact_gap(result: ExperimentResult) -> float:
@@ -1333,6 +1341,8 @@ def _by_first(result: ExperimentResult) -> dict[Any, float]:
 
 _LP_FLOOR = "no ratio falls below the LP bound (smallest; 0.99 is float slack)"
 _ENVELOPE = "every ratio sits under the envelope (largest ratio / envelope)"
+_ABOVE_LP = Claim("min_ratio", lambda r: _worst(r.column("ratio_mean"), min), 0.99,
+                  "higher", _LP_FLOOR)
 
 #: Every experiment by id, in index order, with its declared claims.
 #: Plain data: nothing here runs at import.
@@ -1341,15 +1351,14 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         run_e1_tradeoff_table, "main trade-off bound",
         "for every k, the algorithm is an "
         "O(sqrt(k) (m rho)^(1/sqrt k) log(m+n))-approximation.", (
-        Claim("max_implied_C", lambda r: r.notes["max_implied_C"], 1.0, "lower",
+        Claim("max_implied_C", lambda r: _worst(r.column("implied_C")), 1.0, "lower",
               _ENVELOPE + ", over all k and families"),
     )),
     "E2": Experiment(
         run_e2_ratio_vs_k, "ratio decreases in k",
         "more rounds buy a better approximation, converging toward the "
         "sequential (log-factor) quality as k grows.", (
-        Claim("min_ratio", lambda r: min(r.column("ratio_mean")), 0.99, "higher",
-              _LP_FLOOR),
+        _ABOVE_LP,
         Claim("envelope_margin", lambda r: _peak(r, "ratio_mean", "envelope"), 1.0,
               "lower", _ENVELOPE),
         Claim("fine_over_coarse", lambda r: r.column("ratio_mean")[-1]
@@ -1375,7 +1384,7 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         Claim("envelope_margin", lambda r: _peak(r, "max_bits", "envelope"), 1.2,
               "lower", "the largest message stays within 1.2x the 16 log2 N "
               "envelope (slack for small-N constants)"),
-        Claim("max_bits", lambda r: max(r.column("max_bits")), 88, "lower",
+        Claim("max_bits", lambda r: _worst(r.column("max_bits")), 88, "lower",
               "no message exceeds one 64-bit cost word plus a constant tag"),
     )),
     "E5": Experiment(
@@ -1396,9 +1405,9 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         "a deterministic fallback guarantees feasibility.", (
         Claim("select_all_fallbacks", lambda r: r.rows[0][3], 0.0, "lower",
               "select_all never needs the deterministic fallback"),
-        Claim("min_ratio", lambda r: min(r.column("ratio_mean")), 0.99, "higher",
-              "randomized rounding falls back, yet every run stays feasible "
-              "(smallest ratio_mean; 0.99 is float slack)"),
+        Claim("min_ratio", lambda r: _worst(r.column("ratio_mean"), min), 0.99,
+              "higher", "randomized rounding falls back, yet every run stays "
+              "feasible (smallest ratio_mean; 0.99 is float slack)"),
     )),
     "E7": Experiment(
         run_e7_rho_sensitivity, "rho sensitivity",
@@ -1411,9 +1420,8 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         run_e8_families_table, "non-metric generality",
         "the algorithm handles general non-metric instances (the "
         "set-cover regime where the log factor is unavoidable).", (
-        Claim("min_ratio", lambda r: min(r.column("ratio_mean")), 0.99, "higher",
-              _LP_FLOOR),
-        Claim("worst_ratio", lambda r: max(r.column("ratio_max")), 25.0, "lower",
+        _ABOVE_LP,
+        Claim("worst_ratio", lambda r: _worst(r.column("ratio_max")), 25.0, "lower",
               "metric and non-metric families alike stay within 25x the LP bound"),
     )),
     "E9": Experiment(
@@ -1428,9 +1436,8 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         run_e10_variants_table, "variant comparison",
         "the trade-off is a technique, not a single algorithm: two "
         "realizations with the same k behave comparably.", (
-        Claim("min_ratio", lambda r: min(r.column("ratio_mean")), 0.99, "higher",
-              _LP_FLOOR),
-        Claim("budget_margin", lambda r: max(
+        _ABOVE_LP,
+        Claim("budget_margin", lambda r: _worst(
               row[4] / round_budget(row[0]) for row in r.rows), 1.0, "lower",
               "both realizations stay in the 4k + 8 round budget (largest "
               "rounds / budget)"),
@@ -1455,7 +1462,7 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         Claim("k1_over_gap", lambda r: _by_first(r)[1] / r.notes["gap"], 0.5,
               "higher", "with one threshold (k=1) the decoys win: the ratio "
               "reaches half the planted gap (k=1 ratio / gap)"),
-        Claim("ladder_ratio", lambda r: max(
+        Claim("ladder_ratio", lambda r: _worst(
               v for k, v in _by_first(r).items() if k > 1), 1.5, "lower",
               "more thresholds isolate the good facility (largest ratio, k > 1)"),
     )),
@@ -1468,7 +1475,7 @@ EXPERIMENTS: Mapping[str, Experiment] = {
               - r.column("ratio_mean")[0], 0.05, "lower", "two settle iterations "
               "are not worse than one (R=2 minus R=1; 0.05 is seed noise)"),
         Claim("most_minus_best", lambda r: r.column("ratio_mean")[-1]
-              - min(r.column("ratio_mean")), 0.05, "lower", "and the most "
+              - _worst(r.column("ratio_mean"), min), 0.05, "lower", "and the most "
               "iterations is, within that slack, the best"),
     )),
     "E14": Experiment(
@@ -1492,7 +1499,7 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         "coins.", (
         Claim("envelope_margin", lambda r: _peak(r, "max", "envelope"), 1.0,
               "lower", _ENVELOPE + ", for the worst seed"),
-        Claim("max_spread", lambda r: max(r.column("max/p50")), 1.5, "lower",
+        Claim("max_spread", lambda r: _worst(r.column("max/p50")), 1.5, "lower",
               "the worst seed is within 1.5x of the median at every k"),
     )),
     "E16": Experiment(
@@ -1512,17 +1519,18 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         "(resilience extension) reliable delivery plus self-healing "
         "restores the paper's reliable-network guarantees under "
         "injected faults.", (
-        Claim("resilient_minus_plain", lambda r: min(b - a for a, b in zip(
-              r.column("plain_complete"), r.column("resilient_complete"))), 0.0,
+        Claim("resilient_minus_plain", lambda r: _worst((b - a for a, b in zip(
+              r.column("plain_complete"), r.column("resilient_complete"))), min), 0.0,
               "higher", "resilience never completes less often than the plain "
               "protocol (smallest difference of completion rates)"),
-        Claim("resilient_complete", lambda r: min(r.column("resilient_complete")),
-              1.0, "higher", "every fault family completes at these intensities"),
+        Claim("resilient_complete", lambda r: _worst(
+              r.column("resilient_complete"), min), 1.0, "higher",
+              "every fault family completes at these intensities"),
         Claim("worst_healed_ratio", lambda r: max(_finite_cells(
               r, "healed_ratio")), 25.0, "lower",
               "healed solutions stay within 25x the LP bound"),
         Claim("families_without_retries", lambda r: sum(
-              v <= 0 for v in r.column("retries_mean")), 0, "lower",
+              not v > 0 for v in r.column("retries_mean")), 0, "lower",
               "every fault family exercises the retransmit sublayer"),
     )),
 }

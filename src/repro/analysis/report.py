@@ -35,7 +35,8 @@ them, and `repro experiment all --quick -o benchmarks/_artifacts`
 records each one's value, bound and direction in the BENCH file `E*.json`
 next to each `E*.txt` table. `repro compare old_dir/ new_dir/` pairs two
 such directories by filename and, with no threshold flag, fails on a
-broken claim bound or on any metric that moved the wrong way.
+broken claim bound, a claim that moved the wrong way, or any other number
+that moved at all.
 
 | ID | Claim (paper) | Verdict |
 |----|---------------|---------|
@@ -54,15 +55,16 @@ def _fmt(value) -> str:
 def _section(
     experiment: exp.Experiment, result: exp.ExperimentResult
 ) -> tuple[str, str]:
-    """The experiment's section and its summary-row verdict."""
-    lines, broken = [], []
+    """The experiment's section and its summary-row verdict (the first
+    claim's value against its bound, or the broken claims)."""
+    lines, broken, first = [], [], ""
     for claim, value in experiment.check(result):
-        holds = claim.holds(value)
+        holds = claim.gate.holds(value)
         if not holds:
             broken.append(claim.name)
-        sign = "<=" if claim.better == "lower" else ">="
+        first = first or f"{claim.name} {_fmt(value)} {claim.gate}"
         lines.append(
-            f"- {claim.sentence}: {_fmt(value)} (bound {sign} {_fmt(claim.bound)}) "
+            f"- {claim.sentence}: {_fmt(value)} (bound {claim.gate}) "
             f"— {'holds' if holds else '**BROKEN**'}."
         )
     notes = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(result.notes.items()))
@@ -73,7 +75,7 @@ def _section(
         f"```\n{result.table}\n```\n\n"
         f"*(parameters: {notes})*\n\n"
     )
-    summary = "BROKEN: " + ", ".join(broken) if broken else "holds"
+    summary = "BROKEN: " + ", ".join(broken) if broken else f"holds ({first})"
     return section, summary
 
 

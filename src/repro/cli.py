@@ -1130,7 +1130,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     regressions = sum(len(r.regressions) for r in reports)
     if regressions:
         print(
-            f"error: {regressions} metric(s) regressed or broke a claim bound",
+            f"error: {regressions} metric(s) regressed or failed their gate",
             file=sys.stderr,
         )
         return 1

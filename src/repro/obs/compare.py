@@ -18,11 +18,13 @@ supplied.
 
 A BENCH record that carries ``claims`` (as every ``repro experiment -o``
 record does) is gated by :class:`Gate` from the files alone: each claim
-must hold its recorded bound on the new side (else ``broken``), and no
-number of the record may drift past :data:`CLAIM_RTOL` the bad way.
+must hold its recorded bound on the new side (else ``broken``) and may
+not drift past :data:`CLAIM_RTOL` the bad way (else ``regression``);
+every other number of the record must match the old side to
+:data:`CLAIM_RTOL` and be present on both (else ``changed``).
 
 ``repro compare old new --threshold cost=1.05`` exits non-zero when any
-thresholded metric regresses or any claim is broken.
+thresholded metric regresses or any gated number fails.
 """
 
 from __future__ import annotations
@@ -65,40 +67,51 @@ DEFAULT_THRESHOLDS: Mapping[str, float] = {
 }
 
 
-#: Relative drift in the bad direction that a number of a claim-carrying
-#: BENCH record may show against the old side: float noise, nothing more.
+#: Relative drift that a number of a claim-carrying BENCH record may show
+#: against the old side: float noise, nothing more.
 CLAIM_RTOL = 1e-9
+_GATE_SHAPES = ((None, True), ("lower", False), ("higher", False))
 
 
 @dataclass(frozen=True)
 class Gate:
     """How a number of a claim-carrying BENCH record is checked.
 
-    ``better`` names the good direction; ``bound``, set for a claim, is
-    the limit its new value may not pass.
+    A claim's gate names its good direction, ``better`` (``"lower"`` or
+    ``"higher"``), and the ``bound`` its value may not pass. Every other
+    number of such a record gets ``Gate()``, which wants it unmoved.
     """
 
-    better: str = "lower"
+    better: str | None = None
     bound: float | None = None
 
+    def __post_init__(self) -> None:
+        if (self.better, self.bound is None) not in _GATE_SHAPES:
+            raise ReproError(f"a gate needs better=lower|higher and a bound: {self!r}")
+
+    def holds(self, value: float) -> bool:
+        """Whether ``value`` respects the bound (NaN never does)."""
+        sign = -1.0 if self.better == "higher" else 1.0
+        return self.bound is None or sign * (value - self.bound) <= 0
+
     def status(self, old: float | None, new: float | None) -> str:
-        """``broken``, ``missing``, ``regression``, ``improved`` or ``ok``."""
-        sign = 1.0 if self.better == "lower" else -1.0
-        if None not in (new, self.bound) and not sign * (new - self.bound) <= 0:
+        """``broken``, ``changed``, ``regression``, ``improved`` or ``ok``."""
+        if new is not None and not self.holds(new):
             return "broken"
         if old is None or new is None:
-            return "missing"
-        drift = sign * (new - old)
-        tolerance = CLAIM_RTOL * abs(old)
+            return "changed"
+        drift, tolerance = new - old, CLAIM_RTOL * abs(old)
+        if self.better is None:
+            return "ok" if abs(drift) <= tolerance else "changed"
+        drift *= -1.0 if self.better == "higher" else 1.0
         if drift > tolerance:
             return "regression"
         return "improved" if drift < -tolerance else "ok"
 
     def __str__(self) -> str:
         if self.bound is None:
-            return f"rel {CLAIM_RTOL:g}"
-        sign = "<=" if self.better == "lower" else ">="
-        return f"rel {CLAIM_RTOL:g}, {sign} {self.bound:g}"
+            return f"= (rel {CLAIM_RTOL:g})"
+        return f"{'<=' if self.better == 'lower' else '>='} {self.bound:g}"
 
 
 def parse_threshold(spec: str) -> tuple[str, float]:
@@ -125,7 +138,8 @@ class MetricDiff:
     old: float | None
     new: float | None
     threshold: float | None
-    #: "ok" | "regression" | "broken" | "improved" | "unchecked" | "missing"
+    #: "ok" | "regression" | "broken" | "changed" | "improved" | "unchecked"
+    #: | "missing"
     status: str
     gate: Gate | None = None
 
@@ -149,17 +163,21 @@ class ComparisonReport:
 
     @property
     def regressions(self) -> list[MetricDiff]:
-        """Diffs that exceeded their threshold or broke their claim bound."""
-        return [d for d in self.diffs if d.status in ("broken", "regression")]
+        """Diffs that exceeded their threshold or failed their gate."""
+        return [
+            d for d in self.diffs if d.status in ("broken", "changed", "regression")
+        ]
 
     @property
     def ok(self) -> bool:
-        """Whether no metric regressed and no claim broke."""
+        """Whether no metric regressed and no gated number failed."""
         return not self.regressions
 
     def render(self) -> str:
         """Fixed-width diff table, failures first."""
-        order = ("broken", "regression", "improved", "ok", "unchecked", "missing")
+        order = (
+            "broken", "changed", "regression", "improved", "ok", "unchecked", "missing"
+        )
         rows = []
         for diff in sorted(self.diffs, key=lambda d: (order.index(d.status), d.name)):
             ratio = diff.ratio
@@ -270,11 +288,9 @@ def _bench_metrics(
             key = f"{record_id}.claims.{name}"
             try:
                 flat[key] = float(claim["value"])
-                gates[key] = Gate(better=claim["better"], bound=float(claim["bound"]))
-            except (KeyError, TypeError, ValueError):
+                gates[key] = Gate(claim["better"], float(claim["bound"]))
+            except (KeyError, TypeError, ValueError, ReproError):
                 raise ReproError(f"malformed claim {key!r}: {claim!r}") from None
-            if gates[key].better not in ("lower", "higher"):
-                raise ReproError(f"claim {key!r}: better must be lower or higher")
     return flat, gates
 
 

@@ -13,6 +13,7 @@ every number unmoved.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,9 +39,9 @@ def _claims_hold(results, eid: str, *names: str) -> exp.ExperimentResult:
     ]
     assert len(checked) >= max(len(names), 1)
     broken = [
-        f"{claim.name} = {value!r} (bound: {claim.better} is better, {claim.bound})"
+        f"{claim.name} = {value!r} (bound {claim.gate})"
         for claim, value in checked
-        if not claim.holds(value)
+        if not claim.gate.holds(value)
     ]
     assert not broken, f"{eid}: " + "; ".join(broken)
     return result
@@ -114,6 +115,20 @@ class TestResultInterface:
         assert len(result.column("k")) == len(result.rows)
         with pytest.raises(ValueError):
             result.column("nope")
+
+    def test_nan_in_a_middle_row_breaks_a_claim(self, results):
+        """Builtin min/max skip a NaN that is not first; no claim may."""
+        for eid, column, name in (
+            ("E2", "ratio_mean", "min_ratio"),
+            ("E7", "ratio_max", "envelope_margin"),
+            ("E17", "retries_mean", "families_without_retries"),
+        ):
+            result, middle = results[eid], len(results[eid].rows) // 2
+            rows = [list(row) for row in result.rows]
+            rows[middle][result.headers.index(column)] = float("nan")
+            (claim,) = [c for c in exp.EXPERIMENTS[eid].claims if c.name == name]
+            value = claim.value(replace(result, rows=tuple(map(tuple, rows))))
+            assert middle > 0 and not claim.gate.holds(value), (eid, name, value)
 
 
 class TestAblationExperiments:

@@ -263,9 +263,27 @@ class TestClaimRecords:
             tmp_path, old, _claim_record(1.5 * drift, 0.9 * drift)
         )
         assert report.ok and set(statuses.values()) == {"ok"}
-        # Past CLAIM_RTOL in the bad direction, a metric regresses.
-        statuses, report = self._compare(tmp_path, old, _claim_record(1.5001, 0.9))
-        assert statuses["E1.ratio_max"] == "regression" and not report.ok
+
+    @pytest.mark.parametrize(
+        "ratio, value, status",
+        [(1.5001, 0.9, "changed"), (1.4999, 0.9, "changed"),
+         (1.5, 0.9001, "regression"), (1.5, 0.8, "improved")],
+    )
+    def test_other_numbers_may_not_move_claims_may_improve(
+        self, tmp_path, ratio, value, status
+    ):
+        old, new = _claim_record(1.5, 0.9), _claim_record(ratio, value)
+        statuses, report = self._compare(tmp_path, old, new)
+        assert sorted(statuses.values()) == sorted([status, "ok"])
+        assert report.ok == (status == "improved")
+
+    def test_a_number_missing_on_one_side_fails(self, tmp_path):
+        new = _claim_record(1.5, 0.9)
+        new["records"]["E1"]["metrics"]["ratio_mean"] = 1.2
+        del new["records"]["E1"]["claims"]["margin"]
+        statuses, report = self._compare(tmp_path, _claim_record(1.5, 0.9), new)
+        assert statuses["E1.ratio_mean"] == statuses["E1.claims.margin"] == "changed"
+        assert not report.ok
 
     def test_record_without_claims_compares_as_before(self, tmp_path):
         """The ``BENCH_scale.json`` shape: thresholds only, no gates."""
@@ -286,5 +304,5 @@ class TestClaimRecords:
     def test_malformed_claim_is_an_error(self, tmp_path):
         doc = _claim_record(1.5, 0.9)
         doc["records"]["E1"]["claims"]["margin"]["better"] = "up"
-        with pytest.raises(ReproError, match="lower or higher"):
+        with pytest.raises(ReproError, match="malformed claim"):
             self._compare(tmp_path, doc, doc)
