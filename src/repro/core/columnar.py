@@ -840,7 +840,7 @@ class _Observer:
         self.cinst, self.s, self.recorder, self.ledger = cinst, state, recorder, ledger
         self.active = self.unfrozen = cinst.n
         self.active_edges = self.unfrozen_edges = cinst.num_edges
-        self.opened = self.tight = 0
+        self.opened = self.tight_edges = 0
 
     def __call__(self, label: str) -> None:
         cinst, s, ledger, recorder = self.cinst, self.s, self.ledger, self.recorder
@@ -854,13 +854,14 @@ class _Observer:
                 })
         elif label.startswith("dual:level:"):
             if ledger is not None:
-                tight = int(s["tight"].sum())
+                # A facility announces tightness once, to every neighbour.
+                tight_edges = int(cinst.facility_degrees[s["tight"]].sum())
                 unfrozen = int((~s["frozen"]).sum())
                 ledger.dual_level(
                     self.unfrozen, self.unfrozen_edges,
-                    tight - self.tight, self.unfrozen - unfrozen,
+                    tight_edges - self.tight_edges, self.unfrozen - unfrozen,
                 )
-                self.tight, self.unfrozen = tight, unfrozen
+                self.tight_edges, self.unfrozen = tight_edges, unfrozen
                 self.unfrozen_edges = int(cinst.client_degrees[~s["frozen"]].sum())
             if recorder is not None:
                 # cli_* sorts by facility id within a client, so each list

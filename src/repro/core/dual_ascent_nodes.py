@@ -18,10 +18,14 @@ Each level ``l`` occupies three simulator rounds:
    ``max(gamma_j, threshold(l))`` (``gamma_j`` = its cheapest connection
    cost) and broadcasts it.
 2. **TIGHT** — facilities fold the new budgets into their payments; a
-   facility crossing ``P_i >= f_i`` declares itself tight (broadcast).
-3. **FREEZE** — a client hearing a tight facility whose connection cost its
-   budget covers records it as a *witness* and freezes. Frozen clients keep
-   listening and keep recording later witnesses (which may be cheaper).
+   facility crossing ``P_i >= f_i`` declares itself tight with one
+   broadcast, in that level only: ``sum deg(i)`` announcements per run.
+3. **FREEZE** — a client re-checks every tight facility it has heard of
+   but cannot yet afford, in ascending facility id, against its current
+   budget. One whose connection cost the budget covers becomes a *witness*
+   and the first such freezes the client. Frozen clients keep listening
+   and keep recording later witnesses (which may be cheaper); their budget
+   no longer grows, so they forget the tight facilities they cannot afford.
 
 By the last level every client has a witness: the final threshold equals
 the maximum single-client star cost, at which point the client's own
@@ -37,6 +41,7 @@ feasibility is unconditional.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -204,10 +209,8 @@ class DualFacilityNode(Node):
             self.tight_at_level = level
             ctx.log("tight", level=level, payment=self.payment)
             ctx.count("protocol_tight_total", variant="dual_ascent")
-        if self.is_tight:
-            # Re-announce every level: clients whose budgets grow later must
-            # still learn of facilities that went tight earlier, otherwise
-            # they could end the ascent without a witness.
+            # Announced once: a client whose budget grows later re-checks
+            # the tight facilities it remembers (DualClientNode._recheck).
             ctx.broadcast(TIGHT)
 
     def _decide_open(self, ctx: RoundContext, inbox: list[Message]) -> None:
@@ -275,6 +278,8 @@ class DualClientNode(SelfHealingClientMixin, Node):
         self.frozen = False
         self.frozen_at_level: int | None = None
         self.witnesses: set[int] = set()
+        # Tight facilities heard of but not affordable yet, ascending id.
+        self._heard: list[int] = []
         self.connected_to: int | None = None
         self.used_force = False
         self._init_healing(healing)
@@ -286,7 +291,8 @@ class DualClientNode(SelfHealingClientMixin, Node):
 
     def on_round(self, ctx: RoundContext, inbox: list[Message]) -> None:
         phase, level = dual_phase_of_round(self.params, ctx.round_number)
-        self._absorb(ctx, inbox, level)
+        if self._absorb(ctx, inbox) or (phase == "freeze" and self._heard):
+            self._recheck(ctx, level)
         if phase == "alpha":
             if not self.frozen:
                 self.alpha = max(self.gamma, self.params.threshold(level))
@@ -306,21 +312,46 @@ class DualClientNode(SelfHealingClientMixin, Node):
         if self.connected:
             self.finished = True
 
-    def _absorb(self, ctx: RoundContext, inbox: list[Message], level: int) -> None:
-        """Record tight announcements (witnesses) and service confirmations."""
+    def _absorb(self, ctx: RoundContext, inbox: list[Message]) -> bool:
+        """Remember tight announcements and record service confirmations.
+
+        Returns whether a tight announcement arrived.
+        """
+        heard = False
         for msg in inbox:
             if msg.kind == TIGHT:
-                if self.facility_costs[msg.sender] <= self.alpha * (1 + 1e-12):
-                    self.witnesses.add(msg.sender)
-                    if not self.frozen:
-                        self.frozen = True
-                        self.frozen_at_level = level
-                        ctx.log("settle", level=level, witness=msg.sender)
-                        ctx.count("protocol_settles_total", variant="dual_ascent")
+                heard = True
+                facility = msg.sender
+                if facility not in self.witnesses and facility not in self._heard:
+                    bisect.insort(self._heard, facility)
             elif msg.kind == SERVE and not self.connected:
                 self.connected_to = msg.sender
                 ctx.log("connected", facility=msg.sender)
                 ctx.count("protocol_connects_total", variant="dual_ascent")
+        return heard
+
+    def _recheck(self, ctx: RoundContext, level: int) -> None:
+        """Make every remembered tight facility the budget covers a witness.
+
+        The walk ascends by facility id, the order of a sorted inbox, so
+        the first witness found is the one ``settle`` records.
+        """
+        bound = self.alpha * (1 + 1e-12)
+        costs = self.facility_costs
+        unaffordable = []
+        for facility in self._heard:
+            if costs[facility] <= bound:
+                self.witnesses.add(facility)
+                if not self.frozen:
+                    self.frozen = True
+                    self.frozen_at_level = level
+                    ctx.log("settle", level=level, witness=facility)
+                    ctx.count("protocol_settles_total", variant="dual_ascent")
+            else:
+                unaffordable.append(facility)
+        # A frozen budget never grows again, so what it cannot afford now
+        # it never will.
+        self._heard = [] if self.frozen else unaffordable
 
     def _cheapest_witness(self) -> int:
         if not self.witnesses:

@@ -54,7 +54,7 @@ class ColumnarBitLedger:
     ``greedy/serve``    served client + newly opened facility      node id
     ``greedy/force``    leftover client forcing a facility open    node id
     ``dual/alpha``      unfrozen-client edge                       float
-    ``dual/tight``      facility that just became tight            1 bit
+    ``dual/tight``      edge of a facility that just became tight  1 bit
     ``dual/freeze``     client that just froze                     1 bit
     ``dual/select``     client announcing its cheapest witness     node id
     ``dual/open``       edge of a coin-opened facility             1 bit
@@ -125,11 +125,15 @@ class ColumnarBitLedger:
         self._round(("greedy/force", forced, self.id_bits))
 
     def dual_level(
-        self, unfrozen: int, unfrozen_edges: int, newly_tight: int, newly_frozen: int
+        self, unfrozen: int, unfrozen_edges: int, tight_edges: int, newly_frozen: int
     ) -> None:
-        """One dual-ascent level: alpha broadcast, tightness, freezes."""
+        """One dual-ascent level: alpha broadcast, tightness, freezes.
+
+        ``tight_edges`` counts the edges of the facilities that became
+        tight at this level: each announces once, to every neighbour.
+        """
         self._round(("dual/alpha", unfrozen_edges, 64))
-        self._round(("dual/tight", newly_tight, 1))
+        self._round(("dual/tight", tight_edges, 1))
         self._round(("dual/freeze", newly_frozen, 1))
 
     def dual_rounding(self, selections: int, open_edges: int, joins: int) -> None:

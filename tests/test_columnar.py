@@ -28,7 +28,7 @@ from repro.core.algorithm import solve_distributed
 from repro.core.columnar import ColumnarInstance, solve_columnar
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.exceptions import AlgorithmError, ReproError
-from repro.fl.generators import make_instance
+from repro.fl.generators import FAMILIES, make_instance
 from repro.net.columnar import ColumnarBitLedger, InboxPool
 from repro.obs.recorder import FlightRecorder, diff_recordings, record_run
 from repro.service.request import InstanceRecipe, SolveRequest
@@ -535,7 +535,7 @@ class TestColumnarBitLedger:
     def test_timeline_entries_are_engine_tagged(self):
         ledger = ColumnarBitLedger(4, 10, 20)
         ledger.dual_level(
-            unfrozen=10, unfrozen_edges=20, newly_tight=5, newly_frozen=2
+            unfrozen=10, unfrozen_edges=20, tight_edges=5, newly_frozen=2
         )
         timeline = ledger.to_timeline(num_nodes=14)
         assert len(timeline) == 3
@@ -543,6 +543,18 @@ class TestColumnarBitLedger:
             assert entry.engine == "columnar"
             assert entry.wall_ms == 0.0
             assert entry.alive == 14
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("k", [1, 4, 9, 16])
+    def test_tight_charges_match_the_simulator(self, family, k):
+        # Each tight facility announces once, to every neighbour.
+        instance = make_instance(family, 10, 36, seed=3)
+        ledger, simulator = (
+            solve_distributed(instance, k, "dual_ascent", seed=1, engine=engine).metrics
+            for engine in ("columnar", "simulator")
+        )
+        assert simulator.messages_by_kind["tgt"] > 0
+        assert ledger.messages_by_kind["dual/tight"] == simulator.messages_by_kind["tgt"]
 
     def test_solve_columnar_populates_metrics(self):
         cinst = ColumnarInstance.generate_sparse(8, 40, seed=1)

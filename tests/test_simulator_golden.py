@@ -14,6 +14,11 @@ distributed solve and hashes, in order:
   message's sender, receiver, kind and payload) and its ``final`` digest
   (open set and assignment).
 
+A second pin, :data:`SOLUTION_GOLDEN`, hashes only what a change to the
+traffic alone must leave alone: each case's ``final`` digest, its round
+count and its ``max_message_bits``. A protocol change that sends fewer
+messages moves :data:`GOLDEN` but not :data:`SOLUTION_GOLDEN`.
+
 The cases cover greedy and dual ascent on the four sweep families at
 24x96 with k in {4, 16}; one run under strict CONGEST (one message per
 edge per round) with a bit budget it stays within; and one run with a
@@ -37,12 +42,21 @@ VARIANTS = ("greedy", "dual_ascent")
 KS = (4, 16)
 INSTANCE_SEED = 11
 
-#: sha256 over every case's outputs, generated with the simulator that
-#: still priced each message from a frozen dataclass on every read.
-GOLDEN = "dc3e851caec9214561c95aea46fd6f3ec08bcf279f1f5dd72a49afe7c9bece55"
+#: sha256 over every case's outputs. Re-pinned when a tight facility
+#: stopped re-broadcasting ``tgt`` at every later level: the eight
+#: fault-free dual cases fell from 109,295 messages (75,225 ``tgt``) to
+#: 43,789 (9,719 ``tgt``), and nothing but the traffic moved.
+GOLDEN = "78c2c339946f639532019596ee6d6e6924e0789ea45fe60578ca45eb1853e8d7"
+
+#: sha256 over every case's ``final`` digest, round count and
+#: ``max_message_bits``, generated before tightness became a one-shot
+#: announcement; the protocol change had to leave it as it was.
+SOLUTION_GOLDEN = "957aca984bceaaadcc80bf33c1a052c00aabd8831aea0a8ddb5af5179e5f65e7"
 
 
-def _run_digest(runner: DistributedFacilityLocation, simulator, recorder) -> str:
+def _run_digest(
+    runner: DistributedFacilityLocation, simulator, recorder
+) -> tuple[str, str]:
     metrics = simulator.run(max_rounds=runner.round_budget())
     runner._extract(simulator, metrics)
     timeline = [
@@ -57,10 +71,17 @@ def _run_digest(runner: DistributedFacilityLocation, simulator, recorder) -> str
     text = json.dumps(
         {"summary": metrics.summary(), "timeline": timeline, "checkpoints": checkpoints}
     )
-    return hashlib.sha256(text.encode()).hexdigest()
+    final = next(c.digest for c in recorder.checkpoints if c.label == "final")
+    solution = json.dumps([final, metrics.rounds, metrics.max_message_bits])
+    return (
+        hashlib.sha256(text.encode()).hexdigest(),
+        hashlib.sha256(solution.encode()).hexdigest(),
+    )
 
 
-def _case(instance, k, variant, seed=0, strict=False, **options) -> str:
+def _case(
+    instance, k, variant, seed=0, strict=False, **options
+) -> tuple[str, str]:
     recorder = FlightRecorder("simulator")
     runner = DistributedFacilityLocation(
         instance, k, variant=variant, seed=seed, recorder=recorder, **options
@@ -70,7 +91,7 @@ def _case(instance, k, variant, seed=0, strict=False, **options) -> str:
     return _run_digest(runner, simulator, recorder)
 
 
-def _case_digests() -> list[str]:
+def _case_digests() -> list[tuple[str, str]]:
     digests = []
     for family in FAMILIES:
         instance = make_instance(family, 24, 96, INSTANCE_SEED)
@@ -97,6 +118,20 @@ def _case_digests() -> list[str]:
     return digests
 
 
+def _pins() -> tuple[str, str]:
+    traffic, solution = zip(*_case_digests())
+    return tuple(
+        hashlib.sha256("\n".join(digests).encode()).hexdigest()
+        for digests in (traffic, solution)
+    )
+
+
 def test_simulator_outputs_match_the_golden_pin():
-    digest = hashlib.sha256("\n".join(_case_digests()).encode()).hexdigest()
-    assert digest == GOLDEN
+    traffic, solution = _pins()
+    assert solution == SOLUTION_GOLDEN
+    assert traffic == GOLDEN
+
+
+if __name__ == "__main__":  # print the pins of the current simulator
+    traffic, solution = _pins()
+    print(f"GOLDEN = {traffic!r}\nSOLUTION_GOLDEN = {solution!r}")
