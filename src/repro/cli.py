@@ -885,13 +885,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         if asked[name]
     }
+    if registry is not None:
+        # Both engines with a message plane publish their totals into it.
+        observers["registry"] = registry
     if args.engine == "simulator":
-        # The simulator also fills the registry round by round, and its
-        # quality probe (with the LP bound above) turns the per-round
-        # trace and timeline into an anytime ratio estimate; the other
-        # engines' totals reach the registry after the run.
+        # The quality probe (with the LP bound above) turns the per-round
+        # trace and timeline into an anytime ratio estimate.
         observers.update(
-            registry=registry,
             probe_quality=bool(args.trace or args.timeline),
             lower_bound=lp_value,
         )
@@ -903,7 +903,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             # form, so it is solved where it lives.
             from repro.core.columnar import solve_columnar
 
-            return solve_columnar(
+            solved = solve_columnar(
                 cinst,
                 k=args.k,
                 variant=args.variant,
@@ -911,6 +911,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 rounding=policy,
                 shards=args.shards,
             )
+            if registry is not None:
+                solved.metrics.publish(registry)
+            return solved
         return solve_distributed(
             instance,
             k=args.k,
@@ -1001,9 +1004,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if registry is not None:
         from repro.obs.metrics_io import write_snapshot
 
-        # The simulator published into the registry as it ran; the
-        # columnar ledger's totals land here.
-        metrics.publish(registry)
         write_snapshot(
             registry,
             args.metrics_out,

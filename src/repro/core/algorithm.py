@@ -505,10 +505,10 @@ def solve_distributed(
     Both come back as the same :class:`DistributedRunResult`. ``shards``
     splits a columnar solve across worker processes and never changes
     the answer. Every engine accepts ``rounding``, ``open_fraction`` and
-    ``recorder``; any other keyword (``trace``, ``tracer``, ``registry``,
-    ``watchdogs``, ``fault_plan``, ...) is the simulator's alone and
-    raises :class:`~repro.exceptions.AlgorithmError` on the emulation
-    engines.
+    ``recorder``, and both engines with a message plane ``registry``;
+    any other keyword (``trace``, ``tracer``, ``watchdogs``,
+    ``fault_plan``, ...) is the simulator's alone and raises
+    :class:`~repro.exceptions.AlgorithmError` on the emulation engines.
     """
     check_engine(engine, shards, kwargs)
     if engine == "simulator":
@@ -535,7 +535,10 @@ def check_engine(
             f"engine {engine!r} does not shard; use engine='columnar' "
             "for shards > 1"
         )
-    refused = sorted(set(options) - {"rounding", "open_fraction", "recorder"})
+    accepted = {"rounding", "open_fraction", "recorder"}
+    if engine == "columnar":
+        accepted.add("registry")  # it publishes the bit ledger's totals
+    refused = sorted(set(options) - accepted)
     if refused and engine != "simulator":
         raise AlgorithmError(
             f"{', '.join(refused)} need engine='simulator'; engine "
@@ -553,6 +556,7 @@ def _run_emulation(
     rounding: RoundingPolicy | None = None,
     open_fraction: float = 0.5,
     recorder=None,
+    registry: MetricsRegistry | None = None,
 ) -> DistributedRunResult:
     """Run an emulation engine, shaped as a :class:`DistributedRunResult`."""
     # Imported here: both engine modules import this one.
@@ -566,6 +570,8 @@ def _run_emulation(
             open_fraction=open_fraction, shards=shards, recorder=recorder,
         )
         params, metrics, timeline = run.params, run.metrics, run.timeline
+        if registry is not None:
+            metrics.publish(registry)
         open_set = run.open_facilities
         assignment = dict(enumerate(run.assignment.tolist()))
     else:

@@ -97,6 +97,7 @@ from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError
 from repro.fl.instance import FacilityLocationInstance
+from repro.net.columnar import ColumnarBitLedger
 from repro.net.rng import CoinPlane
 
 __all__ = [
@@ -838,15 +839,18 @@ class _Observer:
 
     def __init__(self, cinst: ColumnarInstance, state, recorder, ledger) -> None:
         self.cinst, self.s, self.recorder, self.ledger = cinst, state, recorder, ledger
-        self.active = self.unfrozen = cinst.n
+        if ledger is not None:
+            self.client_degrees = cinst.client_degrees
+            self.facility_degrees = cinst.facility_degrees
+        self.active = cinst.n
         self.active_edges = self.unfrozen_edges = cinst.num_edges
-        self.opened = self.tight_edges = 0
+        self.tight_edges = self.open_ads = 0
 
     def __call__(self, label: str) -> None:
         cinst, s, ledger, recorder = self.cinst, self.s, self.ledger, self.recorder
         if label.startswith("greedy:iter:"):
             if ledger is not None:
-                self.greedy_charges()
+                self.greedy_charges(int(label.rsplit(":", 1)[1]))
             if recorder is not None:
                 recorder.observe(label, {
                     "open": _leaves("facility", s["is_open"], bool),
@@ -855,14 +859,13 @@ class _Observer:
         elif label.startswith("dual:level:"):
             if ledger is not None:
                 # A facility announces tightness once, to every neighbour.
-                tight_edges = int(cinst.facility_degrees[s["tight"]].sum())
-                unfrozen = int((~s["frozen"]).sum())
+                tight_edges = int(self.facility_degrees[s["tight"]].sum())
                 ledger.dual_level(
-                    self.unfrozen, self.unfrozen_edges,
-                    tight_edges - self.tight_edges, self.unfrozen - unfrozen,
+                    int(label.rsplit(":", 1)[1]), self.unfrozen_edges,
+                    tight_edges - self.tight_edges,
                 )
-                self.tight_edges, self.unfrozen = tight_edges, unfrozen
-                self.unfrozen_edges = int(cinst.client_degrees[~s["frozen"]].sum())
+                self.tight_edges = tight_edges
+                self.unfrozen_edges = int(self.client_degrees[~s["frozen"]].sum())
             if recorder is not None:
                 # cli_* sorts by facility id within a client, so each list
                 # ascends like the loop engine's sorted witness sets.
@@ -882,37 +885,48 @@ class _Observer:
                     f"client {j} has no witness after the final level; "
                     "this contradicts the ladder's terminal property"
                 )
-        elif label == "dual:rounding" and recorder is not None:
-            recorder.observe(label, {"open": _leaves("facility", s["is_open"], bool)})
+        elif label == "dual:rounding":
+            if ledger is not None:
+                # Only coin-opened facilities advertise; forced ones open later.
+                self.open_ads = int(self.facility_degrees[s["is_open"]].sum())
+            if recorder is not None:
+                recorder.observe(label, {"open": _leaves("facility", s["is_open"], bool)})
 
-    def greedy_charges(self) -> None:
+    def greedy_charges(self, iteration: int) -> None:
         if not self.active:
-            # No facility observed an active client: no coins, no traffic.
-            self.ledger.greedy_iteration(0, 0, 0, 0, 0)
+            # No client is active: no coins, no traffic.
             return
         s = self.s
-        active = int(s["active"].sum())
-        opened = int(s["is_open"].sum())
+        active = int(np.count_nonzero(s["active"]))
         self.ledger.greedy_iteration(
+            iteration,
             self.active_edges,
-            int(s["member"].sum()),
-            int(s["has_offer"].sum()),
+            int(np.count_nonzero(s["member"])),
+            int(np.count_nonzero(s["has_offer"])),
             self.active - active,
-            opened - self.opened,
         )
-        self.active, self.opened = active, opened
-        self.active_edges = int(self.cinst.client_degrees[s["active"]].sum())
+        self.active = active
+        self.active_edges = int(self.client_degrees[s["active"]].sum())
 
     def finish(self, variant: Variant) -> None:
         """Charge the closing phase (greedy force / dual rounding)."""
         if self.ledger is None:
             return
-        if variant is Variant.GREEDY:
-            if self.active:
-                self.ledger.greedy_force(self.active)
-        else:
-            open_edges = int(self.cinst.facility_degrees[self.s["is_open"]].sum())
-            self.ledger.dual_rounding(self.cinst.n, open_edges, self.cinst.n)
+        s = self.s
+        forced = int(np.count_nonzero(s["forced_mask"]))
+        if variant is not Variant.GREEDY:
+            self.ledger.dual_rounding(self.cinst.n, self.open_ads, forced)
+            return
+        open_ads = 0
+        if self.active:
+            # A leftover client hears from each neighbour that was open
+            # before the force phase. A forcing client had no open
+            # neighbour, so each facility it forced was closed then.
+            was_open = s["is_open"].copy()
+            was_open[s["forced_target"][s["forced_mask"]]] = False
+            cinst = self.cinst
+            open_ads = int(np.count_nonzero(was_open[cinst.g_fac] & s["active"][cinst.g_cli]))
+        self.ledger.greedy_force(self.active_edges, open_ads, self.active, forced)
 
 
 # ----------------------------------------------------------------------
@@ -1445,11 +1459,7 @@ def solve_columnar(
         cinst = ColumnarInstance.from_instance(instance)
     variant = Variant(variant)
     params = columnar_parameters(cinst, k, variant)
-    ledger = None
-    if with_ledger:
-        from repro.net.columnar import ColumnarBitLedger
-
-        ledger = ColumnarBitLedger(cinst.m, cinst.n, cinst.num_edges)
+    ledger = ColumnarBitLedger(params) if with_ledger else None
     start = time.perf_counter()
     is_open, assignment = _run(
         cinst, variant, params, seed, shards=shards, open_fraction=open_fraction,
@@ -1470,7 +1480,7 @@ def solve_columnar(
         cost=cost,
         wall_seconds=wall,
         shards=max(1, int(shards)),
-        metrics=ledger.to_metrics() if ledger is not None else None,
+        metrics=ledger.metrics if ledger is not None else None,
         timeline=ledger.to_timeline(cinst.num_nodes) if ledger is not None else None,
     )
 

@@ -46,6 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.core.greedy_nodes import FORCE, JOIN, OPEN_AD, SERVE
 from repro.core.healing import (
     SelfHealingClientMixin,
     SelfHealingPolicy,
@@ -65,15 +66,14 @@ __all__ = [
     "dual_phase_of_round",
 ]
 
+# Message kinds of the ascent and of the selection; the join/force
+# handshake reuses the greedy variant's kinds.
 ALPHA = "alp"
 TIGHT = "tgt"
 SELECT = "sel"
-OPEN_AD = "oad"
-JOIN = "join"
-SERVE = "srv"
-FORCE = "frc"
 
-_ROUNDS_PER_LEVEL = 3
+#: Simulator rounds per ascent level (ALPHA, TIGHT, FREEZE).
+ROUNDS_PER_LEVEL = 3
 _ROUNDING_ROUNDS = 5
 _PAYMENT_RTOL = 1e-12
 
@@ -111,7 +111,7 @@ class RoundingPolicy:
 
 def dual_schedule_length(params: TradeoffParameters) -> int:
     """Total simulator rounds of the dual-ascent protocol."""
-    return _ROUNDS_PER_LEVEL * params.num_scales + _ROUNDING_ROUNDS
+    return ROUNDS_PER_LEVEL * params.num_scales + _ROUNDING_ROUNDS
 
 
 def dual_phase_of_round(
@@ -122,10 +122,10 @@ def dual_phase_of_round(
     Phases are ``"alpha" | "tight" | "freeze"`` with a 1-based level during
     the ascent and ``"round1" .. "round5"`` afterwards (level 0).
     """
-    ascent_end = _ROUNDS_PER_LEVEL * params.num_scales
+    ascent_end = ROUNDS_PER_LEVEL * params.num_scales
     if round_number <= ascent_end:
-        level = 1 + (round_number - 1) // _ROUNDS_PER_LEVEL
-        offset = (round_number - 1) % _ROUNDS_PER_LEVEL
+        level = 1 + (round_number - 1) // ROUNDS_PER_LEVEL
+        offset = (round_number - 1) % ROUNDS_PER_LEVEL
         return ("alpha", "tight", "freeze")[offset], level
     rounding_offset = round_number - ascent_end
     if rounding_offset <= _ROUNDING_ROUNDS:

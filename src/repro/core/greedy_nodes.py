@@ -58,7 +58,8 @@ __all__ = [
     "phase_of_round",
 ]
 
-# Message kinds (constant-size protocol alphabet).
+# Message kinds (constant-size protocol alphabet). The force-phase kinds
+# OPEN_AD, JOIN, FORCE and SERVE are shared with the dual-ascent variant.
 ACTIVE = "act"
 PROPOSE = "prp"
 ACCEPT = "acc"
@@ -68,13 +69,14 @@ OPEN_AD = "oad"
 JOIN = "join"
 FORCE = "frc"
 
-_ROUNDS_PER_ITERATION = 4
+#: Simulator rounds per proposal iteration (ACTIVE, PROPOSE, ACCEPT, DECIDE).
+ROUNDS_PER_ITERATION = 4
 _FORCE_PHASE_ROUNDS = 5
 
 
 def schedule_length(params: TradeoffParameters) -> int:
     """Total simulator rounds the protocol runs for a given schedule."""
-    return _ROUNDS_PER_ITERATION * params.num_iterations + _FORCE_PHASE_ROUNDS
+    return ROUNDS_PER_ITERATION * params.num_iterations + _FORCE_PHASE_ROUNDS
 
 
 def phase_of_round(params: TradeoffParameters, round_number: int) -> tuple[str, int]:
@@ -85,10 +87,10 @@ def phase_of_round(params: TradeoffParameters, round_number: int) -> tuple[str, 
     ``"force1" .. "force5"`` afterwards (iteration 0). Rounds past the end
     of the schedule map to ``("done", 0)``.
     """
-    iterations_end = _ROUNDS_PER_ITERATION * params.num_iterations
+    iterations_end = ROUNDS_PER_ITERATION * params.num_iterations
     if round_number <= iterations_end:
-        iteration = 1 + (round_number - 1) // _ROUNDS_PER_ITERATION
-        offset = (round_number - 1) % _ROUNDS_PER_ITERATION
+        iteration = 1 + (round_number - 1) // ROUNDS_PER_ITERATION
+        offset = (round_number - 1) % ROUNDS_PER_ITERATION
         return ("active", "propose", "accept", "decide")[offset], iteration
     force_offset = round_number - iterations_end
     if force_offset <= _FORCE_PHASE_ROUNDS:

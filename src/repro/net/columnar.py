@@ -1,207 +1,138 @@
-"""Columnar message-plane accounting and inbox buffer reuse.
+"""The columnar engine's CONGEST cost model.
 
-Two pieces live here:
+The columnar engine never builds a :class:`~repro.net.message.Message`
+(a million-node round cannot afford one Python object per edge), yet
+the paper's claims are about rounds, messages and bits. So the kernel
+schedule reports, at each snapshot, how many messages of each wire kind
+the object-graph protocol sends, and :class:`ColumnarBitLedger` charges
+them into the :class:`~repro.net.metrics.NetworkMetrics` and
+:class:`~repro.obs.timeline.RoundTimeline` shapes every engine produces.
 
-* :class:`ColumnarBitLedger` — the CONGEST cost model for the columnar
-  engine. The columnar engine never materializes
-  :class:`~repro.net.message.Message` objects (that is the point: a
-  million-node round cannot afford one Python object per edge), but the
-  paper's complexity claims are still about rounds, messages, and bits —
-  so each kernel phase reports its *counts* to the ledger, which charges
-  them with the exact per-field bit prices
-  :mod:`repro.net.message` uses (64-bit floats, 8 bits per kind
-  character, ``1 + max(1, (N - 1).bit_length())`` bits for a node id) and
-  accumulates them into the same :class:`~repro.net.metrics.NetworkMetrics`
-  / :class:`~repro.obs.timeline.RoundTimeline` shapes every other engine
-  produces. Downstream consumers (manifests, service payloads,
-  ``repro compare``) cannot tell the difference.
-* :class:`InboxPool` — list-buffer reuse for the object-graph
-  :class:`~repro.net.simulator.Simulator`. Delivery used to allocate a
-  fresh list per receiving node per round; the pool loans cleared lists
-  and takes them back at the round boundary, making steady-state
-  delivery allocation-free.
+The kinds are the node modules' own (:mod:`repro.core.greedy_nodes`,
+:mod:`repro.core.dual_ascent_nodes`), priced by
+:func:`~repro.net.message.message_bits` and placed in the rounds the
+nodes' schedules put them in; ``docs/ALGORITHM.md`` tables each kind,
+its payload and its round. On a fault-free run the ledger's metrics
+equal the simulator's field for field, and so does each round's
+traffic.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.net.message import scalar_bits
+from repro.core import dual_ascent_nodes as dual
+from repro.core import greedy_nodes as greedy
+from repro.core.parameters import TradeoffParameters
+from repro.net.message import message_bits
 from repro.net.metrics import NetworkMetrics
+from repro.obs.timeline import RoundTimeline, RoundTimelineEntry
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.net.message import Message
-    from repro.obs.timeline import RoundTimeline
+__all__ = ["ColumnarBitLedger"]
 
-__all__ = ["ColumnarBitLedger", "InboxPool"]
+#: The payload of each kind that carries one; every other kind carries
+#: none, because its sender is implicit.
+_PAYLOADS = {
+    greedy.PROPOSE: {"priority": 0.0},
+    dual.ALPHA: {"alpha": 0.0},
+    dual.SELECT: {"alpha": 0.0},
+}
 
 
 class ColumnarBitLedger:
-    """Modeled CONGEST traffic for one columnar run.
+    """Modeled CONGEST traffic of one columnar run on schedule ``params``.
 
-    Kernel drivers report phase counts (how many edges carried an alpha
-    value, how many clients accepted an offer, ...) and the ledger maps
-    each protocol phase to one synchronous communication round of
-    uniform-size messages. The mapping mirrors what the object-graph
-    protocol nodes actually send:
-
-    ==================  =========================================  ==========
-    modeled round       one message per                            payload
-    ==================  =========================================  ==========
-    ``greedy/active``   active-client edge                         1 bit
-    ``greedy/propose``  member edge of a proposing star            float
-    ``greedy/accept``   client that accepted an offer              node id
-    ``greedy/serve``    served client + newly opened facility      node id
-    ``greedy/force``    leftover client forcing a facility open    node id
-    ``dual/alpha``      unfrozen-client edge                       float
-    ``dual/tight``      edge of a facility that just became tight  1 bit
-    ``dual/freeze``     client that just froze                     1 bit
-    ``dual/select``     client announcing its cheapest witness     node id
-    ``dual/open``       edge of a coin-opened facility             1 bit
-    ``dual/join``       client joining (or forcing) a facility     node id
-    ==================  =========================================  ==========
+    Each report covers a stretch of the protocol's schedule; the closing
+    one of either variant ends the run at the round the simulator does.
     """
 
-    def __init__(self, num_facilities: int, num_clients: int, num_edges: int) -> None:
-        self.num_facilities = int(num_facilities)
-        self.num_clients = int(num_clients)
-        self.num_edges = int(num_edges)
-        num_nodes = self.num_facilities + self.num_clients
-        #: Bits to name one node: the largest id priced as an int payload.
-        self.id_bits = scalar_bits(max(num_nodes, 2) - 1)
+    def __init__(self, params: TradeoffParameters) -> None:
+        self.params = params
         self.metrics = NetworkMetrics()
-        self._entries: list[tuple[int, int, int]] = []  # (round, msgs, bits)
+        self._traffic: dict[int, list[int]] = {}  # round -> [messages, bits]
 
-    # ------------------------------------------------------------------
-    # Internal charging
-    # ------------------------------------------------------------------
-
-    def _charge(self, kind: str, count: int, payload_bits: int) -> tuple[int, int]:
-        """Charge ``count`` messages of one kind; returns (msgs, bits)."""
-        count = int(count)
+    def _send(self, round_number: int, kind: str, count: int) -> None:
+        """Charge ``count`` messages of ``kind`` sent in ``round_number``."""
         if count <= 0:
-            return 0, 0
-        per_message = 8 * len(kind) + payload_bits
+            return
+        bits = message_bits(kind, _PAYLOADS.get(kind, {}))
         metrics = self.metrics
         metrics.total_messages += count
-        metrics.total_bits += per_message * count
-        metrics.max_message_bits = max(metrics.max_message_bits, per_message)
+        metrics.total_bits += bits * count
+        metrics.max_message_bits = max(metrics.max_message_bits, bits)
         metrics.messages_by_kind[kind] += count
-        return count, per_message * count
+        traffic = self._traffic.setdefault(round_number, [0, 0])
+        traffic[0] += count
+        traffic[1] += bits * count
 
-    def _round(self, *phases: tuple[str, int, int]) -> None:
-        """Close one modeled synchronous round of the given phases."""
-        metrics = self.metrics
-        metrics.rounds += 1
-        messages = 0
-        bits = 0
-        for kind, count, payload_bits in phases:
-            m, b = self._charge(kind, count, payload_bits)
-            messages += m
-            bits += b
-        metrics.max_messages_per_round = max(
-            metrics.max_messages_per_round, messages
+    def _close(self, rounds: int) -> None:
+        self.metrics.rounds = rounds
+        self.metrics.max_messages_per_round = max(
+            (messages for messages, _ in self._traffic.values()), default=0
         )
-        self._entries.append((metrics.rounds, messages, bits))
-
-    # ------------------------------------------------------------------
-    # Phase reports (called once per protocol iteration/level)
-    # ------------------------------------------------------------------
 
     def greedy_iteration(
-        self, active_edges: int, proposals: int, offers: int, served: int, opened: int
+        self, iteration: int, active_edges: int, proposals: int, offers: int, served: int
     ) -> None:
-        """One scaled-greedy iteration: beacon, propose, accept, resolve."""
-        self._round(("greedy/active", active_edges, 1))
-        self._round(("greedy/propose", proposals, 64))
-        self._round(("greedy/accept", offers, self.id_bits))
-        self._round(
-            ("greedy/serve", served, self.id_bits),
-            ("greedy/open", opened, 1),
-        )
+        """One proposal iteration: ACTIVE, PROPOSE, ACCEPT, DECIDE."""
+        first = greedy.ROUNDS_PER_ITERATION * (iteration - 1)
+        self._send(first + 1, greedy.ACTIVE, active_edges)
+        self._send(first + 2, greedy.PROPOSE, proposals)
+        self._send(first + 3, greedy.ACCEPT, offers)
+        self._send(first + 4, greedy.SERVE, served)
 
-    def greedy_force(self, forced: int) -> None:
-        """Terminal force round for clients with no open neighbor."""
-        self._round(("greedy/force", forced, self.id_bits))
+    def greedy_force(self, probes: int, open_ads: int, leftover: int, forced: int) -> None:
+        """The force phase, then the end of the run.
 
-    def dual_level(
-        self, unfrozen: int, unfrozen_edges: int, tight_edges: int, newly_frozen: int
-    ) -> None:
-        """One dual-ascent level: alpha broadcast, tightness, freezes.
+        ``leftover`` clients probe and hear from their open neighbours;
+        ``forced`` of them force a facility open, the rest join, and all
+        are served. The last round only delivers those serves, so a run
+        with no leftover client ends one round sooner.
+        """
+        first = greedy.ROUNDS_PER_ITERATION * self.params.num_iterations
+        self._send(first + 1, greedy.PROBE, probes)
+        self._send(first + 2, greedy.OPEN_AD, open_ads)
+        self._send(first + 3, greedy.JOIN, leftover - forced)
+        self._send(first + 3, greedy.FORCE, forced)
+        self._send(first + 4, greedy.SERVE, leftover)
+        rounds = greedy.schedule_length(self.params)
+        self._close(rounds if leftover else rounds - 1)
+
+    def dual_level(self, level: int, unfrozen_edges: int, tight_edges: int) -> None:
+        """One ascent level: ALPHA, TIGHT, and a FREEZE that sends nothing.
 
         ``tight_edges`` counts the edges of the facilities that became
         tight at this level: each announces once, to every neighbour.
         """
-        self._round(("dual/alpha", unfrozen_edges, 64))
-        self._round(("dual/tight", tight_edges, 1))
-        self._round(("dual/freeze", newly_frozen, 1))
+        first = dual.ROUNDS_PER_LEVEL * (level - 1)
+        self._send(first + 1, dual.ALPHA, unfrozen_edges)
+        self._send(first + 2, dual.TIGHT, tight_edges)
 
-    def dual_rounding(self, selections: int, open_edges: int, joins: int) -> None:
-        """Terminal rounding: witness selection, open ads, joins."""
-        self._round(("dual/select", selections, self.id_bits))
-        self._round(("dual/open", open_edges, 1))
-        self._round(("dual/join", joins, self.id_bits))
+    def dual_rounding(self, clients: int, open_ads: int, forced: int) -> None:
+        """The rounding phase, then the end of the run.
 
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
+        Every client selects a witness; coin-opened facilities advertise
+        to every neighbour; ``forced`` clients force a witness open, the
+        rest join, and all are served.
+        """
+        first = dual.ROUNDS_PER_LEVEL * self.params.num_scales
+        self._send(first + 1, dual.SELECT, clients)
+        self._send(first + 2, dual.OPEN_AD, open_ads)
+        self._send(first + 3, dual.JOIN, clients - forced)
+        self._send(first + 3, dual.FORCE, forced)
+        self._send(first + 4, dual.SERVE, clients)
+        self._close(dual.dual_schedule_length(self.params))
 
-    def to_metrics(self) -> NetworkMetrics:
-        """The accumulated :class:`NetworkMetrics` (shared, not copied)."""
-        return self.metrics
-
-    def to_timeline(self, num_nodes: int) -> "RoundTimeline":
+    def to_timeline(self, num_nodes: int) -> RoundTimeline:
         """A per-round timeline of the modeled traffic, engine-tagged.
 
         ``wall_ms`` is zero on every entry: the modeled rounds have no
         measured duration (the engine's real wall-clock is a property of
         the whole solve, reported separately).
         """
-        from repro.obs.timeline import RoundTimeline, RoundTimelineEntry
-
-        entries = [
-            RoundTimelineEntry(
-                round_number=round_number,
-                wall_ms=0.0,
-                messages=messages,
-                bits=bits,
-                drops=0,
-                alive=num_nodes,
-                finished=0,
-                engine="columnar",
-            )
-            for round_number, messages, bits in self._entries
-        ]
+        entries = []
+        for round_number in range(1, self.metrics.rounds + 1):
+            messages, bits = self._traffic.get(round_number, (0, 0))
+            entries.append(RoundTimelineEntry(
+                round_number=round_number, wall_ms=0.0, messages=messages,
+                bits=bits, drops=0, alive=num_nodes, finished=0, engine="columnar",
+            ))
         return RoundTimeline(entries)
-
-
-class InboxPool:
-    """Reusable pool of inbox lists for the round engine.
-
-    ``acquire`` hands out an empty list (recycled when possible);
-    ``release_all`` clears every loaned list and returns it to the free
-    pool. After warm-up the delivery path allocates nothing: the pool
-    high-water mark is the peak number of simultaneously receiving nodes.
-    """
-
-    def __init__(self) -> None:
-        self._free: list[list["Message"]] = []
-        self._loaned: list[list["Message"]] = []
-
-    def acquire(self) -> list["Message"]:
-        """An empty inbox list, owned by the pool until ``release_all``."""
-        inbox = self._free.pop() if self._free else []
-        self._loaned.append(inbox)
-        return inbox
-
-    def release_all(self) -> None:
-        """Reclaim every loaned inbox (clearing contents in place)."""
-        for inbox in self._loaned:
-            inbox.clear()
-        self._free.extend(self._loaned)
-        self._loaned.clear()
-
-    @property
-    def pooled(self) -> int:
-        """Lists currently sitting in the free pool (for tests/benches)."""
-        return len(self._free)

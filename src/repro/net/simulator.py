@@ -25,7 +25,6 @@ import time
 from typing import Mapping, Sequence
 
 from repro.exceptions import RoundLimitExceededError, SimulationError
-from repro.net.columnar import InboxPool
 from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.metrics import NetworkMetrics
@@ -44,7 +43,7 @@ from repro.obs.spans import Tracer
 from repro.obs.timeline import RoundTimeline, RoundTimelineEntry
 from repro.obs.watchdogs import Watchdog
 
-__all__ = ["Simulator"]
+__all__ = ["InboxPool", "Simulator"]
 
 # Deterministic inbox order — (sender, kind) — realized as two stable
 # single-attribute sorts. A single attrgetter("sender", "kind") key
@@ -61,6 +60,38 @@ _INBOX_ORDER_PRIMARY = operator.attrgetter("sender")
 # round; protocol hooks treat their inbox as read-only (and the engine
 # never sorts a list of fewer than two messages), so sharing is safe.
 _EMPTY_INBOX: list[Message] = []
+
+
+class InboxPool:
+    """Reusable pool of inbox lists for the round engine.
+
+    ``acquire`` hands out an empty list (recycled when possible);
+    ``release_all`` clears every loaned list and returns it to the free
+    pool. After warm-up the delivery path allocates nothing: the pool
+    high-water mark is the peak number of simultaneously receiving nodes.
+    """
+
+    def __init__(self) -> None:
+        self._free: list[list[Message]] = []
+        self._loaned: list[list[Message]] = []
+
+    def acquire(self) -> list[Message]:
+        """An empty inbox list, owned by the pool until ``release_all``."""
+        inbox = self._free.pop() if self._free else []
+        self._loaned.append(inbox)
+        return inbox
+
+    def release_all(self) -> None:
+        """Reclaim every loaned inbox (clearing contents in place)."""
+        for inbox in self._loaned:
+            inbox.clear()
+        self._free.extend(self._loaned)
+        self._loaned.clear()
+
+    @property
+    def pooled(self) -> int:
+        """Lists currently sitting in the free pool (for tests/benches)."""
+        return len(self._free)
 
 
 class Simulator:
@@ -168,10 +199,6 @@ class Simulator:
         # to allocate one fresh list per receiving node per round.
         self._inbox_pool = InboxPool()
         self._started = False
-        # One context object for the whole run, rebound per invocation
-        # (see RoundContext.rebind) instead of allocated per node per
-        # round — cuts the dominant allocation churn of the round loop.
-        self._context = RoundContext(self, self._nodes[0], 0)
         for node in self._nodes:
             node.neighbors = topology.neighbors(node.node_id)
             node.seed_rng(self._seed)
@@ -230,7 +257,7 @@ class Simulator:
         # must make identical decisions in each (coin-for-coin contract).
         self._fault_plan.reset()
         start = time.perf_counter()
-        ctx = self._context
+        ctx = RoundContext(self, self._nodes[0], 0)
         for node in self._nodes:
             ctx.rebind(node, round_number=0)
             node.on_setup(ctx)
@@ -257,8 +284,12 @@ class Simulator:
         self.metrics.start_round()
         self._apply_fault_lifecycle()
         inboxes = self._deliver()
-        ctx = self._context
         round_number = self._round
+        # One context per round, rebound per node (RoundContext.rebind)
+        # rather than allocated per node. The simulator keeps no
+        # reference to it, so a finished simulator is freed by reference
+        # counting instead of waiting for the cyclic collector.
+        ctx = RoundContext(self, self._nodes[0], round_number)
         for node in self._nodes:
             if node.crashed:
                 continue
@@ -312,9 +343,7 @@ class Simulator:
                 node.node_id, self._round
             ):
                 node.crashed = False
-                ctx = self._context
-                ctx.rebind(node, self._round)
-                node.on_recover(ctx)
+                node.on_recover(RoundContext(self, node, self._round))
                 if self.trace.enabled:
                     self.trace.record(
                         self._round, node.node_id, "node_recovered", {}

@@ -122,6 +122,29 @@ class TestSolve:
         assert "trace" in capsys.readouterr().err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("variant", ["greedy", "dual_ascent"])
+    def test_columnar_metrics_out_matches_the_simulator(self, variant, tmp_path, capsys):
+        gauges = {}
+        for engine in ("simulator", "columnar"):
+            snap = tmp_path / f"{engine}.json"
+            code = main(
+                [
+                    "solve", "--family", "set_cover", "-m", "10", "-n", "36",
+                    "-k", "1", "--variant", variant, "--engine", engine,
+                    "--no-lp", "--metrics-out", str(snap),
+                ]
+            )
+            assert code == 0
+            metrics = json.loads(snap.read_text())["metrics"]
+            gauges[engine] = {
+                name: metric["values"]
+                for name, metric in metrics.items()
+                if name.startswith("net_")
+            }
+        capsys.readouterr()
+        assert gauges["simulator"]["net_messages_total"][0]["value"] > 0
+        assert gauges["columnar"] == gauges["simulator"]
+
     def test_no_lp_skips_ratio(self, capsys):
         code = main(
             [

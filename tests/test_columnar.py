@@ -27,9 +27,11 @@ import repro.core.columnar as columnar
 from repro.core.algorithm import solve_distributed
 from repro.core.columnar import ColumnarInstance, solve_columnar
 from repro.core.dual_ascent_nodes import RoundingPolicy
+from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError, ReproError
 from repro.fl.generators import FAMILIES, make_instance
-from repro.net.columnar import ColumnarBitLedger, InboxPool
+from repro.net.columnar import ColumnarBitLedger
+from repro.net.simulator import InboxPool
 from repro.obs.recorder import FlightRecorder, diff_recordings, record_run
 from repro.service.request import InstanceRecipe, SolveRequest
 from repro.service.server import ServiceProtocol
@@ -516,29 +518,53 @@ class TestDivergenceBisection:
         assert diff_recordings(left, right).identical
 
 
+def _traffic(result) -> tuple[dict, list[tuple[int, int]]]:
+    """A run's metrics summary and its per-round (messages, bits), round 1 on."""
+    timeline = [(e.messages, e.bits) for e in result.timeline if e.round_number >= 1]
+    return result.metrics.summary(), timeline
+
+
 class TestColumnarBitLedger:
-    def test_counts_accumulate(self):
-        ledger = ColumnarBitLedger(4, 10, 20)
-        ledger.greedy_iteration(
-            active_edges=20, proposals=4, offers=10, served=3, opened=1
-        )
-        ledger.greedy_force(forced=2)
-        metrics = ledger.to_metrics()
-        assert metrics.rounds == 5  # 4 per iteration + 1 force
-        assert metrics.total_messages == 20 + 4 + 10 + 3 + 1 + 2
-        assert metrics.total_bits > 0
-        assert set(metrics.messages_by_kind) == {
-            "greedy/active", "greedy/propose", "greedy/accept",
-            "greedy/serve", "greedy/open", "greedy/force",
+    @pytest.fixture()
+    def params(self):
+        # 4 proposal iterations (2 scales x 2 settle) and 3 ascent levels.
+        instance = make_instance("uniform", 4, 10, seed=0)
+        return {
+            "greedy": TradeoffParameters.from_instance(instance, 4),
+            "dual_ascent": TradeoffParameters.linear(instance, 3),
         }
 
-    def test_timeline_entries_are_engine_tagged(self):
-        ledger = ColumnarBitLedger(4, 10, 20)
-        ledger.dual_level(
-            unfrozen=10, unfrozen_edges=20, tight_edges=5, newly_frozen=2
-        )
+    def test_counts_accumulate(self, params):
+        ledger = ColumnarBitLedger(params["greedy"])
+        ledger.greedy_iteration(1, active_edges=20, proposals=4, offers=3, served=3)
+        ledger.greedy_force(probes=6, open_ads=2, leftover=2, forced=1)
+        metrics = ledger.metrics
+        assert metrics.rounds == 4 * 4 + 5
+        assert dict(metrics.messages_by_kind) == {
+            "act": 20, "prp": 4, "acc": 3, "srv": 3 + 2,
+            "prb": 6, "oad": 2, "join": 1, "frc": 1,
+        }
+        # A 3-character tag is 24 bits; "join" 32; a float payload 64 more.
+        assert metrics.total_bits == 24 * (20 + 3 + 5 + 6 + 2 + 1) + 88 * 4 + 32
+        assert metrics.max_message_bits == 88
+        assert metrics.max_messages_per_round == 20
+
+    def test_greedy_run_without_leftovers_ends_a_round_sooner(self, params):
+        ledger = ColumnarBitLedger(params["greedy"])
+        ledger.greedy_force(probes=0, open_ads=0, leftover=0, forced=0)
+        assert ledger.metrics.rounds == 4 * 4 + 4
+        assert ledger.metrics.total_messages == 0
+
+    def test_timeline_entries_are_engine_tagged(self, params):
+        ledger = ColumnarBitLedger(params["dual_ascent"])
+        ledger.dual_level(1, unfrozen_edges=20, tight_edges=5)
+        ledger.dual_rounding(clients=10, open_ads=5, forced=2)
         timeline = ledger.to_timeline(num_nodes=14)
-        assert len(timeline) == 3
+        assert len(timeline) == 3 * 3 + 5
+        # FREEZE rounds and the last rounding round send nothing.
+        assert [entry.messages for entry in timeline] == [
+            20, 5, 0, 0, 0, 0, 0, 0, 0, 10, 5, 10, 10, 0,
+        ]
         for entry in timeline:
             assert entry.engine == "columnar"
             assert entry.wall_ms == 0.0
@@ -554,7 +580,41 @@ class TestColumnarBitLedger:
             for engine in ("columnar", "simulator")
         )
         assert simulator.messages_by_kind["tgt"] > 0
-        assert ledger.messages_by_kind["dual/tight"] == simulator.messages_by_kind["tgt"]
+        assert ledger.messages_by_kind["tgt"] == simulator.messages_by_kind["tgt"]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("k", [1, 4, 9, 16])
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("variant", ["greedy", "dual_ascent"])
+    def test_traffic_equals_the_simulator(self, variant, seed, k, family):
+        instance = make_instance(family, 10, 36, seed=seed)
+        ledger, simulator = (
+            _traffic(solve_distributed(instance, k, variant, seed=seed, engine=engine))
+            for engine in ("columnar", "simulator")
+        )
+        assert ledger == simulator
+
+    @pytest.mark.parametrize("variant", ["greedy", "dual_ascent"])
+    def test_sharded_traffic_equals_the_simulator(self, variant):
+        instance = make_instance("set_cover", 10, 36, seed=3)
+        sharded = solve_distributed(
+            instance, 1, variant, seed=3, engine="columnar", shards=2
+        )
+        simulator = solve_distributed(instance, 1, variant, seed=3)
+        assert _traffic(sharded) == _traffic(simulator)
+
+    def test_forced_rounding_traffic_equals_the_simulator(self):
+        # A small rounding constant leaves clients to force a witness open.
+        instance = make_instance("uniform", 10, 36, seed=3)
+        rounding = RoundingPolicy("randomized", c_round=0.05)
+        ledger, simulator = (
+            solve_distributed(
+                instance, 4, "dual_ascent", seed=3, engine=engine, rounding=rounding
+            )
+            for engine in ("columnar", "simulator")
+        )
+        assert simulator.metrics.messages_by_kind["frc"] > 0
+        assert _traffic(ledger) == _traffic(simulator)
 
     def test_solve_columnar_populates_metrics(self):
         cinst = ColumnarInstance.generate_sparse(8, 40, seed=1)

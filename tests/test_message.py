@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.net.columnar import ColumnarBitLedger
 from repro.net.message import Message, message_bits, payload_bits, scalar_bits
 
 
@@ -100,13 +99,6 @@ class TestExactIntPricing:
 
     def test_float_form_undercounts_at_two_to_the_49(self):
         assert _float_int_bits(2**49) == 50 < scalar_bits(2**49)
-
-    @pytest.mark.parametrize("nodes", [1, 2, 3, 4, 5, 1023, 1024, 1025, 10**6, 2**49 + 1])
-    def test_ledger_id_bits_price_the_largest_id(self, nodes):
-        ledger = ColumnarBitLedger(nodes, 0, 0)
-        assert ledger.id_bits == scalar_bits(max(nodes, 2) - 1)
-        if nodes < 2**49:
-            assert ledger.id_bits == 1 + max(1, math.ceil(math.log2(max(nodes, 2))))
 
 
 class TestMessageBits:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.exceptions import (
@@ -305,6 +308,32 @@ def test_determinism_across_runs():
         return simulator.metrics.summary()
 
     assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("variant", ["greedy", "dual_ascent"])
+@pytest.mark.parametrize("stepped", [False, True], ids=["run", "step"])
+def test_finished_simulator_is_freed_without_the_cyclic_collector(variant, stepped):
+    from repro.core.algorithm import DistributedFacilityLocation
+    from repro.fl.generators import uniform_instance
+
+    runner = DistributedFacilityLocation(
+        uniform_instance(8, 24, seed=1), k=4, variant=variant, seed=0
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        simulator = runner.build_simulator()
+        if stepped:
+            while not simulator.all_finished or simulator.pending_messages:
+                simulator.step()
+        else:
+            simulator.run(max_rounds=runner.schedule_rounds())
+        assert simulator.metrics.total_messages > 0
+        alive = weakref.ref(simulator)
+        del simulator
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_trace_records_via_context():
