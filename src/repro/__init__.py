@@ -61,8 +61,6 @@ from repro.net.trace import NullTrace, Trace
 from repro.obs import (
     JsonlTraceSink,
     MetricsRegistry,
-    MultiTrace,
-    RingBufferTrace,
     RoundTimeline,
     RoundTimelineEntry,
     RunRecord,
@@ -113,8 +111,6 @@ __all__ = [
     "NullTrace",
     # observability
     "JsonlTraceSink",
-    "RingBufferTrace",
-    "MultiTrace",
     "RoundTimeline",
     "RoundTimelineEntry",
     "RunRecord",

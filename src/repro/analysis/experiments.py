@@ -1372,7 +1372,8 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         run_e3_rounds_vs_k, "rounds are Theta(k)",
         "the algorithm runs in O(k) rounds.", (
         Claim("budget_margin", lambda r: _peak(r, "rounds", "budget"), 1.0, "lower",
-              "every run stays in the 4k + 8 round budget (largest rounds / budget)"),
+              "every run stays in the schedule's round budget, 4k + 5 for square "
+              "k (largest rounds / budget)"),
         Claim("fit_slope_min", lambda r: r.notes["fit_slope"], 2.0, "higher",
               "rounds grow linearly in k: the fitted slope is at least 2"),
         Claim("fit_slope_max", lambda r: r.notes["fit_slope"], 5.0, "lower",
@@ -1439,8 +1440,8 @@ EXPERIMENTS: Mapping[str, Experiment] = {
         _ABOVE_LP,
         Claim("budget_margin", lambda r: _worst(
               row[4] / round_budget(row[0]) for row in r.rows), 1.0, "lower",
-              "both realizations stay in the 4k + 8 round budget (largest "
-              "rounds / budget)"),
+              "both realizations stay in the schedule's round budget, 4k + 5 "
+              "for square k (largest rounds / budget)"),
     )),
     "E11": Experiment(
         run_e11_faults, "fault extension",

@@ -95,9 +95,12 @@ class DistributedRunResult:
     unserved (``unserved_clients`` lists them); fault-free runs always
     yield a validated feasible solution.
 
-    ``timeline`` is the simulator's per-round telemetry (wall-clock,
-    traffic, drops, node counts) and ``wall_seconds`` the total wall-clock
-    of the run, so experiment records and manifests can report where time
+    ``timeline`` holds one record per round from round 0 (setup), the
+    records ``metrics`` took its round count and per-round peaks from:
+    the simulator's carry wall-clock, traffic, drops and node counts; the
+    columnar ledger's carry the same traffic with no wall-clock; the
+    loop engine's is empty. ``wall_seconds`` is the total wall-clock of
+    the run, so experiment records and manifests can report where time
     went without re-running.
     """
 

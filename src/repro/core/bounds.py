@@ -11,7 +11,11 @@ and ``rho`` — not the constants of a theory paper).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
+from repro.core import dual_ascent_nodes as dual
+from repro.core import greedy_nodes as greedy
+from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError
 
 __all__ = [
@@ -47,16 +51,28 @@ def approximation_envelope(
     return constant * sqrt_k * spread ** (1.0 / sqrt_k) * math.log(max(n_total, 2))
 
 
-def round_budget(k: int, constant: float = 4.0, additive: float = 8.0) -> float:
-    """The round-complexity bound ``c1 * k + c2``.
+def round_budget(k: int) -> int:
+    """The rounds the longer of the two protocol schedules runs for ``k``.
 
-    The reconstruction uses 4 simulator rounds per proposal iteration and a
-    constant-round finish, hence the defaults; experiment E3 verifies the
-    measured rounds stay under this line for every ``k``.
+    Greedy runs ``T = ceil(sqrt k) * ceil(k / ceil(sqrt k))`` proposal
+    iterations of four rounds, then a five-round force phase whose last
+    round only serves a left-over client: ``4T + 5`` rounds, one fewer
+    when no client is left over. Dual ascent runs ``3k + 5``. Both come
+    from the node modules' schedule lengths, so the budget is ``Theta(k)``
+    and exact; experiment E3 checks the measured rounds stay under it.
     """
     if k < 1:
         raise AlgorithmError(f"k must be >= 1, got {k}")
-    return constant * k + additive
+    num_scales, num_settle = TradeoffParameters.split(k)
+    # The schedule lengths read only the loop counts, not the ladder.
+    schedule = TradeoffParameters(
+        k=k, num_scales=num_scales, num_settle=num_settle,
+        base=1.0, eff_min=1.0, eff_max=1.0, num_nodes=2,
+    )
+    return max(
+        greedy.schedule_length(schedule),
+        dual.dual_schedule_length(replace(schedule, num_scales=k, num_settle=1)),
+    )
 
 
 def message_bits_envelope(num_nodes: int, constant: float = 16.0) -> float:

@@ -1481,7 +1481,7 @@ def solve_columnar(
         wall_seconds=wall,
         shards=max(1, int(shards)),
         metrics=ledger.metrics if ledger is not None else None,
-        timeline=ledger.to_timeline(cinst.num_nodes) if ledger is not None else None,
+        timeline=ledger.timeline if ledger is not None else None,
     )
 
 

@@ -104,8 +104,7 @@ class TradeoffParameters:
         if k < 1:
             raise AlgorithmError(f"trade-off parameter k must be >= 1, got {k}")
         eff_min, eff_max = efficiency_range(instance)
-        num_scales = max(1, math.ceil(math.sqrt(k)))
-        num_settle = max(1, math.ceil(k / num_scales))
+        num_scales, num_settle = cls.split(k)
         ratio = max(1.0, eff_max / eff_min)
         base = ratio ** (1.0 / num_scales)
         return cls(
@@ -117,6 +116,12 @@ class TradeoffParameters:
             eff_max=eff_max,
             num_nodes=instance.num_nodes,
         )
+
+    @staticmethod
+    def split(k: int) -> tuple[int, int]:
+        """``(num_scales, num_settle)`` of :meth:`from_instance` for ``k``."""
+        num_scales = max(1, math.ceil(math.sqrt(k)))
+        return num_scales, max(1, math.ceil(k / num_scales))
 
     @classmethod
     def linear(

@@ -6,15 +6,17 @@ the paper's claims are about rounds, messages and bits. So the kernel
 schedule reports, at each snapshot, how many messages of each wire kind
 the object-graph protocol sends, and :class:`ColumnarBitLedger` charges
 them into the :class:`~repro.net.metrics.NetworkMetrics` and
-:class:`~repro.obs.timeline.RoundTimeline` shapes every engine produces.
+:class:`~repro.obs.timeline.RoundTimeline` shapes every engine produces:
+it appends one round record per round, from round 0, and closes each
+into the metrics the way the simulator does.
 
 The kinds are the node modules' own (:mod:`repro.core.greedy_nodes`,
 :mod:`repro.core.dual_ascent_nodes`), priced by
 :func:`~repro.net.message.message_bits` and placed in the rounds the
 nodes' schedules put them in; ``docs/ALGORITHM.md`` tables each kind,
 its payload and its round. On a fault-free run the ledger's metrics
-equal the simulator's field for field, and so does each round's
-traffic.
+equal the simulator's field for field, and so does every round's
+record in ``(round_number, messages, bits, drops)``.
 """
 
 from __future__ import annotations
@@ -42,32 +44,44 @@ class ColumnarBitLedger:
 
     Each report covers a stretch of the protocol's schedule; the closing
     one of either variant ends the run at the round the simulator does.
+    ``timeline`` holds a record for every closed round, each with
+    ``alive`` = every node, no wall-clock and ``engine="columnar"``.
     """
 
     def __init__(self, params: TradeoffParameters) -> None:
         self.params = params
         self.metrics = NetworkMetrics()
-        self._traffic: dict[int, list[int]] = {}  # round -> [messages, bits]
+        self.timeline = RoundTimeline()
+        # The open round and the traffic charged to it so far.
+        self._round = self._messages = self._bits = 0
+        self._close_through(0)
+
+    def _close_through(self, last: int) -> None:
+        """Record every round up to ``last``, whether it sent or not."""
+        while self._round <= last:
+            entry = RoundTimelineEntry(
+                round_number=self._round, wall_ms=0.0, messages=self._messages,
+                bits=self._bits, drops=0, alive=self.params.num_nodes,
+                finished=0, engine="columnar",
+            )
+            self.timeline.append(entry)
+            self.metrics.close_round(entry)
+            self._round += 1
+            self._messages = self._bits = 0
 
     def _send(self, round_number: int, kind: str, count: int) -> None:
         """Charge ``count`` messages of ``kind`` sent in ``round_number``."""
         if count <= 0:
             return
+        self._close_through(round_number - 1)
         bits = message_bits(kind, _PAYLOADS.get(kind, {}))
         metrics = self.metrics
         metrics.total_messages += count
         metrics.total_bits += bits * count
         metrics.max_message_bits = max(metrics.max_message_bits, bits)
         metrics.messages_by_kind[kind] += count
-        traffic = self._traffic.setdefault(round_number, [0, 0])
-        traffic[0] += count
-        traffic[1] += bits * count
-
-    def _close(self, rounds: int) -> None:
-        self.metrics.rounds = rounds
-        self.metrics.max_messages_per_round = max(
-            (messages for messages, _ in self._traffic.values()), default=0
-        )
+        self._messages += count
+        self._bits += bits * count
 
     def greedy_iteration(
         self, iteration: int, active_edges: int, proposals: int, offers: int, served: int
@@ -94,7 +108,7 @@ class ColumnarBitLedger:
         self._send(first + 3, greedy.FORCE, forced)
         self._send(first + 4, greedy.SERVE, leftover)
         rounds = greedy.schedule_length(self.params)
-        self._close(rounds if leftover else rounds - 1)
+        self._close_through(rounds if leftover else rounds - 1)
 
     def dual_level(self, level: int, unfrozen_edges: int, tight_edges: int) -> None:
         """One ascent level: ALPHA, TIGHT, and a FREEZE that sends nothing.
@@ -119,20 +133,4 @@ class ColumnarBitLedger:
         self._send(first + 3, dual.JOIN, clients - forced)
         self._send(first + 3, dual.FORCE, forced)
         self._send(first + 4, dual.SERVE, clients)
-        self._close(dual.dual_schedule_length(self.params))
-
-    def to_timeline(self, num_nodes: int) -> RoundTimeline:
-        """A per-round timeline of the modeled traffic, engine-tagged.
-
-        ``wall_ms`` is zero on every entry: the modeled rounds have no
-        measured duration (the engine's real wall-clock is a property of
-        the whole solve, reported separately).
-        """
-        entries = []
-        for round_number in range(1, self.metrics.rounds + 1):
-            messages, bits = self._traffic.get(round_number, (0, 0))
-            entries.append(RoundTimelineEntry(
-                round_number=round_number, wall_ms=0.0, messages=messages,
-                bits=bits, drops=0, alive=num_nodes, finished=0, engine="columnar",
-            ))
-        return RoundTimeline(entries)
+        self._close_through(dual.dual_schedule_length(self.params))

@@ -3,8 +3,10 @@
 The paper's complexity claims are about exactly two resources — the number
 of synchronous rounds and the number of bits per message. The simulator
 feeds every sent message through :class:`NetworkMetrics` (one batch per
-round, :meth:`NetworkMetrics.record_messages`), so after a run the
-caller can read off:
+round, :meth:`NetworkMetrics.record_messages`) and every closed
+:class:`~repro.obs.timeline.RoundTimelineEntry` through
+:meth:`NetworkMetrics.close_round`, so after a run the caller can read
+off:
 
 * ``rounds`` — rounds executed,
 * ``total_messages`` / ``total_bits`` — traffic volume,
@@ -28,6 +30,7 @@ from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs.registry import MetricsRegistry
+    from repro.obs.timeline import RoundTimelineEntry
 
 __all__ = ["NetworkMetrics"]
 
@@ -37,7 +40,12 @@ _KIND = operator.attrgetter("kind")
 
 @dataclass
 class NetworkMetrics:
-    """Mutable accumulator of network costs for one simulation run."""
+    """Mutable accumulator of network costs for one simulation run.
+
+    It keeps totals only: ``rounds``, ``max_messages_per_round`` and
+    ``drops_by_round`` are set from the run's round records by
+    :meth:`close_round`, which both message planes call.
+    """
 
     rounds: int = 0
     total_messages: int = 0
@@ -53,12 +61,13 @@ class NetworkMetrics:
     messages_by_kind: Counter = field(default_factory=Counter)
     drops_by_kind: Counter = field(default_factory=Counter)
     drops_by_round: Counter = field(default_factory=Counter)
-    _current_round_messages: int = field(default=0, repr=False)
 
-    def start_round(self) -> None:
-        """Mark the beginning of a round."""
-        self.rounds += 1
-        self._current_round_messages = 0
+    def close_round(self, entry: "RoundTimelineEntry") -> None:
+        """Take one closed round record's share of the per-round aggregates."""
+        self.rounds = entry.round_number
+        self.max_messages_per_round = max(self.max_messages_per_round, entry.messages)
+        if entry.drops:
+            self.drops_by_round[entry.round_number] += entry.drops
 
     def record_message(self, message: Message) -> None:
         """Account one *sent* message (dropped ones are recorded separately)."""
@@ -74,31 +83,21 @@ class NetworkMetrics:
         if not messages:
             return
         sizes = list(map(_BITS, messages))
-        count = len(sizes)
-        self.total_messages += count
+        self.total_messages += len(sizes)
         self.total_bits += sum(sizes)
         self.max_message_bits = max(self.max_message_bits, max(sizes))
         self.messages_by_kind.update(map(_KIND, messages))
-        self._current_round_messages += count
-        self.max_messages_per_round = max(
-            self.max_messages_per_round, self._current_round_messages
-        )
 
-    def record_drop(
-        self, message: Message | None = None, round_number: int | None = None
-    ) -> None:
+    def record_drop(self, message: Message | None = None) -> None:
         """Account one message lost to fault injection.
 
-        The lost message itself (and the round the loss happened in) used
-        to be discarded; passing them attributes the drop by message kind
-        and by round so fault analyses can tell *what* was lost. Both
-        arguments stay optional for callers that only need the total.
+        Passing the lost message attributes the drop by kind, so fault
+        analyses can tell *what* was lost; the round it was lost in
+        reaches ``drops_by_round`` through the round's record.
         """
         self.dropped_messages += 1
         if message is not None:
             self.drops_by_kind[message.kind] += 1
-        if round_number is not None:
-            self.drops_by_round[int(round_number)] += 1
 
     def record_retransmit(self, message: Message) -> None:
         """Account one retransmitted copy (reliable-delivery sublayer).

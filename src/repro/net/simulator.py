@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 import time
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import RoundLimitExceededError, SimulationError
 from repro.net.faults import FaultPlan
@@ -148,9 +148,10 @@ class Simulator:
     tracer:
         Optional :class:`~repro.obs.spans.Tracer`; when given, every
         executed round is recorded as a ``sim.round`` child span of the
-        tracer's current span, annotated with the round's telemetry
-        (messages, bits, drops, and any scalar probe observations such as
-        dual sums). Spans observe only — they never alter the run.
+        tracer's current span, annotated with the round's record (its
+        fields, ``round`` for ``round_number``, and the probe
+        observations such as dual sums). Spans observe only — they never
+        alter the run.
     recorder:
         Optional :class:`~repro.obs.recorder.FlightRecorder`; when given,
         every round boundary is digested into the recording (node state
@@ -256,32 +257,50 @@ class Simulator:
         # Fresh fault streams per run: a plan reused across simulators
         # must make identical decisions in each (coin-for-coin contract).
         self._fault_plan.reset()
-        start = time.perf_counter()
-        ctx = RoundContext(self, self._nodes[0], 0)
-        for node in self._nodes:
-            ctx.rebind(node, round_number=0)
-            node.on_setup(ctx)
-        self.metrics.record_messages(self._pending)
-        # Round 0: setup traffic would otherwise be invisible in per-round
-        # accounting (it predates the first metrics.start_round()).
-        self._record_timeline_entry(
-            round_number=0,
-            wall_ms=(time.perf_counter() - start) * 1e3,
-            messages=self.metrics.total_messages,
-            bits=self.metrics.total_bits,
-            drops=0,
-        )
+        self._run_round(self._setup_nodes)
 
     def step(self) -> None:
         """Execute exactly one synchronous round."""
         if not self._started:
             self.setup()
-        start = time.perf_counter()
-        messages_before = self.metrics.total_messages
-        bits_before = self.metrics.total_bits
-        drops_before = self.metrics.dropped_messages
         self._round += 1
-        self.metrics.start_round()
+        self._run_round(self._round_nodes)
+
+    def _run_round(self, body: Callable[[], None]) -> None:
+        """Run one round's ``body`` and close the round's record.
+
+        Setup is round 0 and every step one round after it; each gets its
+        record here, from the traffic and drops the metrics took during
+        ``body`` plus the messages the round leaves in flight.
+        """
+        metrics = self.metrics
+        start = time.perf_counter()
+        messages, bits, drops = (
+            metrics.total_messages, metrics.total_bits, metrics.dropped_messages
+        )
+        body()
+        metrics.record_messages(self._pending)
+        self._close_round(
+            RoundTimelineEntry(
+                round_number=self._round,
+                wall_ms=(time.perf_counter() - start) * 1e3,
+                messages=metrics.total_messages - messages,
+                bits=metrics.total_bits - bits,
+                drops=metrics.dropped_messages - drops,
+                alive=sum(1 for n in self._nodes if not n.crashed),
+                finished=sum(1 for n in self._nodes if n.finished),
+                probe=self._observe_probes(),
+                engine="simulator",
+            )
+        )
+
+    def _setup_nodes(self) -> None:
+        ctx = RoundContext(self, self._nodes[0], 0)
+        for node in self._nodes:
+            ctx.rebind(node, round_number=0)
+            node.on_setup(ctx)
+
+    def _round_nodes(self) -> None:
         self._apply_fault_lifecycle()
         inboxes = self._deliver()
         round_number = self._round
@@ -309,14 +328,6 @@ class Simulator:
             node.on_round(ctx, inbox)
         # Round over: every inbox has been consumed; reclaim the buffers.
         self._inbox_pool.release_all()
-        self.metrics.record_messages(self._pending)
-        self._record_timeline_entry(
-            round_number=self._round,
-            wall_ms=(time.perf_counter() - start) * 1e3,
-            messages=self.metrics.total_messages - messages_before,
-            bits=self.metrics.total_bits - bits_before,
-            drops=self.metrics.dropped_messages - drops_before,
-        )
 
     def _apply_fault_lifecycle(self) -> None:
         """Apply scheduled crashes and recoveries at the round boundary.
@@ -390,16 +401,16 @@ class Simulator:
         for message, attempts in deliverable:
             if self._nodes[message.sender].crashed:
                 # A node that crashed before delivery never really sent.
-                self.metrics.record_drop(message, self._round)
+                self.metrics.record_drop(message)
                 continue
             if self._nodes[message.receiver].crashed:
                 # Delivered into a dead node: lost, but (unlike a dead
                 # sender) worth retrying — the receiver may recover.
-                self.metrics.record_drop(message, self._round)
+                self.metrics.record_drop(message)
                 self._schedule_retry(message, attempts)
                 continue
             if not trivial and self._fault_plan.should_drop(message, self._round):
-                self.metrics.record_drop(message, self._round)
+                self.metrics.record_drop(message)
                 self._schedule_retry(message, attempts)
                 continue
             inbox = inboxes.get(message.receiver)
@@ -462,68 +473,46 @@ class Simulator:
         if self.registry is not None:
             self.registry.counter("reliable_acks_total").inc()
         if self._fault_plan.should_drop(ack, self._round + 1):
-            self.metrics.record_drop(ack, self._round)
+            self.metrics.record_drop(ack)
             self.reliability_stats.duplicates += 1
             self._schedule_retry(message, attempts)
 
-    def _record_timeline_entry(
-        self, round_number: int, wall_ms: float, messages: int, bits: int, drops: int
-    ) -> None:
-        """Append one round's telemetry and notify probes/watchdogs/trace.
+    def _observe_probes(self) -> dict | None:
+        """The round's merged probe observations (``None`` without probes)."""
+        if not self.probes:
+            return None
+        observed: dict = {}
+        for probe in self.probes:
+            observed.update(probe.observe(self, self._round))
+        return observed
 
-        Probes, watchdogs and registry publishes are each guarded by a
-        single emptiness/None check, so runs without them attached pay
-        nothing beyond the pre-existing telemetry cost.
+    def _close_round(self, entry: RoundTimelineEntry) -> None:
+        """Append the round's record; everything per-round reads it.
+
+        The metrics' per-round aggregates, the watchdogs, the registry's
+        round instruments, the ``sim.round`` span, the recorder and the
+        trace's round hook each take the record as it is.
         """
-        alive = sum(1 for n in self._nodes if not n.crashed)
-        finished = sum(1 for n in self._nodes if n.finished)
-        probe_data: dict | None = None
-        if self.probes:
-            probe_data = {}
-            for probe in self.probes:
-                probe_data.update(probe.observe(self, round_number))
-        entry = RoundTimelineEntry(
-            round_number=round_number,
-            wall_ms=wall_ms,
-            messages=messages,
-            bits=bits,
-            drops=drops,
-            alive=alive,
-            finished=finished,
-            probe=probe_data,
-            engine="simulator",
-        )
         self.timeline.append(entry)
-        if self.watchdogs:
-            for watchdog in self.watchdogs:
-                watchdog.check(self, entry)
+        self.metrics.close_round(entry)
+        for watchdog in self.watchdogs:
+            watchdog.check(self, entry)
         if self.registry is not None:
             self.registry.counter("sim_rounds_total").inc()
-            self.registry.histogram("sim_round_wall_ms").observe(wall_ms)
-            self.registry.histogram("sim_round_messages").observe(messages)
+            self.registry.histogram("sim_round_wall_ms").observe(entry.wall_ms)
+            self.registry.histogram("sim_round_messages").observe(entry.messages)
         if self.tracer is not None:
-            attributes: dict = {
-                "round": round_number,
-                "messages": messages,
-                "bits": bits,
-                "engine": "simulator",
-            }
-            if drops:
-                attributes["drops"] = drops
-            if probe_data:
-                attributes.update(
-                    (key, value)
-                    for key, value in probe_data.items()
-                    if isinstance(value, (int, float))
-                )
+            attributes = entry.to_dict()
+            attributes["round"] = attributes.pop("round_number")
+            attributes.update(attributes.pop("probe", None) or {})
             self.tracer.add_span(
                 "sim.round",
-                start_unix=time.time() - wall_ms / 1e3,
-                duration_s=wall_ms / 1e3,
+                start_unix=time.time() - entry.wall_ms / 1e3,
+                duration_s=entry.wall_ms / 1e3,
                 attributes=attributes,
             )
         if self.recorder is not None:
-            self.recorder.on_simulator_round(self, round_number)
+            self.recorder.on_simulator_round(self, entry.round_number)
         self.trace.on_round_end(entry)
 
     def run(self, max_rounds: int, allow_truncation: bool = False) -> NetworkMetrics:

@@ -88,7 +88,7 @@ from repro.obs.recorder import (
     replay_recording,
 )
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.sinks import JsonlTraceSink, MultiTrace, RingBufferTrace
+from repro.obs.sinks import JsonlTraceSink
 from repro.obs.slo import (
     ErrorRateSLO,
     LatencySLO,
@@ -120,8 +120,6 @@ from repro.obs.watchdogs import (
 
 __all__ = [
     "JsonlTraceSink",
-    "MultiTrace",
-    "RingBufferTrace",
     "RoundTimeline",
     "RoundTimelineEntry",
     "RunRecord",

@@ -1,17 +1,11 @@
 """Trace sinks: where protocol events go when they must leave the process.
 
-All sinks satisfy the :class:`repro.net.trace.Trace` interface, so any of
-them can be handed to :class:`repro.net.simulator.Simulator` unchanged:
-
-* :class:`JsonlTraceSink` — streams every event as one JSON line to a file
-  (or any writer), flushing at each round boundary so a crashed or killed
-  run still leaves a usable prefix on disk. This is the artifact format
-  ``repro inspect`` reads back.
-* :class:`RingBufferTrace` — keeps only the last ``capacity`` events, for
-  long runs where an unbounded in-memory log would dominate memory.
-* :class:`MultiTrace` — fans every event (and lifecycle hook) out to
-  several traces, e.g. stream to disk *and* keep a ring buffer for
-  post-run assertions.
+:class:`JsonlTraceSink` satisfies the :class:`repro.net.trace.Trace`
+interface, so it can be handed to :class:`repro.net.simulator.Simulator`
+unchanged. It streams every event as one JSON line to a file (or any
+writer), flushing at each round boundary so a crashed or killed run still
+leaves a usable prefix on disk. This is the artifact format
+``repro inspect`` reads back.
 
 JSONL line schema (one object per line, discriminated by ``type``):
 
@@ -35,7 +29,7 @@ from repro.exceptions import ReproError
 from repro.net.trace import Trace, TraceEvent
 from repro.obs.timeline import RoundTimelineEntry
 
-__all__ = ["JsonlTraceSink", "RingBufferTrace", "MultiTrace", "event_to_dict"]
+__all__ = ["JsonlTraceSink", "event_to_dict"]
 
 
 def event_to_dict(event: TraceEvent) -> dict[str, Any]:
@@ -58,24 +52,13 @@ class JsonlTraceSink(Trace):
         A filesystem path (opened for writing, parent directories created)
         or any text writer with ``write``. When a writer is passed in, the
         caller keeps ownership: :meth:`close` flushes but does not close it.
-    flush_on_round:
-        Flush the underlying stream at every round boundary (default).
-        Turn off for maximum throughput when a torn tail line on crash is
-        acceptable.
 
     The sink retains no events in memory — ``len()`` reports the number of
-    events written, and ``events()`` is always empty. Pair it with a
-    :class:`RingBufferTrace` through :class:`MultiTrace` when both
-    streaming output and in-memory assertions are needed.
+    events written, and ``events()`` is always empty.
     """
 
-    def __init__(
-        self,
-        target: str | Path | TextIO,
-        flush_on_round: bool = True,
-    ) -> None:
+    def __init__(self, target: str | Path | TextIO) -> None:
         super().__init__()
-        self.flush_on_round = flush_on_round
         self._count = 0
         if isinstance(target, (str, Path)):
             path = Path(target)
@@ -115,12 +98,11 @@ class JsonlTraceSink(Trace):
         self._stream.write(json.dumps(obj, sort_keys=True) + "\n")
 
     def on_round_end(self, entry: RoundTimelineEntry) -> None:
-        """Stream the round's telemetry and flush (flush-on-round)."""
+        """Stream the round's record and flush."""
         record = entry.to_dict()
         record["type"] = "round"
         self.write_json(record)
-        if self.flush_on_round:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         """Flush the underlying stream."""
@@ -171,103 +153,3 @@ class JsonlTraceSink(Trace):
 
     def render(self) -> str:
         return f"<JsonlTraceSink: {self._count} events streamed>"
-
-
-class RingBufferTrace(Trace):
-    """Bounded trace keeping only the most recent ``capacity`` events.
-
-    For long runs the full event log is ``O(rounds * nodes)``; the ring
-    buffer caps memory while preserving the tail, which is where
-    termination bugs live. ``dropped_events`` counts evictions so the
-    reader knows the window is partial.
-    """
-
-    def __init__(self, capacity: int = 10_000) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        super().__init__()
-        self.capacity = int(capacity)
-        self.dropped_events = 0
-        self._total = 0
-
-    def record(
-        self, round_number: int, node_id: int, event: str, data: Mapping[str, Any]
-    ) -> None:
-        """Append one event, evicting the oldest beyond capacity."""
-        super().record(round_number, node_id, event, data)
-        self._total += 1
-        if len(self._events) > self.capacity:
-            del self._events[0]
-            self.dropped_events += 1
-
-    @property
-    def total_recorded(self) -> int:
-        """Events ever recorded (retained + evicted)."""
-        return self._total
-
-
-class MultiTrace(Trace):
-    """Multiplexer: forwards every event and lifecycle hook to all children.
-
-    ``len()``/iteration reflect the first child, which by convention is the
-    one tests inspect (e.g. ``MultiTrace(Trace(), JsonlTraceSink(path))``).
-    """
-
-    def __init__(self, *children: Trace) -> None:
-        if not children:
-            raise ValueError("MultiTrace needs at least one child trace")
-        super().__init__()
-        self.children = tuple(children)
-
-    @property
-    def enabled(self) -> bool:
-        return any(child.enabled for child in self.children)
-
-    def record(
-        self, round_number: int, node_id: int, event: str, data: Mapping[str, Any]
-    ) -> None:
-        for child in self.children:
-            child.record(round_number, node_id, event, data)
-
-    def on_round_end(self, entry: RoundTimelineEntry) -> None:
-        for child in self.children:
-            child.on_round_end(entry)
-
-    def flush(self) -> None:
-        """Flush every child that supports flushing, in child order."""
-        for child in self.children:
-            flush = getattr(child, "flush", None)
-            if callable(flush):
-                flush()
-
-    def close(self) -> None:
-        """Close every child, in child order.
-
-        A child whose ``close`` raises must not leave later siblings
-        unflushed — a streaming sink after a failing one would otherwise
-        lose its tail. Every child's ``close`` runs; the first exception
-        is re-raised after the sweep.
-        """
-        first_error: BaseException | None = None
-        for child in self.children:
-            try:
-                child.close()
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-
-    def __len__(self) -> int:
-        return len(self.children[0])
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.children[0])
-
-    def events(
-        self, event: str | None = None, node_id: int | None = None
-    ) -> list[TraceEvent]:
-        return self.children[0].events(event=event, node_id=node_id)
-
-    def render(self) -> str:
-        return self.children[0].render()

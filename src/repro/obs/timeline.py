@@ -1,12 +1,14 @@
 """Per-round telemetry: where the rounds, messages and wall-clock went.
 
-:class:`repro.net.simulator.Simulator` appends one
-:class:`RoundTimelineEntry` per executed round (plus an explicit round-0
-entry for messages submitted during ``setup()``, which per-round
-accounting would otherwise never see). The timeline serializes to plain
-JSON dicts — the same objects the JSONL trace sink streams as
-``{"type": "round", ...}`` lines — and renders as a fixed-width table for
-terminals and docs.
+The round record is the one per-round store: :class:`repro.net.simulator.
+Simulator` appends one :class:`RoundTimelineEntry` per executed round
+(round 0 holds the messages submitted during ``setup()``), the columnar
+engine's :class:`~repro.net.columnar.ColumnarBitLedger` appends the same
+records as it charges, and :meth:`repro.net.metrics.NetworkMetrics.
+close_round` takes each run's round count and per-round peaks from them.
+The timeline serializes to plain JSON dicts — the same objects the JSONL
+trace sink streams as ``{"type": "round", ...}`` lines — and renders as a
+fixed-width table for terminals and docs.
 """
 
 from __future__ import annotations

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import contextlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.core.algorithm import solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.fl.instance import FacilityLocationInstance
+from repro.net.trace import Trace
 from repro.obs.manifest import RunRecord
-from repro.obs.sinks import RingBufferTrace
 from repro.obs.spans import SpanContext, Tracer
 from repro.perf.cache import cached_instance, cached_lp_value
 from repro.service.request import InstanceRecipe
@@ -39,6 +40,19 @@ __all__ = [
     "run_service_cell",
     "run_service_cell_guarded",
 ]
+
+
+class _EventCounts(Trace):
+    """Counts every event by kind as it is recorded; keeps none."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: Counter[str] = Counter()
+
+    def record(
+        self, round_number: int, node_id: int, event: str, data: Mapping[str, Any]
+    ) -> None:
+        self.counts[event] += 1
 
 
 @dataclass(frozen=True)
@@ -131,7 +145,7 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
                 lp_value = cached_lp_value(instance)
         else:
             lp_value = cached_lp_value(instance)
-    trace = RingBufferTrace() if cell.capture_events else None
+    trace = _EventCounts() if cell.capture_events else None
     recorder = None
     if cell.record:
         from repro.obs.recorder import FlightRecorder
@@ -205,10 +219,7 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
         payload["lp_value"] = lp_value
         payload["ratio_vs_lp"] = extras["ratio_vs_lp"]
     if trace is not None:
-        counts: dict[str, int] = {}
-        for event in trace:
-            counts[event.event] = counts.get(event.event, 0) + 1
-        payload["events_by_kind"] = dict(sorted(counts.items()))
+        payload["events_by_kind"] = dict(sorted(trace.counts.items()))
     out: dict[str, Any] = {"result": payload, "manifest": manifest.to_dict()}
     if recorder is not None:
         # Beside — never inside — result/manifest, mirroring "spans".

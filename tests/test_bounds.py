@@ -6,13 +6,18 @@ import math
 
 import pytest
 
+from repro.core.algorithm import solve_distributed
 from repro.core.bounds import (
     approximation_envelope,
     best_k_for_target_ratio,
     message_bits_envelope,
     round_budget,
 )
+from repro.core.dual_ascent_nodes import dual_schedule_length
+from repro.core.greedy_nodes import schedule_length
+from repro.core.parameters import TradeoffParameters
 from repro.exceptions import AlgorithmError
+from repro.fl.generators import make_instance
 
 
 class TestApproximationEnvelope:
@@ -56,8 +61,29 @@ class TestApproximationEnvelope:
 
 class TestRoundBudget:
     def test_linear(self):
-        assert round_budget(10) == pytest.approx(48.0)
-        assert round_budget(10, constant=2.0, additive=1.0) == pytest.approx(21.0)
+        # Square k runs exactly k iterations; otherwise T = 3 * 3 for k = 7
+        # and 8, and 4 * 3 for k = 10.
+        for k in (1, 4, 9, 16, 25, 36):
+            assert round_budget(k) == 4 * k + 5
+        assert [round_budget(k) for k in (7, 8, 10)] == [41, 41, 53]
+
+    @pytest.mark.parametrize("k", range(1, 37))
+    def test_covers_the_schedule_the_code_runs(self, k):
+        instance = make_instance("set_cover", 8, 40, seed=0)
+        greedy = TradeoffParameters.from_instance(instance, k)
+        # A greedy run with a left-over client takes the whole schedule,
+        # one without it a round less; dual ascent always runs its own.
+        assert round_budget(k) == schedule_length(greedy)
+        assert dual_schedule_length(TradeoffParameters.linear(instance, k)) <= round_budget(k)
+        for variant in ("greedy", "dual_ascent"):
+            rounds = solve_distributed(instance, k, variant, seed=0).metrics.rounds
+            assert rounds <= round_budget(k)
+
+    def test_a_left_over_client_meets_the_budget(self):
+        instance = make_instance("set_cover", 8, 40, seed=0)
+        result = solve_distributed(instance, 2, seed=0)
+        assert result.metrics.messages_by_kind["prb"] > 0  # the force phase probed
+        assert result.metrics.rounds == round_budget(2)
 
     def test_validation(self):
         with pytest.raises(AlgorithmError):

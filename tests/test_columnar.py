@@ -518,9 +518,9 @@ class TestDivergenceBisection:
         assert diff_recordings(left, right).identical
 
 
-def _traffic(result) -> tuple[dict, list[tuple[int, int]]]:
-    """A run's metrics summary and its per-round (messages, bits), round 1 on."""
-    timeline = [(e.messages, e.bits) for e in result.timeline if e.round_number >= 1]
+def _traffic(result) -> tuple[dict, list[tuple[int, int, int, int]]]:
+    """A run's metrics summary and every round's (round, messages, bits, drops)."""
+    timeline = [(e.round_number, e.messages, e.bits, e.drops) for e in result.timeline]
     return result.metrics.summary(), timeline
 
 
@@ -559,11 +559,11 @@ class TestColumnarBitLedger:
         ledger = ColumnarBitLedger(params["dual_ascent"])
         ledger.dual_level(1, unfrozen_edges=20, tight_edges=5)
         ledger.dual_rounding(clients=10, open_ads=5, forced=2)
-        timeline = ledger.to_timeline(num_nodes=14)
-        assert len(timeline) == 3 * 3 + 5
-        # FREEZE rounds and the last rounding round send nothing.
+        timeline = ledger.timeline
+        assert [entry.round_number for entry in timeline] == list(range(3 * 3 + 5 + 1))
+        # Setup, FREEZE rounds and the last rounding round send nothing.
         assert [entry.messages for entry in timeline] == [
-            20, 5, 0, 0, 0, 0, 0, 0, 0, 10, 5, 10, 10, 0,
+            0, 20, 5, 0, 0, 0, 0, 0, 0, 0, 10, 5, 10, 10, 0,
         ]
         for entry in timeline:
             assert entry.engine == "columnar"
@@ -622,7 +622,7 @@ class TestColumnarBitLedger:
         assert result.metrics is not None
         assert result.metrics.rounds > 0
         assert result.metrics.total_messages > 0
-        assert len(result.timeline) == result.metrics.rounds
+        assert len(result.timeline) == result.metrics.rounds + 1
 
 
 class TestInboxPool:

@@ -14,6 +14,7 @@ from repro.net.message import Message
 from repro.net.metrics import NetworkMetrics
 from repro.net.rng import CoinPlane, NodeStreams, derive_rng, node_rng
 from repro.net.trace import NullTrace, Trace
+from repro.obs.timeline import RoundTimelineEntry
 
 
 def _spawned(seed: int, num_nodes: int) -> list[np.random.Generator]:
@@ -108,12 +109,19 @@ class TestCoinPlane:
             assert len(builds) == (mode == "randomized")
 
 
+def _record(round_number: int, messages: int, drops: int = 0) -> RoundTimelineEntry:
+    return RoundTimelineEntry(
+        round_number=round_number, wall_ms=0.0, messages=messages, bits=0,
+        drops=drops, alive=2, finished=0,
+    )
+
+
 class TestNetworkMetrics:
     def test_message_accounting(self):
         metrics = NetworkMetrics()
-        metrics.start_round()
         metrics.record_message(Message(0, 1, "a", {"x": 1.0}))
         metrics.record_message(Message(1, 0, "b"))
+        metrics.close_round(_record(1, 2))
         assert metrics.rounds == 1
         assert metrics.total_messages == 2
         assert metrics.max_message_bits == 8 + 64
@@ -121,14 +129,13 @@ class TestNetworkMetrics:
         assert metrics.max_messages_per_round == 2
 
     def test_per_round_peak(self):
+        # The round aggregates come from the records alone.
         metrics = NetworkMetrics()
-        metrics.start_round()
-        for _ in range(3):
-            metrics.record_message(Message(0, 1, "a"))
-        metrics.start_round()
-        metrics.record_message(Message(0, 1, "a"))
+        for record in (_record(0, 0), _record(1, 3), _record(2, 1)):
+            metrics.close_round(record)
         assert metrics.max_messages_per_round == 3
         assert metrics.rounds == 2
+        assert metrics.total_messages == 0
 
     def test_one_batch_per_round(self):
         metrics = NetworkMetrics()
@@ -137,9 +144,9 @@ class TestNetworkMetrics:
             [],
             [Message(0, 2, "c", {"s": "long"}), Message(1, 2, "a")],
         ]
-        for messages in rounds:
-            metrics.start_round()
+        for number, messages in enumerate(rounds, start=1):
             metrics.record_messages(messages)
+            metrics.close_round(_record(number, len(messages)))
         summary = metrics.summary()
         assert summary["rounds"] == 3
         assert summary["total_messages"] == 5
@@ -157,7 +164,6 @@ class TestNetworkMetrics:
 
     def test_summary_includes_per_kind_counts(self):
         metrics = NetworkMetrics()
-        metrics.start_round()
         metrics.record_message(Message(0, 1, "a"))
         metrics.record_message(Message(1, 0, "a"))
         metrics.record_message(Message(1, 0, "b"))
@@ -171,9 +177,12 @@ class TestNetworkMetrics:
 
     def test_drops_attributed_by_kind_and_round(self):
         metrics = NetworkMetrics()
-        metrics.record_drop(Message(0, 1, "prp"), round_number=3)
-        metrics.record_drop(Message(1, 0, "prp"), round_number=4)
-        metrics.record_drop(Message(0, 1, "acc"), round_number=4)
+        metrics.record_drop(Message(0, 1, "prp"))
+        metrics.close_round(_record(3, 0, drops=1))
+        metrics.record_drop(Message(1, 0, "prp"))
+        metrics.record_drop(Message(0, 1, "acc"))
+        metrics.close_round(_record(4, 0, drops=2))
+        metrics.close_round(_record(5, 0))
         assert metrics.dropped_messages == 3
         assert metrics.drops_by_kind == {"prp": 2, "acc": 1}
         summary = metrics.summary()
@@ -187,13 +196,35 @@ class TestNetworkMetrics:
         assert metrics.dropped_messages == 1
         assert metrics.drops_by_kind == {}
 
+    def test_round_aggregates_equal_the_faulty_timeline(self):
+        from repro.analysis.chaos import FAULT_FAMILIES, build_fault_plan
+        from repro.core.algorithm import DistributedFacilityLocation, solve_distributed
+        from repro.core.healing import SelfHealingPolicy
+        from repro.net.reliability import ReliabilityPolicy
+
+        instance = make_instance("uniform", 8, 24, seed=2)
+        schedule = DistributedFacilityLocation(instance, 4).schedule_rounds()
+        for family in FAULT_FAMILIES:
+            result = solve_distributed(
+                instance, 4, seed=1,
+                fault_plan=build_fault_plan(family, 0.3, instance, schedule, seed=3),
+                reliability=ReliabilityPolicy(), healing=SelfHealingPolicy(),
+            )
+            metrics, timeline = result.metrics, result.timeline
+            assert metrics.rounds == timeline[-1].round_number == len(timeline) - 1
+            assert metrics.max_messages_per_round == max(e.messages for e in timeline)
+            assert metrics.drops_by_round == {
+                e.round_number: e.drops for e in timeline if e.drops
+            }
+            assert sum(metrics.drops_by_round.values()) == metrics.dropped_messages
+
     def test_publish_to_registry(self):
         from repro.obs.registry import MetricsRegistry
 
         metrics = NetworkMetrics()
-        metrics.start_round()
         metrics.record_message(Message(0, 1, "a", {"x": 1.0}))
-        metrics.record_drop(Message(1, 0, "b"), round_number=1)
+        metrics.record_drop(Message(1, 0, "b"))
+        metrics.close_round(_record(1, 1, drops=1))
         registry = MetricsRegistry()
         metrics.publish(registry)
         scalars = registry.scalars()

@@ -1,4 +1,4 @@
-"""Unit tests for repro.obs.sinks: JSONL streaming, ring buffer, multiplexer."""
+"""Unit tests for repro.obs.sinks: JSONL streaming."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import json
 
 import pytest
 
-from repro.net.trace import Trace, TraceEvent
-from repro.obs.sinks import JsonlTraceSink, MultiTrace, RingBufferTrace, event_to_dict
+from repro.net.trace import TraceEvent
+from repro.obs.sinks import JsonlTraceSink, event_to_dict
 from repro.obs.timeline import RoundTimelineEntry
 
 
@@ -127,149 +127,3 @@ class TestJsonlTraceSink:
         with JsonlTraceSink(path) as sink:
             sink.record(1, 0, "a", {})
         assert path.exists()
-
-
-class TestRingBufferTrace:
-    def test_keeps_only_the_tail(self):
-        trace = RingBufferTrace(capacity=3)
-        for i in range(5):
-            trace.record(i, 0, f"e{i}", {})
-        assert len(trace) == 3
-        assert [e.event for e in trace] == ["e2", "e3", "e4"]
-        assert trace.dropped_events == 2
-        assert trace.total_recorded == 5
-
-    def test_under_capacity_drops_nothing(self):
-        trace = RingBufferTrace(capacity=10)
-        trace.record(1, 0, "a", {})
-        assert trace.dropped_events == 0
-        assert trace.events(event="a")
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            RingBufferTrace(capacity=0)
-
-    def test_exact_capacity_boundary_drops_nothing(self):
-        trace = RingBufferTrace(capacity=4)
-        for i in range(4):
-            trace.record(i, 0, f"e{i}", {})
-        assert len(trace) == 4
-        assert trace.total_recorded == 4
-        assert trace.dropped_events == 0
-        # One more event starts the wrap.
-        trace.record(4, 0, "e4", {})
-        assert len(trace) == 4
-        assert trace.total_recorded == 5
-        assert trace.dropped_events == 1
-
-    def test_multiple_wraps_keep_accounting_consistent(self):
-        trace = RingBufferTrace(capacity=3)
-        for i in range(11):
-            trace.record(i, 0, f"e{i}", {})
-        # The invariant under any wrap count: total = retained + dropped.
-        assert trace.total_recorded == 11
-        assert len(trace) == 3
-        assert trace.dropped_events == 8
-        assert trace.total_recorded == len(trace) + trace.dropped_events
-        assert [e.event for e in trace] == ["e8", "e9", "e10"]
-
-
-class TestMultiTrace:
-    def test_fans_out_to_all_children(self, tmp_path):
-        memory = Trace()
-        ring = RingBufferTrace(capacity=5)
-        multi = MultiTrace(memory, ring)
-        multi.record(1, 0, "open", {"x": 1})
-        assert len(memory) == 1 and len(ring) == 1
-
-    def test_first_child_is_the_query_view(self):
-        first, second = Trace(), Trace()
-        multi = MultiTrace(first, second)
-        multi.record(1, 0, "a", {})
-        first.record(2, 0, "extra", {})
-        assert len(multi) == 2
-        assert len(multi.events(event="extra")) == 1
-        assert "extra" in multi.render()
-
-    def test_round_end_and_close_propagate(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlTraceSink(path)
-        multi = MultiTrace(Trace(), sink)
-        multi.on_round_end(_entry(1))
-        multi.close()
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0]["type"] == "round"
-
-    def test_requires_children(self):
-        with pytest.raises(ValueError, match="at least one"):
-            MultiTrace()
-
-
-class _OrderedChild(Trace):
-    """Child trace that journals flush/close calls into a shared log."""
-
-    def __init__(self, name: str, log: list, fail_on_close: bool = False):
-        super().__init__()
-        self.name = name
-        self.log = log
-        self.fail_on_close = fail_on_close
-
-    def flush(self) -> None:
-        self.log.append(("flush", self.name))
-
-    def close(self) -> None:
-        self.log.append(("close", self.name))
-        if self.fail_on_close:
-            raise OSError(f"{self.name} failed to close")
-
-
-class TestMultiTraceCloseAndFlushOrdering:
-    def test_flush_reaches_children_in_order(self):
-        log: list = []
-        multi = MultiTrace(_OrderedChild("a", log), _OrderedChild("b", log))
-        multi.flush()
-        assert log == [("flush", "a"), ("flush", "b")]
-
-    def test_flush_tolerates_children_without_flush(self, tmp_path):
-        # Plain Trace has no flush(); the multiplexer must skip it and still
-        # flush the streaming sink after it.
-        path = tmp_path / "t.jsonl"
-        sink = JsonlTraceSink(path, flush_on_round=False)
-        multi = MultiTrace(Trace(), sink)
-        multi.record(1, 0, "a", {})
-        multi.flush()
-        assert json.loads(path.read_text())["event"] == "a"
-        sink.close()
-
-    def test_failing_close_does_not_skip_later_children(self):
-        log: list = []
-        children = (
-            _OrderedChild("a", log),
-            _OrderedChild("boom", log, fail_on_close=True),
-            _OrderedChild("c", log),
-        )
-        with pytest.raises(OSError, match="boom failed"):
-            MultiTrace(*children).close()
-        assert log == [("close", "a"), ("close", "boom"), ("close", "c")]
-
-    def test_first_close_error_wins(self):
-        log: list = []
-        children = (
-            _OrderedChild("first", log, fail_on_close=True),
-            _OrderedChild("second", log, fail_on_close=True),
-        )
-        with pytest.raises(OSError, match="first failed"):
-            MultiTrace(*children).close()
-        assert [name for _, name in log] == ["first", "second"]
-
-    def test_streaming_sink_flushed_despite_earlier_failure(self, tmp_path):
-        # The scenario the sweep exists for: a failing child in front of a
-        # JSONL sink must not leave the sink's tail unflushed on disk.
-        log: list = []
-        path = tmp_path / "t.jsonl"
-        sink = JsonlTraceSink(path, flush_on_round=False)
-        multi = MultiTrace(_OrderedChild("boom", log, fail_on_close=True), sink)
-        multi.record(1, 0, "survivor", {})
-        with pytest.raises(OSError):
-            multi.close()
-        assert json.loads(path.read_text())["event"] == "survivor"

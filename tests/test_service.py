@@ -133,6 +133,28 @@ class TestProcessing:
         clock.advance(11.0)
         assert service.fetch("a") is None
 
+    def test_event_counts_cover_every_recorded_event(self):
+        from collections import Counter
+
+        from repro.core.algorithm import solve_distributed
+        from repro.fl.generators import make_instance
+        from repro.net.trace import Trace
+
+        recipe = InstanceRecipe("uniform", 10, 2500, 5)
+        service = SolveService(clock=FakeClock())
+        service.submit(SolveRequest(
+            request_id="many", recipe=recipe, k=4, variant="dual_ascent",
+            seed=1, capture_events=True,
+        ))
+        (response,) = service.process_pending()
+        trace = Trace()
+        solve_distributed(
+            make_instance("uniform", 10, 2500, 5), 4, "dual_ascent", seed=1, trace=trace
+        )
+        counts = Counter(event.event for event in trace)
+        assert len(trace) > 10_000
+        assert response.result["events_by_kind"] == dict(sorted(counts.items()))
+
 
 class TestMetrics:
     def test_cache_hit_counters_prove_shared_setup(self):

@@ -17,13 +17,13 @@ import pytest
 
 from repro.core.algorithm import solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
-from repro.fl.generators import make_instance
+from repro.fl.generators import FAMILIES, make_instance
 from repro.obs.manifest import RunRecord
 from repro.perf.cache import clear_caches
 from repro.perf.executor import SweepExecutor
 from repro.service import ServiceClient, SolveService
 from repro.service.request import InstanceRecipe, SolveRequest
-from repro.service.worker import canonical_answer
+from repro.service.worker import ServiceCell, canonical_answer, run_service_cell
 
 #: A mixed workload: two recipes x two k values, one dual-ascent request,
 #: one inline-instance request, plus exact duplicates of the first two.
@@ -384,3 +384,33 @@ class TestServedViaTcpRouter:
             response = first[request.request_id]
             assert response.result["cost"] == cost
             assert manifest_bytes(dict(response.manifest)) == manifest_bytes(manifest)
+
+
+def _served_without_engine(cell: ServiceCell) -> str:
+    """A served answer's canonical bytes without its two engine tags."""
+    answer = run_service_cell(cell)
+    answer["result"].pop("engine", None)
+    answer["manifest"]["parameters"].pop("engine", None)
+    return canonical_answer(answer)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_columnar_answers_equal_the_simulator_but_for_engine_tags(family):
+    # The ledger's round records equal the simulator's from round 0, so a
+    # fault-free columnar manifest differs only where it names its engine.
+    for variant, rounding in (
+        ("greedy", "select_all"),
+        ("dual_ascent", "select_all"),
+        ("dual_ascent", "randomized"),
+    ):
+        for k in (1, 4, 9):
+            cells = [
+                ServiceCell(
+                    recipe=InstanceRecipe(family, 16, 48, 3), instance=None, k=k,
+                    variant=variant, seed=1, rounding=rounding, c_round=1.0,
+                    compute_lp=True, capture_events=False, engine=engine,
+                )
+                for engine in ("simulator", "columnar")
+            ]
+            simulator, columnar = map(_served_without_engine, cells)
+            assert columnar == simulator, (variant, rounding, k)

@@ -24,6 +24,12 @@ The cases cover greedy and dual ascent on the four sweep families at
 edge per round) with a bit budget it stays within; and one run with a
 fault plan plus the ACK/retransmit sublayer, which exercises the
 retransmit, ACK, duplicate and drop accounting.
+
+A third pin, :data:`FAULT_GOLDEN`, hashes ``metrics.summary()`` and the
+timeline tuples of one run per :data:`~repro.analysis.chaos.FAULT_FAMILIES`
+plan and variant, with reliable delivery and self-healing on, so the
+crash, partition, link and burst drops that feed ``drops_by_round`` are
+pinned too.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.core.algorithm import DistributedFacilityLocation
+from repro.analysis.chaos import FAULT_FAMILIES, build_fault_plan
+from repro.core.algorithm import DistributedFacilityLocation, solve_distributed
+from repro.core.healing import SelfHealingPolicy
 from repro.fl.generators import make_instance
 from repro.net.faults import FaultPlan
 from repro.net.reliability import ReliabilityPolicy
@@ -53,16 +61,25 @@ GOLDEN = "78c2c339946f639532019596ee6d6e6924e0789ea45fe60578ca45eb1853e8d7"
 #: announcement; the protocol change had to leave it as it was.
 SOLUTION_GOLDEN = "957aca984bceaaadcc80bf33c1a052c00aabd8831aea0a8ddb5af5179e5f65e7"
 
+#: sha256 over the faulty runs' metrics summaries and timeline tuples,
+#: generated before the metrics took their per-round aggregates from the
+#: timeline; that change had to leave it as it was.
+FAULT_GOLDEN = "630c0829bba8dd47fe9b1181d84b33771299d87bd8c69b15d5a08237d1b5b478"
+
+
+def _timeline(timeline) -> list[tuple[int, ...]]:
+    return [
+        (e.round_number, e.messages, e.bits, e.drops, e.alive, e.finished)
+        for e in timeline
+    ]
+
 
 def _run_digest(
     runner: DistributedFacilityLocation, simulator, recorder
 ) -> tuple[str, str]:
     metrics = simulator.run(max_rounds=runner.round_budget())
     runner._extract(simulator, metrics)
-    timeline = [
-        (e.round_number, e.messages, e.bits, e.drops, e.alive, e.finished)
-        for e in simulator.timeline
-    ]
+    timeline = _timeline(simulator.timeline)
     checkpoints = [
         (c.label, c.digest)
         for c in recorder.checkpoints
@@ -126,12 +143,41 @@ def _pins() -> tuple[str, str]:
     )
 
 
+def _fault_pin() -> str:
+    instance = make_instance("uniform", 12, 40, INSTANCE_SEED)
+    digests = []
+    for family in FAULT_FAMILIES:
+        for variant in VARIANTS:
+            schedule = DistributedFacilityLocation(
+                instance, 9, variant=variant
+            ).schedule_rounds()
+            result = solve_distributed(
+                instance,
+                9,
+                variant,
+                seed=1,
+                fault_plan=build_fault_plan(family, 0.3, instance, schedule, seed=5),
+                reliability=ReliabilityPolicy(),
+                healing=SelfHealingPolicy(),
+            )
+            digests.append(json.dumps({
+                "summary": result.metrics.summary(),
+                "timeline": _timeline(result.timeline),
+            }))
+    return hashlib.sha256("\n".join(digests).encode()).hexdigest()
+
+
 def test_simulator_outputs_match_the_golden_pin():
     traffic, solution = _pins()
     assert solution == SOLUTION_GOLDEN
     assert traffic == GOLDEN
 
 
+def test_faulty_runs_match_the_fault_pin():
+    assert _fault_pin() == FAULT_GOLDEN
+
+
 if __name__ == "__main__":  # print the pins of the current simulator
     traffic, solution = _pins()
     print(f"GOLDEN = {traffic!r}\nSOLUTION_GOLDEN = {solution!r}")
+    print(f"FAULT_GOLDEN = {_fault_pin()!r}")
