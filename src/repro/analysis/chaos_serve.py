@@ -43,6 +43,7 @@ from typing import Any, Mapping, Sequence
 from repro.analysis.experiments import ExperimentResult
 from repro.exceptions import ReproError
 from repro.flags import flag
+from repro.obs.spans import SpanContext
 from repro.service.batcher import WorkUnit
 from repro.service.client import ServiceClient, StreamServiceClient
 from repro.service.queue import QueuedRequest
@@ -288,12 +289,17 @@ def _terminal_signature(response: SolveResponse) -> str:
 
 
 def direct_signature(request: SolveRequest) -> str:
-    """The oracle: the same work solved directly, no service in between."""
+    """The oracle: the same work solved directly, no service in between.
+
+    The cell is traced (its spans are dropped), so a default request is
+    answered on the message-passing simulator here while the service
+    answers it on columnar: the check crosses engines.
+    """
     cell = WorkUnit(
         leader=QueuedRequest(
             request=request, arrival=0.0, seq=0, deadline=None
         )
-    ).cell()
+    ).cell(trace_ctx=SpanContext(trace_id="oracle", span_id="direct"))
     outcome = run_service_cell_guarded(cell)
     return canonical_answer(
         {

@@ -138,16 +138,19 @@ class SolveRequest:
     work still dedup onto one solve, and both ride the wire only when
     set away from their defaults (existing wire bytes are unchanged).
 
-    ``engine`` (one of :data:`~repro.core.algorithm.ENGINES`) selects
-    the execution engine: ``"simulator"`` (the default) is the
-    message-passing simulator every pre-engine client gets. The
-    emulation engines change the response bytes (no simulated network),
-    so ``engine`` joins :meth:`work_key` — but only when set away from
-    ``"simulator"``, keeping every pre-engine work key (and wire line)
-    byte-identical. ``shards`` splits a columnar solve across worker
-    processes; by the sharding determinism contract it can never change
-    the answer bytes, so like ``priority`` it stays *out* of the work
-    key — requests differing only in ``shards`` dedup onto one solve.
+    ``engine`` (one of :data:`~repro.core.algorithm.ENGINES`) names
+    the engine whose answer the request gets: ``"simulator"`` (the
+    default) is the message-passing simulator's answer, which the worker
+    computes on columnar unless the request asks for events, a recording
+    or spans (see :mod:`repro.service.worker`). A non-default engine
+    tags its answer (``result.engine``, ``manifest.parameters.engine``)
+    and ``"loop"`` reports no network metrics, so ``engine`` joins
+    :meth:`work_key` — but only when set away from ``"simulator"``,
+    keeping every pre-engine work key (and wire line) byte-identical.
+    ``shards`` splits a columnar solve across worker processes; by the
+    sharding determinism contract it can never change the answer bytes,
+    so like ``priority`` it stays *out* of the work key — requests
+    differing only in ``shards`` dedup onto one solve.
     """
 
     request_id: str

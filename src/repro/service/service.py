@@ -39,6 +39,10 @@ instrument                 meaning
 ``service.sheds``          shed requests, labeled ``priority=...``
 ``service.rate_limited``   admissions refused by the per-client bucket
 ``service.drain.rejections`` requests answered ``draining`` at shutdown
+``service.solves``         work units solved, labeled ``engine=...``: the
+                           engine that ran, so a default request counts
+                           under ``columnar`` (see
+                           :mod:`repro.service.worker`)
 ========================== ============================================
 
 Cache-hit deltas are measured around each batch via
@@ -53,6 +57,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.core.algorithm import ENGINES
 from repro.exceptions import ReproError
 from repro.flags import flag, ttl_seconds
 from repro.obs.registry import MetricsRegistry
@@ -273,6 +278,10 @@ class SolveService:
         self._drain_rejections = reg.counter(
             "service.drain.rejections",
             "requests answered with status=draining during shutdown",
+        )
+        self._solves = reg.counter(
+            "service.solves",
+            "work units solved, labeled by the engine that ran",
         )
         self._queue_depth.set(0)
         self._store_size.set(0)
@@ -497,6 +506,9 @@ class SolveService:
                 # is unconditional: a recorded unit ships its payload
                 # whether or not the service itself is traced.
                 recording = outcome.pop("recording", None)
+                engine = outcome.pop("engine", None)
+                if engine is not None:
+                    self._solves.inc(engine=engine)
                 if self.tracer is not None:
                     worker_spans = outcome.pop("spans", None)
                     if worker_spans:
@@ -631,6 +643,10 @@ class SolveService:
             "batch_size_mean": self._batch_size.mean(),
             "batch_unique_mean": self._batch_unique.mean(),
             "dedup_hits": self._dedup_hits.total,
+            **{
+                f"solves_{engine}": self._solves.value(engine=engine)
+                for engine in ENGINES
+            },
             "cache_hits_instance": self._cache_hits.value(cache="instance"),
             "cache_hits_lp": self._cache_hits.value(cache="lp"),
             "queue_depth": self.queue.depth,

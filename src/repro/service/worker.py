@@ -12,9 +12,15 @@ the same :func:`~repro.core.algorithm.solve_distributed` call as the
 ``repro solve`` CLI and builds its manifest through the same
 :meth:`~repro.obs.manifest.RunRecord.from_run` constructor, so a batched
 answer is byte-identical (wall-clock fields aside, see
-:func:`canonical_answer`) to a direct one. Instances and LP bounds come from :mod:`repro.perf.cache`, which is
-how a batch full of near-duplicate requests pays for its shared setup
-once per process.
+:func:`canonical_answer`) to a direct one. Instances and LP bounds come
+from :mod:`repro.perf.cache`, which is how a batch full of
+near-duplicate requests pays for its shared setup once per process.
+
+A simulator cell that asks for nothing only the simulator produces (no
+protocol events, no recording, no spans) is answered on the columnar
+engine: its ledger's round records equal the simulator's, so the answer
+keeps the simulator's bytes — and its tags — at a fraction of the cost
+(see :func:`_answering_engine`).
 """
 
 from __future__ import annotations
@@ -73,10 +79,11 @@ class ServiceCell:
     flight recorder and ships the recording back under the extra
     ``"recording"`` key, riding beside the result exactly like spans.
 
-    ``engine`` and ``shards`` pass straight to
-    :func:`~repro.core.algorithm.solve_distributed`: ``"simulator"``
-    (the default) is the message-passing simulator, and ``"loop"`` /
-    ``"columnar"`` come back as the same
+    ``engine`` is the engine the request names, and the one its answer
+    is tagged with; :func:`_answering_engine` picks the engine that runs.
+    ``"simulator"`` (the default) is answered on columnar unless the
+    cell asks for events, a recording or spans; ``"loop"`` and
+    ``"columnar"`` run as named. Every engine comes back as the same
     :class:`~repro.core.algorithm.DistributedRunResult`, so the
     manifest/payload tail is shared. ``shards`` (columnar only)
     splits the solve across worker processes and — by the sharding
@@ -100,6 +107,22 @@ class ServiceCell:
     shards: int = 1
 
 
+def _answering_engine(cell: ServiceCell) -> str:
+    """The engine that solves ``cell``.
+
+    A fault-free columnar answer equals the simulator's but for its
+    engine tags, so a simulator cell runs on columnar unless it asks for
+    what only the simulator makes: ``capture_events`` (protocol events),
+    ``record`` (``sim:round`` checkpoints) or ``trace_ctx`` (per-round
+    spans). The answer keeps ``cell.engine``'s tags either way.
+    """
+    if cell.engine == "simulator" and not (
+        cell.capture_events or cell.record or cell.trace_ctx is not None
+    ):
+        return "columnar"
+    return cell.engine
+
+
 def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
     """Solve one cell; return a plain-JSON ``{"result", "manifest"}`` dict.
 
@@ -114,8 +137,11 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
     ``worker.instance`` / ``worker.lp`` / the traced solve with its
     per-round children — and ships it back under the extra ``"spans"``
     key. The key rides *next to* ``result``/``manifest``, never inside
-    them, so traced and untraced answers stay byte-identical.
+    them, so traced and untraced answers stay byte-identical. The
+    engine that ran (:func:`_answering_engine`) rides the same way under
+    ``"engine"``.
     """
+    engine = _answering_engine(cell)
     tracer: Tracer | None = None
     root = None
     if cell.trace_ctx is not None:
@@ -151,7 +177,7 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
         from repro.obs.recorder import FlightRecorder
 
         recorder = FlightRecorder(
-            engine=cell.engine,
+            engine=engine,
             config={
                 "k": cell.k,
                 "variant": cell.variant,
@@ -165,10 +191,10 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
     # stands for their whole solve.
     observers: dict[str, Any] = {"trace": trace, "tracer": tracer}
     engine_span: Any = contextlib.nullcontext()
-    if cell.engine != "simulator":
+    if engine != "simulator":
         observers = {}
         if tracer is not None:
-            engine_span = tracer.span("worker.engine", engine=cell.engine)
+            engine_span = tracer.span("worker.engine", engine=engine)
     with engine_span:
         result = solve_distributed(
             instance,
@@ -177,7 +203,7 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
             seed=cell.seed,
             rounding=RoundingPolicy(mode=cell.rounding, c_round=cell.c_round),
             recorder=recorder,
-            engine=cell.engine,
+            engine=engine,
             shards=cell.shards,
             **observers,
         )
@@ -191,8 +217,9 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
         "c_round": cell.c_round,
     }
     if cell.engine != "simulator":
-        # Recorded only when set away from the default, so default
-        # manifests stay byte-identical to the pre-engine service.
+        # The engine the request names, not the one that ran, and only
+        # away from the default, so default manifests stay
+        # byte-identical to the simulator's.
         # Shards never appears: it is outside the work key, so a dedup
         # group may mix shard counts yet must share one answer byte-run.
         parameters["engine"] = cell.engine
@@ -220,7 +247,11 @@ def run_service_cell(cell: ServiceCell) -> dict[str, Any]:
         payload["ratio_vs_lp"] = extras["ratio_vs_lp"]
     if trace is not None:
         payload["events_by_kind"] = dict(sorted(trace.counts.items()))
-    out: dict[str, Any] = {"result": payload, "manifest": manifest.to_dict()}
+    out: dict[str, Any] = {
+        "result": payload,
+        "manifest": manifest.to_dict(),
+        "engine": engine,
+    }
     if recorder is not None:
         # Beside — never inside — result/manifest, mirroring "spans".
         out["recording"] = recorder.to_payload()

@@ -268,9 +268,17 @@ class TestPipelineTracing:
             "algo.run",
             "sim.round",
         } <= names
+        # A traced request stays on the simulator: its build and round
+        # spans hang under the algorithm run.
+        by_id = {s["span_id"]: s for s in spans}
+        for name in ("sim.build", "sim.round"):
+            children = [s for s in spans if s["name"] == name]
+            assert children
+            assert all(
+                by_id[s["parent_id"]]["name"] == "algo.run" for s in children
+            )
         # Every round span is annotated with its round metrics.
         round_spans = [s for s in spans if s["name"] == "sim.round"]
-        assert round_spans
         for span in round_spans:
             assert {"round", "messages", "bits"} <= set(span["attributes"])
 

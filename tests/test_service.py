@@ -184,6 +184,33 @@ class TestMetrics:
         assert summary["latency_p50_s"] > 0
         assert summary["latency_p95_s"] >= summary["latency_p50_s"]
 
+    def test_solves_count_the_engine_that_ran(self):
+        # A default request is answered on columnar; events, a recording
+        # or spans keep a request on the simulator.
+        from repro.obs.spans import Tracer
+
+        def solves(service, *requests):
+            for item in requests:
+                service.submit(item)
+            assert all(r.status == "ok" for r in service.process_pending())
+            summary = service.metrics_summary()
+            return {e: summary[f"solves_{e}"] for e in ("simulator", "columnar", "loop")}
+
+        assert solves(SolveService(clock=FakeClock()), request("a")) == {
+            "simulator": 0, "columnar": 1, "loop": 0,
+        }
+        assert solves(
+            SolveService(clock=FakeClock()),
+            request("events", capture_events=True),
+            request("recorded", seed=2, record=True),
+        ) == {"simulator": 2, "columnar": 0, "loop": 0}
+        assert solves(
+            SolveService(clock=FakeClock(), tracer=Tracer()), request("traced")
+        ) == {"simulator": 1, "columnar": 0, "loop": 0}
+        assert solves(
+            SolveService(clock=FakeClock()), request("named", engine="loop")
+        ) == {"simulator": 0, "columnar": 0, "loop": 1}
+
     def test_shared_registry_is_respected(self):
         registry = MetricsRegistry()
         service = SolveService(registry=registry, clock=FakeClock())

@@ -10,14 +10,18 @@ invisible in the output.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from typing import Any
 
+import numpy as np
 import pytest
 
+from repro.baselines import solve_lp
 from repro.core.algorithm import solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.fl.generators import FAMILIES, make_instance
+from repro.fl.instance import FacilityLocationInstance
 from repro.obs.manifest import RunRecord
 from repro.perf.cache import clear_caches
 from repro.perf.executor import SweepExecutor
@@ -50,28 +54,63 @@ def build_request(spec: dict[str, Any], inline: bool = False) -> SolveRequest:
     return SolveRequest(**kwargs)
 
 
-def direct_manifest(spec: dict[str, Any]) -> tuple[float, dict[str, Any]]:
-    """Cost and manifest from the unbatched reference path."""
-    instance = make_instance(spec["family"], 6, 15, spec["seed"])
+def direct_answer(cell: ServiceCell) -> dict[str, Any]:
+    """``cell``'s ``{"result", "manifest"}`` built from a direct simulator
+    run, no worker in between: the reference a served answer must equal."""
+    instance = cell.instance
+    if instance is None:
+        assert cell.recipe is not None
+        instance = make_instance(*cell.recipe.key())
     result = solve_distributed(
         instance,
-        k=spec["k"],
-        variant=spec.get("variant", "greedy"),
-        seed=0,
-        rounding=RoundingPolicy(),
+        k=cell.k,
+        variant=cell.variant,
+        seed=cell.seed,
+        rounding=RoundingPolicy(mode=cell.rounding, c_round=cell.c_round),
+        engine="simulator",
     )
+    payload: dict[str, Any] = {
+        "instance": instance.name,
+        "k": cell.k,
+        "variant": cell.variant,
+        "cost": result.cost,
+        "open_facilities": sorted(result.open_facilities),
+        "rounds": result.metrics.rounds,
+        "total_messages": result.metrics.total_messages,
+        "max_message_bits": result.metrics.max_message_bits,
+    }
+    extras: dict[str, Any] = {}
+    if cell.compute_lp:
+        lp_value = float(solve_lp(instance).value)
+        extras["ratio_vs_lp"] = result.cost / max(lp_value, 1e-12)
+        payload["lp_value"] = lp_value
+        payload["ratio_vs_lp"] = extras["ratio_vs_lp"]
     manifest = RunRecord.from_run(
         result,
-        seed=0,
+        seed=cell.seed,
         parameters={
-            "k": spec["k"],
-            "variant": spec.get("variant", "greedy"),
-            "rounding": "select_all",
-            "c_round": 1.0,
+            "k": cell.k,
+            "variant": cell.variant,
+            "rounding": cell.rounding,
+            "c_round": cell.c_round,
         },
         wall_seconds=result.wall_seconds,
+        extras=extras,
     )
-    return result.cost, manifest.to_dict()
+    return {"result": payload, "manifest": manifest.to_dict()}
+
+
+def direct_manifest(spec: dict[str, Any]) -> tuple[float, dict[str, Any]]:
+    """Cost and manifest from the unbatched reference path."""
+    reference = direct_answer(
+        ServiceCell(
+            recipe=InstanceRecipe(spec["family"], 6, 15, spec["seed"]),
+            instance=None, k=spec["k"], variant=spec.get("variant", "greedy"),
+            seed=0, rounding="select_all", c_round=1.0, compute_lp=False,
+            capture_events=False,
+        )
+    )
+    return reference["result"]["cost"], reference["manifest"]
 
 
 def answer(response) -> str:
@@ -163,6 +202,31 @@ class TestServedEqualsDirect:
             assert a.dedup == b.dedup
             assert answer(a) == answer(b)
 
+    def test_mixed_traced_dedup_group_shares_one_answer(self):
+        # A traced service keeps its units on the simulator; a dedup
+        # group of a client-traced and an untraced request still gets one
+        # answer, the same bytes an untraced service computes on columnar.
+        from repro.obs.spans import SpanContext, Tracer
+
+        spec = WORKLOAD[0]
+        _, plain = self.run_workload()
+        tracer = Tracer()
+        service = SolveService(tracer=tracer)
+        responses = ServiceClient(service).solve_many(
+            [
+                dataclasses.replace(
+                    build_request(spec),
+                    request_id="traced",
+                    trace_ctx=SpanContext(trace_id="t", span_id="s"),
+                ),
+                dataclasses.replace(build_request(spec), request_id="plain"),
+            ]
+        )
+        assert [r.dedup for r in responses] == [False, True]
+        assert service.metrics_summary()["solves_simulator"] == 1
+        assert answer(responses[0]) == answer(responses[1])
+        assert answer(responses[0]) == answer(plain[spec["rid"]])
+
     def test_traced_parallel_workers_change_nothing(self):
         from repro.obs.spans import Tracer
 
@@ -188,8 +252,6 @@ class TestServedEqualsDirect:
         # The flight-recorder analogue of the tracing guardrail: with
         # record=True the recording payload rides beside the answer and
         # the result/manifest bytes stay identical to an unrecorded run.
-        import dataclasses
-
         _, plain = self.run_workload()
         clear_caches()
         client = ServiceClient(SolveService())
@@ -207,6 +269,12 @@ class TestServedEqualsDirect:
             assert a.status == b.status == "ok"
             assert not a.recording
             assert b.recording["schema"] == "repro.recording/v1"
+            # A recorded request stays on the simulator: its per-round
+            # node state is there.
+            assert any(
+                checkpoint["label"].startswith("sim:round:")
+                for checkpoint in b.recording["checkpoints"]
+            )
             assert answer(a) == answer(b)
             # Unrecorded wire bytes never mention the recording key.
             assert "recording" not in a.to_wire()
@@ -342,8 +410,6 @@ class TestServedViaTcpRouter:
             for script in build_workload(shape).per_user
             for request in script
         ]
-        import dataclasses
-
         wave_two = [
             dataclasses.replace(request, request_id=f"again-{request.request_id}")
             for request in wave_one
@@ -386,31 +452,103 @@ class TestServedViaTcpRouter:
             assert manifest_bytes(dict(response.manifest)) == manifest_bytes(manifest)
 
 
-def _served_without_engine(cell: ServiceCell) -> str:
-    """A served answer's canonical bytes without its two engine tags."""
-    answer = run_service_cell(cell)
-    answer["result"].pop("engine", None)
-    answer["manifest"]["parameters"].pop("engine", None)
-    return canonical_answer(answer)
+def _recipe_cells(family: str) -> list[ServiceCell]:
+    # Both variants and roundings with the LP on, plus serve_zipf's own
+    # shape (greedy, k in {4, 8}, LP off) on the families it draws from.
+    cells = [
+        ServiceCell(
+            recipe=InstanceRecipe(family, 16, 48, 3), instance=None, k=k,
+            variant=variant, seed=1, rounding=rounding, c_round=1.0,
+            compute_lp=True, capture_events=False,
+        )
+        for variant, rounding in (
+            ("greedy", "select_all"),
+            ("dual_ascent", "select_all"),
+            ("dual_ascent", "randomized"),
+        )
+        for k in (1, 4, 9)
+    ]
+    if family in ("uniform", "euclidean", "clustered"):
+        cells += [
+            ServiceCell(
+                recipe=InstanceRecipe(family, 16, 48, seed), instance=None,
+                k=k, variant="greedy", seed=0, rounding="select_all",
+                c_round=1.0, compute_lp=False, capture_events=False,
+            )
+            for seed in (41, 100_007)
+            for k in (4, 8)
+        ]
+    return cells
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_columnar_answers_equal_the_simulator_but_for_engine_tags(family):
-    # The ledger's round records equal the simulator's from round 0, so a
-    # fault-free columnar manifest differs only where it names its engine.
-    for variant, rounding in (
-        ("greedy", "select_all"),
-        ("dual_ascent", "select_all"),
-        ("dual_ascent", "randomized"),
-    ):
-        for k in (1, 4, 9):
-            cells = [
-                ServiceCell(
-                    recipe=InstanceRecipe(family, 16, 48, 3), instance=None, k=k,
-                    variant=variant, seed=1, rounding=rounding, c_round=1.0,
-                    compute_lp=True, capture_events=False, engine=engine,
-                )
-                for engine in ("simulator", "columnar")
-            ]
-            simulator, columnar = map(_served_without_engine, cells)
-            assert columnar == simulator, (variant, rounding, k)
+def _inf_instance(m: int, n: int, seed: int) -> FacilityLocationInstance:
+    """About half the edges absent, the rest on a coarse grid (many ties)."""
+    rng = np.random.default_rng(seed)
+    costs = rng.integers(1, 4, size=(m, n)).astype(float)
+    costs[rng.random((m, n)) < 0.5] = np.inf
+    for j in np.flatnonzero(~np.isfinite(costs).any(axis=0)):
+        costs[rng.integers(m), j] = 2.0
+    openings = rng.integers(1, 4, size=m).astype(float)
+    return FacilityLocationInstance(openings, costs, name=f"inf-{m}x{n}-{seed}")
+
+
+def _degenerate_instances() -> list[FacilityLocationInstance]:
+    diagonal = np.full((5, 5), np.inf)
+    np.fill_diagonal(diagonal, 0.5)
+    rng = np.random.default_rng(7)
+    return [
+        FacilityLocationInstance(np.zeros(6), rng.random((6, 15)), name="free-open"),
+        FacilityLocationInstance([2.5], rng.random((1, 10)), name="m1"),
+        FacilityLocationInstance(rng.random(5), rng.random((5, 1)), name="n1"),
+        FacilityLocationInstance(np.ones(6), np.ones((6, 12)), name="all-equal"),
+        FacilityLocationInstance(
+            np.full(4, 1e6), np.full((4, 12), 1e-6), name="huge-open"
+        ),
+        # One client per facility: at the last level its payment is
+        # exactly the opening cost.
+        FacilityLocationInstance(np.full(5, 0.5), diagonal, name="pay-equals-open"),
+    ]
+
+
+def _inline_cells(instances: list[FacilityLocationInstance]) -> list[ServiceCell]:
+    return [
+        ServiceCell(
+            recipe=None, instance=instance, k=k, variant=variant, seed=2,
+            rounding=rounding, c_round=1.0, compute_lp=index % 2 == 0,
+            capture_events=False,
+        )
+        for index, instance in enumerate(instances)
+        for variant, rounding in (
+            ("greedy", "select_all"),
+            ("dual_ascent", "select_all"),
+            ("dual_ascent", "randomized"),
+        )
+        for k in (1, 4, 9)
+    ]
+
+
+def _grid(name: str) -> list[ServiceCell]:
+    if name == "inline-inf":
+        return _inline_cells(
+            [_inf_instance(m, n, seed) for m, n in ((6, 15), (16, 48)) for seed in (0, 1)]
+        )
+    if name == "inline-degenerate":
+        return _inline_cells(_degenerate_instances())
+    return _recipe_cells(name)
+
+
+@pytest.mark.parametrize(
+    "grid", sorted([*FAMILIES, "inline-inf", "inline-degenerate"])
+)
+def test_columnar_answers_equal_the_simulator_but_for_engine_tags(grid):
+    # A default cell is answered on columnar, yet its bytes — engine tags
+    # included — must equal an answer built from a real simulator run:
+    # the ledger's round records equal the simulator's from round 0.
+    for cell in _grid(grid):
+        served = run_service_cell(cell)
+        assert served["engine"] == "columnar"
+        served.pop("engine")
+        assert canonical_answer(served) == canonical_answer(direct_answer(cell)), (
+            cell.instance.name if cell.instance else cell.recipe,
+            cell.variant, cell.rounding, cell.k,
+        )
