@@ -43,20 +43,14 @@ from repro.core.algorithm import (
     Variant,
     solve_distributed,
 )
-from repro.core.bounds import approximation_envelope, round_budget
+from repro.core.bounds import approximation_envelope, message_bits_envelope, round_budget
 from repro.core.dual_ascent_nodes import RoundingPolicy
 from repro.core.parameters import TradeoffParameters
 from repro.fl.generators import decoy_instance, high_spread_instance, make_instance
 from repro.net.faults import FaultPlan
 from repro.obs.compare import Gate
 from repro.perf.cache import cached_instance, cached_lp_value
-from repro.perf.cells import (
-    CellOutcome,
-    SequentialCell,
-    SolveCell,
-    run_sequential_cell,
-    run_solve_cell,
-)
+from repro.perf.cells import CellOutcome, SolveCell, run_solve_cell
 from repro.perf.executor import SweepExecutor
 
 __all__ = [
@@ -175,19 +169,14 @@ _SERIAL = SweepExecutor()
 def _sweep(
     cells: Sequence[SolveCell], executor: SweepExecutor | None
 ) -> list[CellOutcome]:
-    """Run distributed-solve cells, serially or fanned out, in cell order.
+    """Run solve cells, serially or fanned out, in cell order.
 
-    The ordered merge is what keeps parallel experiments byte-identical
-    to serial ones: every aggregation below consumes results positionally.
+    Cells without faults or truncation run on columnar, whose outcome
+    equals the simulator's. The ordered merge is what keeps parallel
+    experiments byte-identical to serial ones: every aggregation below
+    consumes results positionally.
     """
     return (executor or _SERIAL).map_cells(run_solve_cell, cells)
-
-
-def _sweep_sequential(
-    cells: Sequence[SequentialCell], executor: SweepExecutor | None
-) -> list[CellOutcome]:
-    """Run sequential-emulation cells, serially or fanned out, in order."""
-    return (executor or _SERIAL).map_cells(run_sequential_cell, cells)
 
 
 def _ratio_sweep(
@@ -203,7 +192,8 @@ def _ratio_sweep(
     instance = cached_instance(family, m, n, instance_seed)
     bound = max(cached_lp_value(instance), 1e-12)
     cells = [
-        SolveCell(instance=instance, k=k, seed=s) for k in k_values for s in seeds
+        SolveCell(instance=instance, k=k, seed=s, engine="columnar")
+        for k in k_values for s in seeds
     ]
     outcomes = _sweep(cells, executor)
     ratios: dict[int, list[float]] = {}
@@ -299,7 +289,8 @@ def run_e2_ratio_vs_k(
     bound = max(cached_lp_value(instance), 1e-12)
     greedy_ratio = greedy_solve(instance).cost / bound
     cells = [
-        SolveCell(instance=instance, k=k, seed=s) for k in k_values for s in seeds
+        SolveCell(instance=instance, k=k, seed=s, engine="columnar")
+        for k in k_values for s in seeds
     ]
     outcomes = _sweep(cells, executor)
     rows: list[tuple[Any, ...]] = []
@@ -329,7 +320,7 @@ def run_e3_rounds_vs_k(
     family: str = "uniform",
     quick: bool = False,
 ) -> ExperimentResult:
-    """Measured simulator rounds vs ``k`` with a linear fit.
+    """Measured rounds vs ``k`` with a linear fit.
 
     Reproduces the ``O(k)`` round-complexity claim: measured rounds must
     stay below :func:`~repro.core.bounds.round_budget` and fit a line with
@@ -340,7 +331,7 @@ def run_e3_rounds_vs_k(
     rows: list[tuple[Any, ...]] = []
     measured: list[float] = []
     for k in k_values:
-        result = solve_distributed(instance, k=k, seed=0)
+        result = solve_distributed(instance, k=k, seed=0, engine="columnar")
         measured.append(float(result.metrics.rounds))
         rows.append((k, result.metrics.rounds, round_budget(k)))
     slope, intercept = linear_fit([float(k) for k in k_values], measured)
@@ -379,10 +370,8 @@ def run_e4_message_bits(
     rows: list[tuple[Any, ...]] = []
     for m, n in sizes:
         instance = cached_instance(family, m, n, 3)
-        result = solve_distributed(instance, k=k, seed=0)
+        result = solve_distributed(instance, k=k, seed=0, engine="columnar")
         total = m + n
-        from repro.core.bounds import message_bits_envelope
-
         rows.append(
             (
                 total,
@@ -429,7 +418,7 @@ def run_e5_baselines_table(
         family: cached_instance(family, m, n, 3) for family in families
     }
     cells = [
-        SolveCell(instance=instances[family], k=k, seed=s)
+        SolveCell(instance=instances[family], k=k, seed=s, engine="columnar")
         for family in families
         for s in seeds
     ]
@@ -521,6 +510,7 @@ def run_e6_rounding_ablation(
             variant=Variant.DUAL_ASCENT.value,
             seed=s,
             rounding=policy,
+            engine="columnar",
         )
         for _label, policy in policies
         for s in seeds
@@ -570,7 +560,7 @@ def run_e7_rho_sensitivity(
         for target_rho in rhos
     ]
     cells = [
-        SolveCell(instance=instance, k=k, seed=s)
+        SolveCell(instance=instance, k=k, seed=s, engine="columnar")
         for instance in instances
         for s in seeds
     ]
@@ -627,7 +617,7 @@ def run_e8_families_table(
         family: cached_instance(family, m, n, 3) for family in families
     }
     cells = [
-        SolveCell(instance=instances[family], k=k, seed=s)
+        SolveCell(instance=instances[family], k=k, seed=s, engine="columnar")
         for family in families
         for s in seeds
     ]
@@ -693,10 +683,11 @@ def run_e9_scalability(
         start = time.perf_counter()
         seq = solve_distributed(instance, k=k, seed=0, engine="columnar")
         seq_seconds = time.perf_counter() - start
-        # Identical solutions (cost floats may differ in the last ulp
-        # because the two paths sum assignments in different orders).
+        # Identical solutions, costs and modeled traffic.
         assert seq.open_facilities == dist.open_facilities
         assert seq.solution.assignment == dist.solution.assignment
+        assert seq.cost == dist.cost
+        assert seq.metrics == dist.metrics
         rows.append(
             (
                 m + n,
@@ -747,7 +738,9 @@ def run_e10_variants_table(
         for variant in (Variant.GREEDY, Variant.DUAL_ASCENT)
     ]
     cells = [
-        SolveCell(instance=instance, k=k, variant=variant.value, seed=s)
+        SolveCell(
+            instance=instance, k=k, variant=variant.value, seed=s, engine="columnar"
+        )
         for k, variant in grid
         for s in seeds
     ]
@@ -860,7 +853,7 @@ def run_e12_ladder_necessity(
     instance = decoy_instance(m, n, seed=3, gap=gap)
     bound = max(cached_lp_value(instance), 1e-12)
     cells = [
-        SolveCell(instance=instance, k=k, seed=s)
+        SolveCell(instance=instance, k=k, seed=s, engine="columnar")
         for k in k_values
         for s in seeds
     ]
@@ -918,7 +911,9 @@ def run_e13_settle_ablation(
         for settle in settle_values
     ]
     cells = [
-        SolveCell(instance=instance, k=params.k, seed=s, params=params)
+        SolveCell(
+            instance=instance, k=params.k, seed=s, params=params, engine="columnar"
+        )
         for params in schedules
         for s in seeds
     ]
@@ -1046,8 +1041,8 @@ def run_e15_concentration(
 
     The theorem promises its guarantee *with high probability* over the
     algorithm's coins. This experiment runs the protocol over hundreds of
-    seeds (via the coin-for-coin sequential emulation, which makes the
-    sweep cheap) and reports the quantiles of the ratio distribution; the
+    seeds (on the coin-for-coin columnar engine, which makes the sweep
+    cheap) and reports the quantiles of the ratio distribution; the
     reproduced claim is that even the *worst* observed seed stays under
     the analytic envelope, and that the distribution is tightly
     concentrated (small p95/p50 gap).
@@ -1058,11 +1053,11 @@ def run_e15_concentration(
     instance = cached_instance(family, m, n, 3)
     bound = max(cached_lp_value(instance), 1e-12)
     cells = [
-        SequentialCell(instance=instance, k=k, seed=s)
+        SolveCell(instance=instance, k=k, seed=s, engine="columnar")
         for k in k_values
         for s in range(num_seeds)
     ]
-    outcomes = _sweep_sequential(cells, executor)
+    outcomes = _sweep(cells, executor)
     rows: list[tuple[Any, ...]] = []
     for idx, k in enumerate(k_values):
         batch = outcomes[idx * num_seeds : (idx + 1) * num_seeds]
@@ -1122,7 +1117,9 @@ def run_e16_opening_rule(
     instance = cached_instance(family, m, n, 3)
     bound = max(cached_lp_value(instance), 1e-12)
     cells = [
-        SolveCell(instance=instance, k=k, seed=s, open_fraction=fraction)
+        SolveCell(
+            instance=instance, k=k, seed=s, open_fraction=fraction, engine="columnar"
+        )
         for fraction in fractions
         for s in seeds
     ]

@@ -466,22 +466,17 @@ class DistributedFacilityLocation:
         )
 
     def _diagnostics(self, facilities, clients) -> dict[str, Any]:
-        """Protocol-level counters used by tests and experiment tables."""
+        """Protocol-level counters used by tests and experiment tables;
+        the emulation engines report the same keys."""
         diagnostics: dict[str, Any] = {
-            "num_open": sum(1 for f in facilities if f.is_open),
-            "num_forced_opens": sum(
-                1 for f in facilities if getattr(f, "was_forced", False)
-            ),
-            "num_forced_clients": sum(
-                1 for c in clients if getattr(c, "used_force", False)
-            ),
+            "num_open": sum(f.is_open for f in facilities),
+            "num_forced_opens": sum(f.was_forced for f in facilities),
+            "num_forced_clients": sum(c.used_force for c in clients),
         }
         if self.variant is Variant.GREEDY:
-            diagnostics["total_failed_accepts"] = sum(
-                c.failed_accepts for c in clients
-            )
+            diagnostics["total_failed_accepts"] = sum(c.failed_accepts for c in clients)
         else:
-            diagnostics["num_tight"] = sum(1 for f in facilities if f.is_tight)
+            diagnostics["num_tight"] = sum(f.is_tight for f in facilities)
             diagnostics["mean_witnesses"] = (
                 sum(len(c.witnesses) for c in clients) / max(len(clients), 1)
             )
@@ -505,11 +500,12 @@ def solve_distributed(
     exchanges no messages); ``"columnar"`` runs
     :func:`~repro.core.columnar.solve_columnar` and carries its modeled
     CONGEST traffic from a :class:`~repro.net.columnar.ColumnarBitLedger`.
-    Both come back as the same :class:`DistributedRunResult`. ``shards``
+    Both come back as the same :class:`DistributedRunResult`, with the
+    simulator's ``diagnostics`` plus an ``"engine"`` tag. ``shards``
     splits a columnar solve across worker processes and never changes
-    the answer. Every engine accepts ``rounding``, ``open_fraction`` and
-    ``recorder``, and both engines with a message plane ``registry``;
-    any other keyword (``trace``, ``tracer``, ``watchdogs``,
+    the answer. Every engine accepts ``rounding``, ``open_fraction``,
+    ``params`` and ``recorder``, and both engines with a message plane
+    ``registry``; any other keyword (``trace``, ``tracer``, ``watchdogs``,
     ``fault_plan``, ...) is the simulator's alone and raises
     :class:`~repro.exceptions.AlgorithmError` on the emulation engines.
     """
@@ -538,7 +534,7 @@ def check_engine(
             f"engine {engine!r} does not shard; use engine='columnar' "
             "for shards > 1"
         )
-    accepted = {"rounding", "open_fraction", "recorder"}
+    accepted = {"rounding", "open_fraction", "params", "recorder"}
     if engine == "columnar":
         accepted.add("registry")  # it publishes the bit ledger's totals
     refused = sorted(set(options) - accepted)
@@ -558,6 +554,7 @@ def _run_emulation(
     shards: int,
     rounding: RoundingPolicy | None = None,
     open_fraction: float = 0.5,
+    params: TradeoffParameters | None = None,
     recorder=None,
     registry: MetricsRegistry | None = None,
 ) -> DistributedRunResult:
@@ -571,15 +568,17 @@ def _run_emulation(
         run = solve_columnar(
             instance, k, variant, seed, rounding=rounding,
             open_fraction=open_fraction, shards=shards, recorder=recorder,
+            params=params,
         )
         params, metrics, timeline = run.params, run.metrics, run.timeline
         if registry is not None:
             metrics.publish(registry)
         open_set = run.open_facilities
         assignment = dict(enumerate(run.assignment.tolist()))
+        diagnostics = run.diagnostics
     else:
-        params = _schedule(instance, k, variant)
-        open_set, assignment = emulate_loop(
+        params = params or _schedule(instance, k, variant)
+        open_set, assignment, diagnostics = emulate_loop(
             instance, variant, params, seed, open_fraction=open_fraction,
             policy=rounding, recorder=recorder,
         )
@@ -601,5 +600,5 @@ def _run_emulation(
         metrics=metrics,
         timeline=timeline,
         wall_seconds=time.perf_counter() - started,
-        diagnostics={"engine": engine},
+        diagnostics={"engine": engine, **diagnostics},
     )

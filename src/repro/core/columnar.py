@@ -830,7 +830,8 @@ def _leaves(kind: str, values, cast) -> dict:
 class _Observer:
     """Reads the run state at the schedule's snapshot points.
 
-    It charges the bit ledger and writes flight-recorder checkpoints.
+    It charges the bit ledger, writes flight-recorder checkpoints and
+    counts the simulator's diagnostics, which :meth:`finish` returns.
     In process it runs between kernels; in a sharded run the parent runs
     it while every worker is parked at a snapshot barrier. Ledger charges
     compare the state with the previous snapshot, so both run modes charge
@@ -844,13 +845,12 @@ class _Observer:
             self.facility_degrees = cinst.facility_degrees
         self.active = cinst.n
         self.active_edges = self.unfrozen_edges = cinst.num_edges
-        self.tight_edges = self.open_ads = 0
+        self.tight_edges = self.open_ads = self.failed_accepts = 0
 
     def __call__(self, label: str) -> None:
         cinst, s, ledger, recorder = self.cinst, self.s, self.ledger, self.recorder
         if label.startswith("greedy:iter:"):
-            if ledger is not None:
-                self.greedy_charges(int(label.rsplit(":", 1)[1]))
+            self.greedy_charges(int(label.rsplit(":", 1)[1]))
             if recorder is not None:
                 recorder.observe(label, {
                     "open": _leaves("facility", s["is_open"], bool),
@@ -893,40 +893,55 @@ class _Observer:
                 recorder.observe(label, {"open": _leaves("facility", s["is_open"], bool)})
 
     def greedy_charges(self, iteration: int) -> None:
+        """Count one iteration's failed accepts and charge its traffic."""
         if not self.active:
             # No client is active: no coins, no traffic.
             return
         s = self.s
         active = int(np.count_nonzero(s["active"]))
-        self.ledger.greedy_iteration(
-            iteration,
-            self.active_edges,
-            int(np.count_nonzero(s["member"])),
-            int(np.count_nonzero(s["has_offer"])),
-            self.active - active,
-        )
-        self.active = active
-        self.active_edges = int(self.client_degrees[s["active"]].sum())
+        offered = int(np.count_nonzero(s["has_offer"]))
+        served, self.active = self.active - active, active
+        # Every offered client accepted; an accept fails unless it served.
+        self.failed_accepts += offered - served
+        if self.ledger is not None:
+            member = int(np.count_nonzero(s["member"]))
+            self.ledger.greedy_iteration(iteration, self.active_edges, member, offered, served)
+            self.active_edges = int(self.client_degrees[s["active"]].sum())
 
-    def finish(self, variant: Variant) -> None:
-        """Charge the closing phase (greedy force / dual rounding)."""
-        if self.ledger is None:
-            return
+    def finish(self, variant: Variant) -> dict[str, Any]:
+        """Charge the closing phase (greedy force / dual rounding) and
+        return the simulator's protocol counters for the final state."""
         s = self.s
+        greedy = variant is Variant.GREEDY
         forced = int(np.count_nonzero(s["forced_mask"]))
-        if variant is not Variant.GREEDY:
-            self.ledger.dual_rounding(self.cinst.n, self.open_ads, forced)
-            return
-        open_ads = 0
-        if self.active:
-            # A leftover client hears from each neighbour that was open
-            # before the force phase. A forcing client had no open
-            # neighbour, so each facility it forced was closed then.
-            was_open = s["is_open"].copy()
-            was_open[s["forced_target"][s["forced_mask"]]] = False
-            cinst = self.cinst
-            open_ads = int(np.count_nonzero(was_open[cinst.g_fac] & s["active"][cinst.g_cli]))
-        self.ledger.greedy_force(self.active_edges, open_ads, self.active, forced)
+        # A forcing client had no open choice, so each facility it forced
+        # was closed until then: the distinct targets are the forced opens.
+        targets = (s["forced_target"] if greedy else s["target"])[s["forced_mask"]]
+        diagnostics: dict[str, Any] = {
+            "num_open": int(np.count_nonzero(s["is_open"])),
+            "num_forced_opens": int(np.unique(targets).size),
+            "num_forced_clients": forced,
+        }
+        if greedy:
+            diagnostics["total_failed_accepts"] = self.failed_accepts
+        else:
+            witnesses = int(np.count_nonzero(s["witness"]))
+            diagnostics["num_tight"] = int(np.count_nonzero(s["tight"]))
+            diagnostics["mean_witnesses"] = witnesses / max(self.cinst.n, 1)
+        ledger = self.ledger
+        if ledger is not None and not greedy:
+            ledger.dual_rounding(self.cinst.n, self.open_ads, forced)
+        elif ledger is not None:
+            open_ads = 0
+            if self.active:
+                # A leftover client hears from each neighbour that was
+                # open before the force phase.
+                was_open = s["is_open"].copy()
+                was_open[targets] = False
+                cinst = self.cinst
+                open_ads = int(np.count_nonzero(was_open[cinst.g_fac] & s["active"][cinst.g_cli]))
+            ledger.greedy_force(self.active_edges, open_ads, self.active, forced)
+        return diagnostics
 
 
 # ----------------------------------------------------------------------
@@ -1159,9 +1174,9 @@ def _run(
     policy: RoundingPolicy | None = None,
     recorder=None,
     ledger=None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Run one variant in process (``shards <= 1``) or sharded; returns
-    the open mask and the assignment."""
+    the open mask, the assignment and the diagnostics."""
     policy = policy or RoundingPolicy()
     if shards > 1:
         return _run_sharded(
@@ -1180,8 +1195,8 @@ def _run(
         lambda: None, observer, open_fraction=open_fraction, policy=policy,
         hook=_TEST_COLUMNAR_DUAL_ALPHA_RAISE_HOOK,
     )
-    observer.finish(variant)
-    return s["is_open"], s["assignment"]
+    diagnostics = observer.finish(variant)
+    return s["is_open"], s["assignment"], diagnostics
 
 
 # ----------------------------------------------------------------------
@@ -1322,7 +1337,7 @@ def _run_sharded(
     policy: RoundingPolicy,
     recorder=None,
     ledger=None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Drive ``shards`` worker processes over one shared state segment.
 
     The parent coordinates every barrier (see :class:`_ShardLinks`) by
@@ -1372,10 +1387,10 @@ def _run_sharded(
             cinst, variant, params, seed, arrays, shards, (0, 0), (0, 0),
             wait, snapshot, open_fraction=open_fraction, policy=policy,
         )
-        observer.finish(variant)
+        diagnostics = observer.finish(variant)
         for worker in workers:
             worker.join(timeout=_BARRIER_TIMEOUT_S)
-        return arrays["is_open"].copy(), arrays["assignment"].copy()
+        return arrays["is_open"].copy(), arrays["assignment"].copy(), diagnostics
     finally:
         # SIGKILL, not SIGTERM: a forked worker inherits the parent's
         # Python signal handlers (``repro serve`` turns SIGTERM into a
@@ -1419,6 +1434,7 @@ class ColumnarSolveResult:
     shards: int = 1
     metrics: Any = None  # NetworkMetrics from the bit ledger, if kept
     timeline: Any = None  # RoundTimeline from the bit ledger, if kept
+    diagnostics: Any = None  # the simulator's protocol counters
 
     @property
     def open_facilities(self) -> frozenset[int]:
@@ -1443,25 +1459,28 @@ def solve_columnar(
     shards: int = 1,
     recorder=None,
     with_ledger: bool = True,
+    params: TradeoffParameters | None = None,
 ) -> ColumnarSolveResult:
     """End-to-end columnar solve on the edge plane (million-node entry).
 
     ``instance`` may be a :class:`ColumnarInstance` or a dense
     :class:`FacilityLocationInstance` (converted once). This never
     materializes dense matrices or per-client Python dicts: parameters
-    come from :func:`columnar_parameters`, the solution stays in arrays,
-    and the cost/feasibility checks are array gathers. The modeled
-    CONGEST traffic (``metrics``/``timeline``) comes from a
-    :class:`repro.net.columnar.ColumnarBitLedger` unless disabled.
+    come from :func:`columnar_parameters` unless ``params`` pins them,
+    the solution stays in arrays, and the cost/feasibility checks are
+    array gathers. The modeled CONGEST traffic (``metrics``/``timeline``)
+    comes from a :class:`repro.net.columnar.ColumnarBitLedger` unless
+    disabled; ``diagnostics`` holds the simulator's protocol counters.
     """
     cinst = instance
     if not isinstance(cinst, ColumnarInstance):
         cinst = ColumnarInstance.from_instance(instance)
     variant = Variant(variant)
-    params = columnar_parameters(cinst, k, variant)
+    if params is None:
+        params = columnar_parameters(cinst, k, variant)
     ledger = ColumnarBitLedger(params) if with_ledger else None
     start = time.perf_counter()
-    is_open, assignment = _run(
+    is_open, assignment, diagnostics = _run(
         cinst, variant, params, seed, shards=shards, open_fraction=open_fraction,
         policy=rounding, recorder=recorder, ledger=ledger,
     )
@@ -1482,6 +1501,7 @@ def solve_columnar(
         shards=max(1, int(shards)),
         metrics=ledger.metrics if ledger is not None else None,
         timeline=ledger.timeline if ledger is not None else None,
+        diagnostics=diagnostics,
     )
 
 

@@ -17,6 +17,7 @@ on, exactly as the one-round message delay dictates.
 from __future__ import annotations
 
 import math
+from typing import Any
 
 from repro.core.algorithm import Variant
 from repro.core.dual_ascent_nodes import RoundingPolicy
@@ -44,8 +45,9 @@ def emulate_loop(
     open_fraction: float = 0.5,
     policy: RoundingPolicy | None = None,
     recorder=None,
-) -> tuple[set[int], dict[int, int]]:
-    """Run one variant; returns the open set and the assignment.
+) -> tuple[set[int], dict[int, int], dict[str, Any]]:
+    """Run one variant; returns the open set, the assignment and the
+    simulator's protocol counters (its ``diagnostics`` keys).
 
     The assignment is in client order: solution costs sum it in dict
     order, so every engine prints the same float. ``recorder`` (a
@@ -53,14 +55,22 @@ def emulate_loop(
     digests and, in full-record mode, the causal provenance DAG.
     """
     if Variant(variant) is Variant.GREEDY:
-        open_set, assignment = _emulate_greedy(
+        open_set, assignment, forced, counters = _emulate_greedy(
             instance, params, seed, open_fraction, recorder=recorder
         )
     else:
-        open_set, assignment = _emulate_dual(
+        open_set, assignment, forced, counters = _emulate_dual(
             instance, params, seed, policy or RoundingPolicy(), recorder=recorder
         )
-    return open_set, dict(sorted(assignment.items()))
+    # ``forced`` holds each forcing client's target, which was closed
+    # until forced, so the distinct targets are the forced opens.
+    diagnostics = {
+        "num_open": len(open_set),
+        "num_forced_opens": len(set(forced)),
+        "num_forced_clients": len(forced),
+        **counters,
+    }
+    return open_set, dict(sorted(assignment.items())), diagnostics
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +97,7 @@ def _emulate_greedy(
     seed: int,
     open_fraction: float = 0.5,
     recorder=None,
-) -> tuple[set[int], dict[int, int]]:
+) -> tuple[set[int], dict[int, int], list[int], dict[str, Any]]:
     m = instance.num_facilities
     n = instance.num_clients
     prov = recorder.provenance if recorder is not None else None
@@ -106,6 +116,7 @@ def _emulate_greedy(
     client_neighbors = [instance.facilities_of_client(j) for j in range(n)]
     is_open = [False] * m
     connected: dict[int, int] = {}
+    failed_accepts = 0
 
     for iteration in range(1, params.num_iterations + 1):
         label = f"greedy:iter:{iteration}"
@@ -161,6 +172,7 @@ def _emulate_greedy(
             if not is_open[i]:
                 needed = max(1, math.ceil(len(star) * open_fraction))
                 if len(accepted) < needed:
+                    failed_accepts += len(accepted)
                     continue
                 is_open[i] = True
                 if prov is not None:
@@ -192,6 +204,7 @@ def _emulate_greedy(
     leftovers = [j for j in range(n) if j not in connected]
     open_before = [i for i in range(m) if is_open[i]]
     open_before_set = set(open_before)
+    forced: list[int] = []
     for j in leftovers:
         open_neighbors = [i for i in client_neighbors[j] if i in open_before_set]
         if open_neighbors:
@@ -220,6 +233,7 @@ def _emulate_greedy(
                 key=lambda i: (instance.connection_cost(i, j), i),
             )
             is_open[target] = True
+            forced.append(target)
             if prov is not None:
                 force = prov.add(
                     "force", f"client:{j}", "greedy:force", facility=target
@@ -241,7 +255,7 @@ def _emulate_greedy(
         connected[j] = target
 
     open_set = {i for i in range(m) if is_open[i]}
-    return open_set, connected
+    return open_set, connected, forced, {"total_failed_accepts": failed_accepts}
 
 
 def _best_star(
@@ -293,7 +307,7 @@ def _emulate_dual(
     seed: int,
     policy: RoundingPolicy,
     recorder=None,
-) -> tuple[set[int], dict[int, int]]:
+) -> tuple[set[int], dict[int, int], list[int], dict[str, Any]]:
     m = instance.num_facilities
     n = instance.num_clients
     prov = recorder.provenance if recorder is not None else None
@@ -440,6 +454,7 @@ def _emulate_dual(
     # round of the message protocol.
     opened_by_coin = {i for i in range(m) if is_open[i]}
     connected: dict[int, int] = {}
+    forced: list[int] = []
     for j in range(n):
         open_witnesses = witnesses[j] & opened_by_coin
         if open_witnesses:
@@ -466,6 +481,7 @@ def _emulate_dual(
                 witnesses[j], key=lambda i: (instance.connection_cost(i, j), i)
             )
             is_open[target] = True
+            forced.append(target)
             if prov is not None:
                 force = prov.add(
                     "force",
@@ -491,4 +507,7 @@ def _emulate_dual(
         connected[j] = target
 
     open_set = {i for i in range(m) if is_open[i]}
-    return open_set, connected
+    mean_witnesses = sum(len(w) for w in witnesses) / max(n, 1)
+    return open_set, connected, forced, {
+        "num_tight": sum(tight), "mean_witnesses": mean_witnesses
+    }

@@ -6,8 +6,9 @@ cheap (see docs/PERFORMANCE.md):
 * :class:`~repro.perf.executor.SweepExecutor` — deterministic
   process-pool fan-out of (instance, k, seed, fault) grid cells whose
   merged output is byte-identical to a serial run;
-* :mod:`~repro.perf.cells` — picklable cell payloads and module-level
-  worker functions the executor can ship to spawned interpreters;
+* :mod:`~repro.perf.cells` — the picklable cell payload, which names
+  its engine, and the module-level worker the executor ships to
+  spawned interpreters;
 * :mod:`~repro.perf.cache` — instance and LP-lower-bound memo caches
   keyed by the run manifest's instance digest, so repeated sweep cells
   skip regeneration and LP re-solves;
@@ -23,19 +24,12 @@ from repro.perf.cache import (
     cached_lp_value,
     clear_caches,
 )
-from repro.perf.cells import (
-    CellOutcome,
-    SequentialCell,
-    SolveCell,
-    run_sequential_cell,
-    run_solve_cell,
-)
+from repro.perf.cells import CellOutcome, SolveCell, run_solve_cell
 from repro.perf.executor import SweepExecutor
 from repro.perf.suite import run_perf_suite
 
 __all__ = [
     "CellOutcome",
-    "SequentialCell",
     "SolveCell",
     "SweepExecutor",
     "cache_stats",
@@ -43,6 +37,5 @@ __all__ = [
     "cached_lp_value",
     "clear_caches",
     "run_perf_suite",
-    "run_sequential_cell",
     "run_solve_cell",
 ]

@@ -1,10 +1,12 @@
-"""Picklable sweep cells and their module-level worker functions.
+"""The picklable sweep cell and its module-level worker function.
 
 A *cell* is one self-contained unit of sweep work: the instance (numpy
-arrays pickle cheaply at experiment sizes), the full run configuration,
-and nothing else — no open file handles, no simulator state. The worker
-functions live at module level so :class:`~repro.perf.executor.
-SweepExecutor` can ship them to spawned interpreters by qualified name.
+arrays pickle cheaply at experiment sizes), the full run configuration
+including the engine it runs on, and nothing else — no open file
+handles, no simulator state. :class:`SolveCell` is the one cell type and
+:func:`run_solve_cell` its worker; it lives at module level so
+:class:`~repro.perf.executor.SweepExecutor` can ship it to spawned
+interpreters by qualified name.
 
 Workers return :class:`CellOutcome`, a flattened plain-data summary of a
 run (costs, open set, assignment, network metrics, diagnostics) rather
@@ -19,12 +21,14 @@ re-touch) and is ``NaN`` when the run was infeasible beyond repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping
 
 from repro.core.algorithm import (
     DistributedFacilityLocation,
     DistributedRunResult,
     Variant,
+    check_engine,
     solve_distributed,
 )
 from repro.core.dual_ascent_nodes import RoundingPolicy
@@ -34,13 +38,7 @@ from repro.fl.instance import FacilityLocationInstance
 from repro.net.faults import FaultPlan
 from repro.net.reliability import ReliabilityPolicy
 
-__all__ = [
-    "CellOutcome",
-    "SequentialCell",
-    "SolveCell",
-    "run_sequential_cell",
-    "run_solve_cell",
-]
+__all__ = ["CellOutcome", "SolveCell", "run_solve_cell"]
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,15 @@ class CellOutcome:
 
 @dataclass(frozen=True)
 class SolveCell:
-    """One distributed-run configuration (message-passing simulator)."""
+    """One run configuration, solved on the engine it names.
+
+    ``engine`` is one of :data:`~repro.core.algorithm.ENGINES` and
+    ``shards`` splits a columnar solve; neither changes the outcome.
+    Every engine takes ``rounding``, ``open_fraction`` and ``params``.
+    ``fault_plan``, ``reliability``, ``healing`` and ``truncate_rounds``
+    need ``engine="simulator"``; on another engine the cell raises
+    :class:`~repro.exceptions.AlgorithmError`.
+    """
 
     instance: FacilityLocationInstance
     k: int
@@ -76,70 +82,30 @@ class SolveCell:
     healing: SelfHealingPolicy | None = None
     params: TradeoffParameters | None = None
     truncate_rounds: int | None = None
-
-
-@dataclass(frozen=True)
-class SequentialCell:
-    """One sequential-emulation configuration (no network simulation).
-
-    ``shards`` applies to the columnar engine only (every other engine
-    rejects values other than 1); by the sharding determinism contract
-    it never changes the cell's outcome, only its execution layout.
-    """
-
-    instance: FacilityLocationInstance
-    k: int
-    variant: str = Variant.GREEDY.value
-    seed: int = 0
-    rounding: RoundingPolicy | None = None
-    open_fraction: float | None = None
-    engine: str = "columnar"
+    engine: str = "simulator"
     shards: int = 1
 
 
 def run_solve_cell(cell: SolveCell) -> CellOutcome:
-    """Execute one distributed run and flatten it into a CellOutcome."""
-    kwargs: dict[str, Any] = {}
-    if cell.rounding is not None:
-        kwargs["rounding"] = cell.rounding
-    if cell.open_fraction is not None:
-        kwargs["open_fraction"] = cell.open_fraction
-    if cell.fault_plan is not None:
-        kwargs["fault_plan"] = cell.fault_plan
-    if cell.reliability is not None:
-        kwargs["reliability"] = cell.reliability
-    if cell.healing is not None:
-        kwargs["healing"] = cell.healing
-    if cell.params is not None:
-        kwargs["params"] = cell.params
-    runner = DistributedFacilityLocation(
-        cell.instance, cell.k, variant=cell.variant, seed=cell.seed, **kwargs
-    )
-    if cell.truncate_rounds is not None:
-        result = runner.run_truncated(cell.truncate_rounds)
-    else:
-        result = runner.run()
-    return _outcome(result)
-
-
-def run_sequential_cell(cell: SequentialCell) -> CellOutcome:
-    """Execute one sequential emulation and flatten it into a CellOutcome."""
-    kwargs: dict[str, Any] = {}
-    if cell.rounding is not None:
-        kwargs["rounding"] = cell.rounding
-    if cell.open_fraction is not None:
-        kwargs["open_fraction"] = cell.open_fraction
-    return _outcome(
-        solve_distributed(
-            cell.instance,
-            k=cell.k,
-            variant=cell.variant,
-            seed=cell.seed,
-            engine=cell.engine,
-            shards=cell.shards,
-            **kwargs,
+    """Execute one run on the cell's engine and flatten it into a CellOutcome."""
+    options = ("rounding", "open_fraction", "fault_plan", "reliability", "healing", "params")
+    kwargs = {
+        name: getattr(cell, name) for name in options if getattr(cell, name) is not None
+    }
+    run = (cell.instance, cell.k, cell.variant, cell.seed)
+    if cell.truncate_rounds is None:
+        return _outcome(
+            solve_distributed(*run, engine=cell.engine, shards=cell.shards, **kwargs)
         )
-    )
+    check_engine(cell.engine, cell.shards, ["truncate_rounds", *kwargs])
+    runner = DistributedFacilityLocation(*run, **kwargs)
+    return _outcome(runner.run_truncated(cell.truncate_rounds))
+
+
+#: The columnar cell and its worker under their former names, kept for
+#: the benchmark scripts that import them.
+SequentialCell = partial(SolveCell, engine="columnar")
+run_sequential_cell = run_solve_cell
 
 
 def _outcome(result: DistributedRunResult) -> CellOutcome:

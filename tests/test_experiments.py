@@ -169,3 +169,46 @@ def test_artifacts_match_committed(results, tmp_path):
         "`repro experiment all --quick -o benchmarks/_artifacts`:\n"
         + "\n".join(moved)
     )
+
+
+#: Experiments that ask for no faults and no truncation: they run on the
+#: columnar engine. E9 times the simulator against it, E11 and E17 inject
+#: faults and E14 truncates, so those four keep the simulator.
+FAULT_FREE = (
+    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E10", "E12", "E13", "E15", "E16"
+)
+
+
+def test_fault_free_experiments_build_no_simulator(monkeypatch):
+    from repro.net.simulator import Simulator
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a fault-free experiment built a Simulator")
+
+    monkeypatch.setattr(Simulator, "__init__", forbidden)
+    assert set(FAULT_FREE) | {"E9", "E11", "E14", "E17"} == set(exp.EXPERIMENTS)
+    for eid in FAULT_FREE:
+        assert exp.EXPERIMENTS[eid].run(quick=True).rows
+
+
+@pytest.mark.parametrize(
+    "option", ["fault_plan", "reliability", "healing", "truncate_rounds"]
+)
+def test_simulator_only_cell_options_refuse_columnar(option):
+    from repro.core.healing import SelfHealingPolicy
+    from repro.exceptions import AlgorithmError
+    from repro.fl.generators import make_instance
+    from repro.net.faults import FaultPlan
+    from repro.net.reliability import ReliabilityPolicy
+    from repro.perf.cells import SolveCell, run_solve_cell
+
+    values = {
+        "fault_plan": FaultPlan(drop_probability=0.1, seed=1),
+        "reliability": ReliabilityPolicy(),
+        "healing": SelfHealingPolicy(),
+        "truncate_rounds": 5,
+    }
+    instance = make_instance("uniform", 6, 15, seed=1)
+    cell = SolveCell(instance, 4, engine="columnar", **{option: values[option]})
+    with pytest.raises(AlgorithmError, match=option):
+        run_solve_cell(cell)

@@ -17,12 +17,7 @@ from repro.analysis import experiments as exp
 from repro.analysis.chaos import run_chaos
 from repro.fl.generators import make_instance
 from repro.perf import SweepExecutor, clear_caches
-from repro.perf.cells import (
-    SequentialCell,
-    SolveCell,
-    run_sequential_cell,
-    run_solve_cell,
-)
+from repro.perf.cells import SolveCell, run_solve_cell
 
 PARALLEL = SweepExecutor(workers=4)
 
@@ -88,23 +83,19 @@ def test_chaos_grid_identical():
 
 
 @pytest.mark.parametrize(
-    ("make_cell", "worker"),
-    [
-        (SolveCell, run_solve_cell),
-        (partial(SequentialCell, engine="columnar"), run_sequential_cell),
-        (partial(SequentialCell, engine="loop"), run_sequential_cell),
-    ],
+    "make_cell",
+    [partial(SolveCell, engine=engine) for engine in ("simulator", "columnar", "loop")],
     ids=["simulator", "columnar", "loop"],
 )
-def test_raw_cell_outcomes_identical(make_cell, worker):
+def test_raw_cell_outcomes_identical(make_cell):
     instance = make_instance("euclidean", 10, 30, 3)
     cells = [
         make_cell(instance=instance, k=k, seed=seed)
         for k in (4, 9)
         for seed in range(4)
     ]
-    serial = SweepExecutor().map_cells(worker, cells)
-    parallel = PARALLEL.map_cells(worker, cells)
+    serial = SweepExecutor().map_cells(run_solve_cell, cells)
+    parallel = PARALLEL.map_cells(run_solve_cell, cells)
     # CellOutcome is a frozen dataclass: == compares every field,
     # including costs, assignments, metrics and diagnostics.
     assert parallel == serial

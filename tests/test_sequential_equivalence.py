@@ -6,7 +6,9 @@ nodes vs. sequential emulation) must produce the *identical* open set and
 assignment for every instance family, seed and trade-off parameter.
 Every case runs under both sequential engines (the pure-Python loop
 reference and the columnar numpy hot path), so the engines are also
-cross-validated against each other through the same oracle.
+cross-validated against each other through the same oracle. Each engine
+also reports the simulator's protocol counters (``diagnostics``, but for
+the ``"engine"`` tag), so experiments that read them can run on any.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 from repro.core.algorithm import ENGINES, Variant, solve_distributed
 from repro.core.dual_ascent_nodes import RoundingPolicy
+from repro.core.parameters import TradeoffParameters
 from repro.fl.generators import make_instance
 
 
@@ -23,18 +26,26 @@ def engine(request):
     return request.param
 
 
-def _assert_equivalent(instance, k, variant, seed, engine, rounding=None):
-    kwargs = {"rounding": rounding} if rounding else {}
+def _counters(result) -> dict:
+    """A run's diagnostics without the engine tag."""
+    return {key: value for key, value in result.diagnostics.items() if key != "engine"}
+
+
+def _assert_equivalent(instance, k, variant, seed, engine, shards=1, **kwargs):
     distributed = solve_distributed(
         instance, k=k, variant=variant, seed=seed, **kwargs
     )
     sequential = solve_distributed(
-        instance, k=k, variant=variant, seed=seed, engine=engine, **kwargs
+        instance, k=k, variant=variant, seed=seed, engine=engine, shards=shards,
+        **kwargs,
     )
     assert distributed.feasible
     assert sequential.open_facilities == distributed.open_facilities
     assert sequential.solution.assignment == distributed.solution.assignment
     assert sequential.cost == pytest.approx(distributed.cost)
+    assert sequential.diagnostics["engine"] == engine
+    assert _counters(sequential) == _counters(distributed)
+    return distributed, sequential
 
 
 @pytest.mark.parametrize(
@@ -81,15 +92,34 @@ def test_equivalence_on_larger_instance(engine):
 @pytest.mark.parametrize("open_fraction", [0.0, 0.25, 0.75, 1.0])
 def test_greedy_equivalence_with_opening_rule(open_fraction, engine):
     instance = make_instance("set_cover", 10, 25, seed=4)
-    distributed = solve_distributed(
-        instance, k=9, seed=3, open_fraction=open_fraction
+    _assert_equivalent(
+        instance, 9, Variant.GREEDY, seed=3, engine=engine,
+        open_fraction=open_fraction,
     )
-    sequential = solve_distributed(
-        instance, k=9, seed=3, open_fraction=open_fraction, engine=engine
-    )
-    assert distributed.feasible
-    assert sequential.open_facilities == distributed.open_facilities
-    assert sequential.solution.assignment == distributed.solution.assignment
+
+
+@pytest.mark.parametrize("settle", [1, 2, 4, 8])
+def test_greedy_equivalence_with_custom_schedule(settle, engine):
+    """E13's pinned schedules: 4 scales and ``settle`` iterations each."""
+    instance = make_instance("set_cover", 20, 60, seed=3)
+    params = TradeoffParameters.custom(instance, 4, settle)
+    for seed in range(3):
+        distributed, sequential = _assert_equivalent(
+            instance, params.k, Variant.GREEDY, seed=seed, engine=engine,
+            params=params,
+        )
+        assert sequential.params == params
+        if engine == "columnar":
+            assert sequential.metrics == distributed.metrics
+
+
+@pytest.mark.parametrize("variant", [Variant.GREEDY, Variant.DUAL_ASCENT])
+def test_sharded_columnar_equivalence(variant):
+    instance = make_instance("set_cover", 12, 40, seed=5)
+    for seed in range(2):
+        _assert_equivalent(
+            instance, 9, variant, seed=seed, engine="columnar", shards=2
+        )
 
 
 @pytest.mark.parametrize("variant", [Variant.GREEDY, Variant.DUAL_ASCENT])
